@@ -173,6 +173,19 @@ class NodalState:
         return NodalState(self.zeta.copy(), self.v.copy())
 
 
+def periodic_pad(u: np.ndarray, g: int) -> np.ndarray:
+    """``u`` with ``g`` periodic ghost cells on each side.
+
+    Entry k of the result is u[(k - g) mod N], so a stencil with offsets in
+    [-g, g] reads the neighbors of cell i from slices starting at i + g.
+    Requires g <= N.
+    """
+    if g > u.shape[0]:
+        raise ConfigurationError(
+            f"cannot wrap {g} ghost cells around {u.shape[0]} points")
+    return np.concatenate((u[u.shape[0] - g:], u, u[:g]))
+
+
 def relative_l2_error(numerical: np.ndarray, reference: np.ndarray) -> float:
     """Relative error in the unweighted discrete Euclidean norm,
     ||num - ref||_2 / ||ref||_2."""

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlowUpError, ConfigurationError, Grid, ModelVariant, NodalState, PhysParams
+from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, NodalState,
+                   PhysParams, periodic_pad)
 from .hyperbolic import rk4_step
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
@@ -70,9 +71,12 @@ def apply_stencil(op: StencilOperator, field: np.ndarray, dx: float) -> np.ndarr
         raise ConfigurationError(
             f"grid of {field.shape[0]} points is narrower than the "
             f"{op.width}-point stencil")
+    g = max(map(abs, op.offsets))
+    padded = periodic_pad(field, g)
+    n = field.shape[0]
     out = np.zeros_like(field)
     for m, c in zip(op.offsets, op.coefficients):
-        out += c * np.roll(field, -m)
+        out += c * padded[g + m:g + m + n]
     return out / dx ** op.order
 
 

@@ -7,14 +7,16 @@ The conserved pair is U = (zeta, v) with flux
 and Jacobian eigenvalues eps*v +- sqrt(g h). Interfaces are fed with
 high-order reconstructed cell values run through a three-argument slope
 limiter, and the interface flux is the Rusanov (local Lax-Friedrichs)
-two-point flux. Everything is periodic; np.roll is the ghost-cell fill.
+two-point flux. Everything is periodic: each kernel wraps its input once
+with ghost cells (``periodic_pad``) and reads every neighbor as a slice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CellState, HyperbolicityError, PhysParams
+from .core import (CellState, ConfigurationError, HyperbolicityError, PhysParams,
+                   periodic_pad)
 
 
 def physical_flux(zeta, v, params: PhysParams):
@@ -33,24 +35,49 @@ def max_signal_speed(zeta, v, params: PhysParams):
     return np.abs(params.epsilon * np.asarray(v)) + np.sqrt(params.gravity * h)
 
 
-def reconstruction_deltas(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upwind/downwind high-order variations on the periodic 5-point stencil.
+STENCIL_WIDTH = 5      # cells i-2 .. i+2 feed the faces of cell i
+
+
+def _check_width(n: int) -> None:
+    if n < STENCIL_WIDTH:
+        raise ConfigurationError(
+            f"grid of {n} points is narrower than the "
+            f"{STENCIL_WIDTH}-point reconstruction stencil")
+
+
+def _variations(p: np.ndarray):
+    """Neighbor differences and high-order variations of the cells p[2:-2]
+    of a field padded with ghost cells.
+
+    Returns (diff_down, diff_up, delta_plus, delta_minus) with
+    diff_down = u_i - u_{i-1}, diff_up = u_{i+1} - u_i and
 
     delta_plus  = 2/3 (u_{i+1}-u_i) + 1/3 (u_i-u_{i-1})
                   - 1/10 (-u_{i-1}+3u_i-3u_{i+1}+u_{i+2})
                   - 1/15 (-u_{i-2}+3u_{i-1}-3u_i+u_{i+1})
 
-    and delta_minus is its mirror. The 2/3, 1/3, -1/10, -1/15 weights give
+    and delta_minus its mirror. The 2/3, 1/3, -1/10, -1/15 weights give
     the fifth-order interface values u_i +- delta/2 on smooth data.
     """
-    um2, um1 = np.roll(u, 2), np.roll(u, 1)
-    up1, up2 = np.roll(u, -1), np.roll(u, -2)
-    d3_fwd = -um1 + 3.0 * u - 3.0 * up1 + up2
-    d3_bwd = -um2 + 3.0 * um1 - 3.0 * u + up1
-    delta_plus = (2.0 / 3.0 * (up1 - u) + 1.0 / 3.0 * (u - um1)
+    d = p[1:] - p[:-1]
+    # third differences starting at cells i-1 and i: the backward one of
+    # cell i is the forward one of cell i-1
+    d3 = -p[:-3] + 3.0 * p[1:-2] - 3.0 * p[2:-1] + p[3:]
+    d3_fwd, d3_bwd = d3[1:], d3[:-1]
+    diff_down, diff_up = d[1:-2], d[2:-1]
+    delta_plus = (2.0 / 3.0 * diff_up + 1.0 / 3.0 * diff_down
                   - 0.1 * d3_fwd - d3_bwd / 15.0)
-    delta_minus = (2.0 / 3.0 * (u - um1) + 1.0 / 3.0 * (up1 - u)
+    delta_minus = (2.0 / 3.0 * diff_down + 1.0 / 3.0 * diff_up
                    - 0.1 * d3_bwd - d3_fwd / 15.0)
+    return diff_down, diff_up, delta_plus, delta_minus
+
+
+def reconstruction_deltas(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upwind/downwind high-order variations on the periodic 5-point stencil
+    (see ``_variations``)."""
+    u = np.asarray(u)
+    _check_width(u.shape[0])
+    _, _, delta_plus, delta_minus = _variations(periodic_pad(u, 2))
     return delta_plus, delta_minus
 
 
@@ -73,11 +100,10 @@ def limiter(u, v, w):
     return np.where(agree, mag * su, 0.0)
 
 
-def _limited_faces(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Limited right/left face values of each cell for one component."""
-    delta_plus, delta_minus = reconstruction_deltas(u)
-    diff_down = u - np.roll(u, 1)        # u_i - u_{i-1}
-    diff_up = np.roll(u, -1) - u         # u_{i+1} - u_i
+def _limited_faces(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Limited right/left face values of the cells p[2:-2] of a padded field."""
+    diff_down, diff_up, delta_plus, delta_minus = _variations(p)
+    u = p[2:-2]
     slope_plus = limiter(diff_down, diff_up, delta_plus)
     slope_minus = limiter(diff_up, diff_down, delta_minus)
     return u + 0.5 * slope_plus, u - 0.5 * slope_minus
@@ -90,8 +116,9 @@ def reconstruct_interfaces(state: CellState):
     value at the right face x_{i+1/2} seen from cell i and *_left the value
     at the left face x_{i-1/2} seen from cell i.
     """
-    zr, zl = _limited_faces(state.zeta)
-    vr, vl = _limited_faces(state.v)
+    _check_width(state.zeta.shape[0])
+    zr, zl = _limited_faces(periodic_pad(state.zeta, 2))
+    vr, vl = _limited_faces(periodic_pad(state.v, 2))
     return zr, zl, vr, vl
 
 
@@ -100,12 +127,19 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
 
         F~ = (F(L) + F(R))/2 - s/2 (R - L),
         s  = max(|eps v_L| + sqrt(g h_L), |eps v_R| + sqrt(g h_R)).
+
+    Raises HyperbolicityError if h <= 0 on either side.
     """
-    f1_l, f2_l = physical_flux(zeta_l, v_l, params)
-    f1_r, f2_r = physical_flux(zeta_r, v_r, params)
-    s = np.maximum(max_signal_speed(zeta_l, v_l, params),
-                   max_signal_speed(zeta_r, v_r, params))
-    flux_zeta = 0.5 * (f1_l + f1_r) - 0.5 * s * (zeta_r - zeta_l)
+    eps, g = params.epsilon, params.gravity
+    h_l = params.depth + eps * np.asarray(zeta_l)
+    h_r = params.depth + eps * np.asarray(zeta_r)
+    if np.any(h_l <= 0.0) or np.any(h_r <= 0.0):
+        raise HyperbolicityError("nonpositive water column in flux evaluation")
+    s = np.maximum(np.abs(eps * np.asarray(v_l)) + np.sqrt(g * h_l),
+                   np.abs(eps * np.asarray(v_r)) + np.sqrt(g * h_r))
+    f2_l = 0.5 * eps * v_l * v_l + g * zeta_l
+    f2_r = 0.5 * eps * v_r * v_r + g * zeta_r
+    flux_zeta = 0.5 * (h_l * v_l + h_r * v_r) - 0.5 * s * (zeta_r - zeta_l)
     flux_v = 0.5 * (f2_l + f2_r) - 0.5 * s * (v_r - v_l)
     return flux_zeta, flux_v
 
@@ -113,15 +147,18 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
 def hyperbolic_rhs(state: CellState, params: PhysParams, dx: float):
     """Semi-discrete rate -(F_{i+1/2} - F_{i-1/2})/dx with limited faces.
 
-    The interface i+1/2 flux pairs the right face of cell i with the left
-    face of cell i+1. Fluxes telescope over the periodic domain, so both
-    component sums of the returned rate vanish to round-off.
+    Both fields are padded with three ghost cells, which is enough to
+    reconstruct cells -1 .. N. Interface i+1/2, for i = -1 .. N-1, pairs
+    the right face of cell i with the left face of cell i+1. Fluxes
+    telescope over the periodic domain, so both component sums of the
+    returned rate vanish to round-off.
     """
-    zr, zl, vr, vl = reconstruct_interfaces(state)
-    # states on either side of interface i+1/2
-    flux_zeta, flux_v = numerical_flux(zr, vr, np.roll(zl, -1), np.roll(vl, -1), params)
-    rate_zeta = -(flux_zeta - np.roll(flux_zeta, 1)) / dx
-    rate_v = -(flux_v - np.roll(flux_v, 1)) / dx
+    _check_width(state.zeta.shape[0])
+    zr, zl = _limited_faces(periodic_pad(state.zeta, 3))
+    vr, vl = _limited_faces(periodic_pad(state.v, 3))
+    flux_zeta, flux_v = numerical_flux(zr[:-1], vr[:-1], zl[1:], vl[1:], params)
+    rate_zeta = -(flux_zeta[1:] - flux_zeta[:-1]) / dx
+    rate_v = -(flux_v[1:] - flux_v[:-1]) / dx
     return rate_zeta, rate_v
 
 

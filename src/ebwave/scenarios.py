@@ -14,7 +14,6 @@ configurations produce identical bytes.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -236,16 +235,26 @@ def run_scenario(config: ScenarioConfig, outdir=None,
     return result
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def write_snapshots_csv(result: ScenarioResult, path) -> None:
-    buf = io.StringIO()
-    buf.write("t,x,zeta,v\n")
-    for snap in result.snapshots:
-        for xi, zi, vi in zip(snap.x, snap.zeta, snap.v):
-            buf.write(f"{FLOAT_FMT % snap.t},{FLOAT_FMT % xi},"
-                      f"{FLOAT_FMT % zi},{FLOAT_FMT % vi}\n")
+    """One row (t, x_i, zeta_i, v_i) per cell and snapshot, under a header.
+
+    Rows are formatted and written in blocks of CSV_BLOCK_ROWS, one ``%``
+    operation per block, so memory stays bounded by a block rather than
+    by the file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(buf.getvalue())
+    with path.open("w") as out:
+        out.write("t,x,zeta,v\n")
+        for snap in result.snapshots:
+            row = FLOAT_FMT % snap.t + ("," + FLOAT_FMT) * 3 + "\n"
+            for start in range(0, len(snap.x), CSV_BLOCK_ROWS):
+                block = np.column_stack([a[start:start + CSV_BLOCK_ROWS]
+                                         for a in (snap.x, snap.zeta, snap.v)])
+                out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BlowUpError, CellState, Grid, HyperbolicityError, ModelVariant,
-                   NodalState, PhysParams)
+                   NodalState, PhysParams, periodic_pad)
 from .dispersive import CirculantSolver, DispersiveOperators, build_operators, rk4_fd_step
 from .hyperbolic import max_signal_speed, rk4_fv_step
 
@@ -52,9 +52,10 @@ class ConversionOperator:
         self._solver = CirculantSolver(_CONVERSION, n_cells, "cell-to-nodal map")
 
     def forward(self, field: np.ndarray) -> np.ndarray:
+        padded = periodic_pad(field, 2)
         out = np.zeros_like(field)
         for m, c in _CONVERSION.items():
-            out += c * np.roll(field, -m)
+            out += c * padded[2 + m:2 + m + self.n]
         return out
 
     def inverse(self, field: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense-matrix brute-force re-implementations used as test oracles.
 
 Everything here is assembled with explicit loops and numpy.linalg solves,
-independent of the roll/FFT code paths in the package.
+independent of the package's ghost-cell (periodic_pad) stencils and
+FFT solves.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ebwave.core import (CellState, ConfigurationError, ModelVariant, PhysParams,
-                         build_grid, relative_l2_error)
+                         build_grid, periodic_pad, relative_l2_error)
 
 
 def test_grid_spacing_examples():
@@ -77,3 +77,12 @@ def test_relative_l2_error_examples():
         relative_l2_error(ref, np.zeros(3))
     with pytest.raises(ValueError):
         relative_l2_error(ref, np.zeros(4))
+
+
+def test_periodic_pad():
+    u = np.arange(5.0)
+    assert np.array_equal(periodic_pad(u, 2), [3, 4, 0, 1, 2, 3, 4, 0, 1])
+    assert np.array_equal(periodic_pad(u, 5), np.tile(u, 3))
+    assert np.array_equal(periodic_pad(u, 0), u)
+    with pytest.raises(ConfigurationError):
+        periodic_pad(u, 6)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ebwave.core import CellState, HyperbolicityError, PhysParams
+from ebwave.core import CellState, ConfigurationError, HyperbolicityError, PhysParams
 from ebwave.hyperbolic import (hyperbolic_rhs, limiter, max_signal_speed,
                                numerical_flux, physical_flux,
                                reconstruct_interfaces, reconstruction_deltas,
@@ -263,3 +265,89 @@ def test_max_signal_speed():
     assert max_signal_speed(0.0, 0.0, params) == pytest.approx(1.0)
     assert float(max_signal_speed(0.6, -2.0, params)) \
         == pytest.approx(1.0 + np.sqrt(1.3))
+
+
+def loop_rhs(zeta, v, params, dx):
+    """Per-cell loop re-implementation of hyperbolic_rhs (oracle).
+
+    Neighbors come from modular indices instead of ghost cells. Every scalar
+    expression is evaluated in the same order as the vectorized kernel, so
+    the two agree bit for bit, wrap edges included.
+    """
+    n = len(zeta)
+    eps, g, h0 = params.epsilon, params.gravity, params.depth
+
+    def sgn(x):
+        return float((x > 0.0) - (x < 0.0))
+
+    def lim(a, b, w):
+        sa = sgn(a)
+        if sa != sgn(b) or sa == 0.0:
+            return 0.0
+        return min(min(2.0 * abs(a), 2.0 * abs(b)), abs(w)) * sa
+
+    def faces(u, i):
+        um2, um1, u0 = float(u[(i - 2) % n]), float(u[(i - 1) % n]), float(u[i])
+        up1, up2 = float(u[(i + 1) % n]), float(u[(i + 2) % n])
+        down, up = u0 - um1, up1 - u0
+        fwd3 = -um1 + 3.0 * u0 - 3.0 * up1 + up2
+        bwd3 = -um2 + 3.0 * um1 - 3.0 * u0 + up1
+        dp = 2.0 / 3.0 * up + 1.0 / 3.0 * down - 0.1 * fwd3 - bwd3 / 15.0
+        dm = 2.0 / 3.0 * down + 1.0 / 3.0 * up - 0.1 * bwd3 - fwd3 / 15.0
+        return u0 + 0.5 * lim(down, up, dp), u0 - 0.5 * lim(up, down, dm)
+
+    def flux(i):
+        """Rusanov flux at interface i+1/2."""
+        zl, _ = faces(zeta, i)
+        vl, _ = faces(v, i)
+        _, zr = faces(zeta, (i + 1) % n)
+        _, vr = faces(v, (i + 1) % n)
+        h_l, h_r = h0 + eps * zl, h0 + eps * zr
+        if h_l <= 0.0 or h_r <= 0.0:
+            raise HyperbolicityError("dry face")
+        s = max(abs(eps * vl) + math.sqrt(g * h_l), abs(eps * vr) + math.sqrt(g * h_r))
+        f2_l = 0.5 * eps * vl * vl + g * zl
+        f2_r = 0.5 * eps * vr * vr + g * zr
+        return (0.5 * (h_l * vl + h_r * vr) - 0.5 * s * (zr - zl),
+                0.5 * (f2_l + f2_r) - 0.5 * s * (vr - vl))
+
+    fluxes = [flux(i) for i in range(n)]
+    rate_zeta = np.array([-(fluxes[i][0] - fluxes[i - 1][0]) / dx for i in range(n)])
+    rate_v = np.array([-(fluxes[i][1] - fluxes[i - 1][1]) / dx for i in range(n)])
+    return rate_zeta, rate_v
+
+
+@pytest.mark.parametrize("n", [8, 13])
+def test_rhs_matches_loop_oracle_exactly(n):
+    rng = np.random.default_rng(41 + n)
+    for params in (ND(0.4), PhysParams(epsilon=1.0, gravity=9.81, depth=1.0),
+                   PhysParams(epsilon=0.7, gravity=3.0, depth=2.0)):
+        for _ in range(10):
+            zeta = 0.15 * rng.standard_normal(n)
+            v = rng.standard_normal(n)
+            zeta[rng.integers(0, n)] = 0.0     # a vanishing difference
+            got = hyperbolic_rhs(CellState(zeta, v), params, 0.05)
+            want = loop_rhs(zeta, v, params, 0.05)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("where", [0, -1])
+def test_rhs_dry_cell_at_wrap_edge_raises(n, where):
+    zeta = np.full(n, 0.1)
+    zeta[where] = -1.5
+    state = CellState(zeta, np.zeros(n))
+    with pytest.raises(HyperbolicityError):
+        hyperbolic_rhs(state, ND(1.0), 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_narrower_than_stencil_rejected(n):
+    state = CellState(np.zeros(n), np.zeros(n))
+    with pytest.raises(ConfigurationError):
+        hyperbolic_rhs(state, ND(0.5), 0.1)
+    with pytest.raises(ConfigurationError):
+        reconstruct_interfaces(state)
+    with pytest.raises(ConfigurationError):
+        reconstruction_deltas(state.zeta)

@@ -1,9 +1,12 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from ebwave.core import ConfigurationError
-from ebwave.scenarios import (ScenarioConfig, builtin_names, builtin_scenario,
+from ebwave.scenarios import (CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult, Snapshot,
+                              builtin_names, builtin_scenario,
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
                               run_dispersion_report, run_scenario, track_crest,
@@ -19,6 +22,54 @@ def small_config(**overrides) -> ScenarioConfig:
         t_end=0.2, output_times=(0.0, 0.1, 0.2))
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def rowwise_csv(result) -> bytes:
+    """Per-row f-string formatter (oracle for the block writer)."""
+    fmt = "%.17g"
+    lines = ["t,x,zeta,v\n"]
+    for snap in result.snapshots:
+        for xi, zi, vi in zip(snap.x, snap.zeta, snap.v):
+            lines.append(f"{fmt % snap.t},{fmt % xi},{fmt % zi},{fmt % vi}\n")
+    return "".join(lines).encode()
+
+
+def synthetic_result(times, n, seed=0) -> ScenarioResult:
+    rng = np.random.default_rng(seed)
+    snaps = []
+    for t in times:
+        zeta = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        v = rng.standard_normal(n)
+        v[:3] = (-0.0, 1e-300, 1e300)
+        zeta[-3:] = (1e300, -0.0, 1e-300)
+        snaps.append(Snapshot(t, np.linspace(-1.0, 1.0, n), zeta, v))
+    return ScenarioResult(config=small_config(), snapshots=snaps, blowup_time=None,
+                          mass_initial=0.0, mass_final=0.0, steps=0)
+
+
+def test_csv_writer_matches_rowwise_formatter(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 37
+    result = synthetic_result([0.0, 0.1, 1.0 / 3.0], n)
+    path = tmp_path / "sub" / "out.csv"
+    write_snapshots_csv(result, path)
+    assert path.read_bytes() == rowwise_csv(result)
+    # short snapshots and an empty one
+    result = synthetic_result([0.0, -0.0, 2.5], 5)
+    result.snapshots.append(Snapshot(3.0, np.zeros(0), np.zeros(0), np.zeros(0)))
+    write_snapshots_csv(result, path)
+    assert path.read_bytes() == rowwise_csv(result)
+
+
+def test_csv_writer_memory_stays_below_file_size(tmp_path):
+    result = synthetic_result([0.0], 65536)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_snapshots_csv(result, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_builtin_configs_exist_and_roundtrip(tmp_path):
