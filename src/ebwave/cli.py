@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 unexpected numerical
-blow-up, 4 self-test failure. The output directory defaults to the
-EBWAVE_OUTDIR environment variable, then to the current directory.
+Exit codes: 0 success, 2 configuration error (including non-finite
+config values), 3 unexpected numerical blow-up or a dry bed (the water
+column h0 + eps*zeta reached zero), 4 self-test failure. The output
+directory defaults to the EBWAVE_OUTDIR environment variable, then to the
+current directory.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, ModelVariant, PhysParams
+from .core import ConfigurationError, HyperbolicityError, ModelVariant, PhysParams
 from .dispersion import optimize_alpha, stability_bound
 from . import scenarios
 
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except HyperbolicityError as exc:
+        print(f"dry bed (water column h0 + eps*zeta <= 0): {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

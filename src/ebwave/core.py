@@ -173,17 +173,17 @@ class NodalState:
         return NodalState(self.zeta.copy(), self.v.copy())
 
 
-def periodic_pad(u: np.ndarray, g: int) -> np.ndarray:
+def periodic_pad(u: np.ndarray, g: int, out: np.ndarray | None = None) -> np.ndarray:
     """``u`` with ``g`` periodic ghost cells on each side.
 
     Entry k of the result is u[(k - g) mod N], so a stencil with offsets in
     [-g, g] reads the neighbors of cell i from slices starting at i + g.
-    Requires g <= N.
+    Requires g <= N. ``out``, if given, receives the result (N + 2g entries).
     """
     if g > u.shape[0]:
         raise ConfigurationError(
             f"cannot wrap {g} ghost cells around {u.shape[0]} points")
-    return np.concatenate((u[u.shape[0] - g:], u, u[:g]))
+    return np.concatenate((u[u.shape[0] - g:], u, u[:g]), out=out)
 
 
 def relative_l2_error(numerical: np.ndarray, reference: np.ndarray) -> float:

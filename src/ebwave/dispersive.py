@@ -238,23 +238,17 @@ def dispersive_rhs(state: NodalState, ops: DispersiveOperators):
     return np.zeros_like(state.zeta), velocity_rate(ops, state.v, source)
 
 
-def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators,
-                euler: bool = False) -> NodalState:
+def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators) -> NodalState:
     """Advance the nodal velocity by one RK4 step of the dispersive part.
 
     zeta is returned bit-identical to the input. The zeta-only part of the
     rate is evaluated once and shared by the four stages, which is exact
-    because zeta does not move during this half step. The ``euler`` flag
-    replaces RK4 by a single explicit Euler update (step-order tests only).
+    because zeta does not move during this half step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     source = zeta_source_term(ops, state.zeta)
-
-    if euler:
-        v_new = state.v + dt * velocity_rate(ops, state.v, source)
-    else:
-        v_new = rk4_step(state.v, dt, lambda v: velocity_rate(ops, v, source))
+    v_new = rk4_step(state.v, dt, lambda v: velocity_rate(ops, v, source))
     if not np.all(np.isfinite(v_new)):
         raise BlowUpError("non-finite velocity after dispersive step")
     return NodalState(state.zeta.copy(), v_new)

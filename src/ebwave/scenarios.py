@@ -14,6 +14,7 @@ configurations produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -59,6 +60,11 @@ class ScenarioConfig:
     dam_amplitude: float = 0.2091
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.units not in ("nondimensional", "si"):
             raise ConfigurationError(f"unknown units {self.units!r}")
         if sorted(self.output_times) != list(self.output_times):

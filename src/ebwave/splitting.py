@@ -18,7 +18,7 @@ import numpy as np
 from .core import (BlowUpError, CellState, Grid, HyperbolicityError, ModelVariant,
                    NodalState, PhysParams, periodic_pad)
 from .dispersive import CirculantSolver, DispersiveOperators, build_operators, rk4_fd_step
-from .hyperbolic import max_signal_speed, rk4_fv_step
+from .hyperbolic import FVWorkspace, max_signal_speed, rk4_fv_step
 
 # cell averages -> point values at the cell centers (deconvolution of the
 # sliding mean), symmetric five-point map exact through sixth order
@@ -126,11 +126,13 @@ class StrangSolver:
         self.blowup_threshold = blowup_threshold
         self.operators: DispersiveOperators = build_operators(grid, params, variant)
         self.conversion = ConversionOperator(grid.n_cells)
+        self.fv_workspace = FVWorkspace(grid.n_cells)
 
     def strang_step(self, run: RunState, dt: float) -> RunState:
         """One S1(dt/2) S2(dt) S1(dt/2) step; returns a fresh RunState."""
         dx = self.grid.dx
-        cells = rk4_fv_step(run.cells, 0.5 * dt, self.params, dx)
+        cells = rk4_fv_step(run.cells, 0.5 * dt, self.params, dx,
+                            workspace=self.fv_workspace)
 
         nodal = cell_to_nodal(cells, self.conversion)
         sub = dt / self.n_disp
@@ -140,7 +142,8 @@ class StrangSolver:
         # as is instead of converting it forth and back.
         cells = CellState(cells.zeta, self.conversion.inverse(nodal.v))
 
-        cells = rk4_fv_step(cells, 0.5 * dt, self.params, dx)
+        cells = rk4_fv_step(cells, 0.5 * dt, self.params, dx,
+                            workspace=self.fv_workspace)
 
         out = RunState(t=run.t + dt, cells=cells, step_count=run.step_count + 1)
         out.update_diagnostics(dx)

@@ -54,6 +54,26 @@ def test_simulate_expected_blowup_is_success(tmp_path):
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_OK
 
 
+def test_simulate_dry_bed_exit_code(tmp_path, capsys):
+    config = replace(builtin_scenario("dam_break"), name="dry", dam_amplitude=-0.6)
+    path = tmp_path / "dry.cfg"
+    write_config(config, path)
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_BLOWUP
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("dry bed")
+
+
+def test_simulate_non_finite_config_value(tmp_path, capsys):
+    path = mini_config(tmp_path)
+    text = path.read_text().splitlines()
+    text = [("dam_amplitude = nan" if line.startswith("dam_amplitude") else line)
+            for line in text]
+    path.write_text("\n".join(text) + "\n")
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    assert "dam_amplitude must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "mini.csv").exists()
+
+
 def test_outdir_from_environment(tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("EBWAVE_OUTDIR", str(out))

@@ -5,7 +5,7 @@ from ebwave.core import (BlowUpError, CellState, ConfigurationError, ModelVarian
                          NodalState, PhysParams, build_grid)
 from ebwave.dispersive import (CirculantSolver, DispersiveOperators, StencilOperator,
                                apply_stencil, build_operators, dispersive_rhs,
-                               rk4_fd_step)
+                               rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.splitting import RunState, StrangSolver
 
 from oracles import dense_dispersive_rhs, dense_j_p, dense_matrix
@@ -229,10 +229,15 @@ def test_euler_and_rk4_time_orders():
     x = grid.centers
     state0 = NodalState(0.3 * np.sin(x), 0.2 * np.cos(2 * x))
 
+    def euler_step(s, dt):
+        source = zeta_source_term(ops, s.zeta)
+        return NodalState(s.zeta, s.v + dt * velocity_rate(ops, s.v, source))
+
     def evolve(dt, t_end, euler):
+        step = euler_step if euler else lambda s, dt: rk4_fd_step(s, dt, ops)
         s = NodalState(state0.zeta.copy(), state0.v.copy())
         for _ in range(int(round(t_end / dt))):
-            s = rk4_fd_step(s, dt, ops, euler=euler)
+            s = step(s, dt)
         return s.v
 
     ref = evolve(1 / 2048, 0.5, euler=False)

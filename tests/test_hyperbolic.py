@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ebwave.core import CellState, ConfigurationError, HyperbolicityError, PhysParams
-from ebwave.hyperbolic import (hyperbolic_rhs, limiter, max_signal_speed,
-                               numerical_flux, physical_flux,
+from ebwave.hyperbolic import (FV_STRIP, FVWorkspace, hyperbolic_rhs, limiter,
+                               max_signal_speed, numerical_flux, physical_flux,
                                reconstruct_interfaces, reconstruction_deltas,
                                rk4_fv_step, rk4_step)
+
+import oracles
 
 ND = PhysParams.nondimensional
 
@@ -351,3 +354,111 @@ def test_grid_narrower_than_stencil_rejected(n):
         reconstruct_interfaces(state)
     with pytest.raises(ConfigurationError):
         reconstruction_deltas(state.zeta)
+
+
+STRIP_SIZES = [5, 8, 13, 1200, FV_STRIP - 1, FV_STRIP, FV_STRIP + 1, 2 * FV_STRIP + 7]
+PARAMS = [ND(0.4), PhysParams(epsilon=0.7, gravity=3.0, depth=2.0)]
+
+
+def wet_state(rng, n):
+    """Random wet state with flat stretches and exact zeros, so every
+    branch of the limiter is taken."""
+    zeta = 0.15 * rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    zeta[rng.integers(0, n, size=max(1, n // 50))] = 0.0
+    v[n // 3:n // 3 + n // 5] = 0.25
+    return CellState(zeta, v)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", STRIP_SIZES)
+def test_kernel_matches_allocating_kernel_exactly(n):
+    rng = np.random.default_rng(n)
+    reused = FVWorkspace(n)
+    for params in PARAMS:
+        for _ in range(2):
+            state = wet_state(rng, n)
+            want_rate = oracles.hyperbolic_rhs(state, params, 0.05)
+            want = oracles.rk4_fv_step(state, 0.01, params, 0.05)
+            assert_same_bits(hyperbolic_rhs(state, params, 0.05), want_rate)
+            assert_same_bits(hyperbolic_rhs(state, params, 0.05, workspace=reused),
+                             want_rate)
+            for ws in (None, FVWorkspace(n), reused):
+                got = rk4_fv_step(state, 0.01, params, 0.05, workspace=ws)
+                assert_same_bits((got.zeta, got.v), (want.zeta, want.v))
+
+
+@pytest.mark.parametrize("n", STRIP_SIZES)
+def test_public_kernels_match_allocating_kernel_exactly(n):
+    rng = np.random.default_rng(100 + n)
+    state = wet_state(rng, n)
+    assert_same_bits(reconstruction_deltas(state.zeta),
+                     oracles.reconstruction_deltas(state.zeta))
+    assert_same_bits(reconstruct_interfaces(state), oracles.reconstruct_interfaces(state))
+    u, v, w = rng.standard_normal((3, n))
+    u[::7] = 0.0
+    assert_same_bits([limiter(u, v, w)], [oracles.limiter(u, v, w)])
+    sides = rng.uniform(-0.5, 1.0, (4, n))
+    for params in PARAMS:
+        assert_same_bits(numerical_flux(*sides, params),
+                         oracles.numerical_flux(*sides, params))
+
+
+def test_dry_cell_in_last_strip_raises():
+    n = 2 * FV_STRIP + 7
+    ws = FVWorkspace(n)
+    zeta = np.full(n, 0.1)
+    zeta[n - 3] = -1.5
+    with pytest.raises(HyperbolicityError):
+        hyperbolic_rhs(CellState(zeta, np.zeros(n)), ND(1.0), 0.1, workspace=ws)
+    with pytest.raises(HyperbolicityError):
+        rk4_fv_step(CellState(zeta, np.zeros(n)), 0.01, ND(1.0), 0.1, workspace=ws)
+    # the workspace stays usable after the error
+    state = wet_state(np.random.default_rng(3), n)
+    got = rk4_fv_step(state, 0.01, ND(0.4), 0.05, workspace=ws)
+    want = oracles.rk4_fv_step(state, 0.01, ND(0.4), 0.05)
+    assert_same_bits((got.zeta, got.v), (want.zeta, want.v))
+
+
+def test_workspace_size_mismatch_rejected():
+    with pytest.raises(ConfigurationError):
+        hyperbolic_rhs(CellState.rest(16), ND(0.4), 0.1, workspace=FVWorkspace(17))
+
+
+def workspace_buffers(ws):
+    return [*ws.padded, *ws.stage, *ws.rate, *ws.acc, *ws.faces, *ws.tmp, *ws.masks]
+
+
+def test_rk4_fv_step_results_own_their_memory():
+    n = FV_STRIP + 1
+    ws = FVWorkspace(n)
+    state = wet_state(np.random.default_rng(5), n)
+    saved = state.copy()
+    first = rk4_fv_step(state, 0.01, ND(0.4), 0.05, workspace=ws)
+    second = rk4_fv_step(first, 0.01, ND(0.4), 0.05, workspace=ws)
+    assert_same_bits((state.zeta, state.v), (saved.zeta, saved.v))
+    outputs = [first.zeta, first.v, second.zeta, second.v]
+    for i, a in enumerate(outputs):
+        assert not any(np.shares_memory(a, b) for b in workspace_buffers(ws))
+        assert not any(np.shares_memory(a, b) for b in outputs[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in (state.zeta, state.v))
+
+
+def test_rk4_fv_step_allocates_only_its_result():
+    n = 65536
+    ws = FVWorkspace(n)
+    x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    state = CellState(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
+    rk4_fv_step(state, 1e-3, ND(0.3), 0.01, workspace=ws)     # warm up
+    tracemalloc.start()
+    try:
+        out = rk4_fv_step(state, 1e-3, ND(0.3), 0.01, workspace=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.zeta.nbytes + out.v.nbytes == 1 << 20
+    assert peak < 1.5 * (1 << 20)

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -120,6 +120,23 @@ def test_config_validation():
         small_config(units="imperial")
     with pytest.raises(ValueError):
         small_config(variant="spectral")
+
+
+FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+TUPLE_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type.startswith("tuple")]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS + TUPLE_FIELDS)
+def test_config_rejects_non_finite_values(name, bad):
+    value = (0.0, bad) if name in TUPLE_FIELDS else bad
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        small_config(**{name: value})
+
+
+def test_non_finite_field_lists_are_complete():
+    assert {"x_min", "t_end", "cfl", "ic_scale", "dam_amplitude"} <= set(FLOAT_FIELDS)
+    assert {"output_times", "amplitudes"} <= set(TUPLE_FIELDS)
 
 
 def test_initial_state_selectors():
