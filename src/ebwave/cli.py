@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error (including non-finite
-config values), 3 unexpected numerical blow-up or a dry bed (the water
-column h0 + eps*zeta reached zero), 4 self-test failure. The output
+config values), 3 unexpected numerical blow-up (including a member of a
+``converge`` refinement study that blew up) or a dry bed (the water column
+h0 + eps*zeta reached zero), 4 self-test failure. The output
 directory defaults to the EBWAVE_OUTDIR environment variable, then to the
 current directory.
 """
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, HyperbolicityError, ModelVariant, PhysParams
+from .core import (BlowUpError, ConfigurationError, HyperbolicityError, ModelVariant,
+                   PhysParams)
 from .dispersion import optimize_alpha, stability_bound
 from . import scenarios
 
@@ -199,6 +201,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except HyperbolicityError as exc:
         print(f"dry bed (water column h0 + eps*zeta <= 0): {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except BlowUpError as exc:
+        print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,24 +9,64 @@ where J = I - (eps alpha/3) D2 + (eps^2 alpha/45) D4 and the screening
 operator P = I - (eps alpha/3) D2 are periodic circulant matrices built
 from fixed fourth-order centered stencils. Both are diagonal in Fourier
 space with symbols bounded below by 1, so they are factorized once (their
-symbols are precomputed) and applied by FFT division at every stage.
+symbols are precomputed) and applied by FFT at every stage.
 
 The three model variants differ only in how the high order derivatives of
 zeta enter the bracket: fully factorized through P^{-1}, fully explicit
 through D3/D5 stencils, or a mix that factorizes the fifth derivative only
 (alpha = 1; linearly unstable for large surface deformations, kept as a
 demonstration case).
+
+Operators. Every constant-coefficient operator is built once per grid,
+parameters and variant (``build_operators``) and applied in one of two
+forms:
+
+* a ``PairStencil``: the stencil in pair form, c0 u_i + sum_m c_m
+  (u_{i+m} + u_{i-m}) when symmetric and sum_m c_m (u_{i+m} - u_{i-m})
+  when antisymmetric, applied by one kernel, with dx^-order and the
+  scalar prefactors of its bracket term (2/45 eps^2, 2/3 eps^2, eps^2,
+  g/alpha) folded into the coefficients. Each field is ghost-filled once
+  and every stencil on it reads the same padded copy. In pair form an odd
+  derivative of a constant is exactly zero, and of a smooth field far
+  less rounded than the offset-by-offset sum, since u_{i+m} - u_{i-m}
+  cancels exactly.
+* a Fourier multiplier (``CirculantSolver``): b -> A^{-1} b, or
+  A^{-1} N b for a numerator stencil N, as one complex array that the
+  rfft of b is multiplied by. The symbols are evaluated in closed form,
+  sum_m c_m e^{i m theta_k}, from one table of cos and sin of m theta_k
+  (``fourier_harmonics``, shared by the solvers of a grid), so set-up
+  takes no FFT.
+
+The nonlinear velocity term 2/3 eps^2 J^{-1} D1 (D1 v)^2 folds the outer
+D1 into the J solve: circulants commute, so K = 2/3 eps^2 J^{-1} D1 is one
+multiplier and the rate is zeta_source - K (D1 v)^2, one stencil and one
+FFT pair per stage. K goes through ``CirculantSolver.solve`` like P and J,
+so a step makes six solves (one P and one J for the zeta-only source, one
+K per Runge-Kutta stage): the benchmark's trace wraps ``solve`` and counts
+every one, as it did before the fold.
+
+Workspace. Every buffer of one RK4 step lives in an ``FDWorkspace`` built
+once per grid (``StrangSolver`` keeps one): the ghost-filled field, the
+stencil scratch, the frozen zeta source, the RK4 stage, rate and running
+sum of v and one complex spectrum, which the FFTs write into through
+``out=``. A step allocates only its result, where the allocating kernel
+took a fresh N-sized array for almost every numpy operation. Its seven
+N-sized rows are 3.5 MiB at N = 65536, as much as the allocating kernel's
+peak of temporaries, so the solver carves them from the memory of its
+finite-volume workspace, which is idle during this half step: then the
+dispersive step adds no resident memory at all.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, NodalState,
                    PhysParams, periodic_pad)
-from .hyperbolic import rk4_step
+from .hyperbolic import rk4_in_place
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
 _D1 = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
@@ -37,6 +77,8 @@ _D5 = {-4: 1 / 6, -3: -9 / 6, -2: 26 / 6, -1: -29 / 6,
        1: 29 / 6, 2: -26 / 6, 3: 9 / 6, 4: -1 / 6}
 
 _STENCILS = {1: _D1, 2: _D2, 3: _D3, 4: _D4, 5: _D5}
+
+FD_GHOSTS = 4          # ghost cells per side: the reach of the widest stencil, D5
 
 
 @dataclass(frozen=True)
@@ -64,6 +106,70 @@ class StencilOperator:
         return max(self.offsets) - min(self.offsets) + 1
 
 
+@dataclass(frozen=True)
+class PairStencil:
+    """A symmetric or antisymmetric periodic stencil in pair form,
+
+        c0 u_i + sum_m c_m (u_{i+m} + u_{i-m})    (symmetric),
+        sum_m c_m (u_{i+m} - u_{i-m})             (antisymmetric),
+
+    over m = 1 .. reach, with every scale already in the coefficients.
+    """
+
+    center: float
+    pairs: tuple[tuple[int, float], ...]
+    antisymmetric: bool
+
+    @classmethod
+    def of(cls, stencil: dict[int, float]) -> "PairStencil":
+        """Pair form of ``stencil`` (offset -> coefficient)."""
+        reach = max(abs(m) for m in stencil)
+        right = [stencil.get(m, 0.0) for m in range(1, reach + 1)]
+        left = [stencil.get(-m, 0.0) for m in range(1, reach + 1)]
+        center = stencil.get(0, 0.0)
+        if left == right:
+            antisymmetric = False
+        elif left == [-c for c in right] and center == 0.0:
+            antisymmetric = True
+        else:
+            raise ConfigurationError(f"stencil {stencil} is neither symmetric "
+                                     "nor antisymmetric")
+        return cls(center=center, antisymmetric=antisymmetric,
+                   pairs=tuple(enumerate(right, 1)))
+
+    @property
+    def reach(self) -> int:
+        return len(self.pairs)
+
+    def scaled(self, factor: float) -> "PairStencil":
+        """This stencil times ``factor``."""
+        return PairStencil(center=factor * self.center, antisymmetric=self.antisymmetric,
+                           pairs=tuple((m, factor * c) for m, c in self.pairs))
+
+    def apply(self, padded: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Write the stencil of the field held by ``padded`` into ``out``.
+
+        ``padded`` is the field with the same number g >= reach of periodic
+        ghost cells on each side (``periodic_pad``), so that it has
+        len(out) + 2g entries; ``tmp`` is scratch of len(out). Returns out.
+        """
+        n = out.shape[0]
+        g = (padded.shape[0] - n) // 2
+        combine = np.subtract if self.antisymmetric else np.add
+        pairs = self.pairs
+        if self.antisymmetric:
+            (m, c), pairs = pairs[0], pairs[1:]
+            combine(padded[g + m:g + m + n], padded[g - m:g - m + n], out=out)
+            out *= c
+        else:
+            np.multiply(padded[g:g + n], self.center, out=out)
+        for m, c in pairs:
+            combine(padded[g + m:g + m + n], padded[g - m:g - m + n], out=tmp)
+            tmp *= c
+            out += tmp
+        return out
+
+
 def apply_stencil(op: StencilOperator, field: np.ndarray, dx: float) -> np.ndarray:
     """Apply the periodic stencil to a field, scaled by dx^-order."""
     field = np.asarray(field, dtype=float)
@@ -71,68 +177,204 @@ def apply_stencil(op: StencilOperator, field: np.ndarray, dx: float) -> np.ndarr
         raise ConfigurationError(
             f"grid of {field.shape[0]} points is narrower than the "
             f"{op.width}-point stencil")
-    g = max(map(abs, op.offsets))
-    padded = periodic_pad(field, g)
-    n = field.shape[0]
-    out = np.zeros_like(field)
-    for m, c in zip(op.offsets, op.coefficients):
-        out += c * padded[g + m:g + m + n]
-    return out / dx ** op.order
+    stencil = PairStencil.of(dict(zip(op.offsets, op.coefficients))).scaled(dx ** -op.order)
+    return stencil.apply(periodic_pad(field, stencil.reach),
+                         np.empty_like(field), np.empty_like(field))
 
 
-def circulant_symbol(stencil: dict[int, float], n: int) -> np.ndarray:
-    """Eigenvalues of the periodic convolution sum_m c_m u_{i+m} on the
-    discrete Fourier modes used by rfft (length n//2 + 1)."""
-    col = np.zeros(n)
-    for m, c in stencil.items():
-        col[(-m) % n] += c
-    return np.fft.rfft(col)
+def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:
+    """cos(m theta_k) and sin(m theta_k) for m = 1 .. reach at the
+    frequencies theta_k = 2 pi k / n that rfft keeps, as rows m - 1 of
+    the two halves of a (2, reach, n//2 + 1) array. Reach 3 covers J, P,
+    D1 and the cell-to-nodal map.
+
+    e^{i theta_k} for k = a B + b (B about sqrt(n/2)) is the product of
+    e^{i a B theta_1} and e^{i b theta_1}, so the first row takes about
+    2 sqrt(2n) complex exponentials and one outer product instead of a cos
+    and a sin per frequency, to the same few-ulp accuracy. The other rows
+    follow from the Chebyshev recurrence x_{m+1} = 2 cos(theta) x_m - x_{m-1}.
+    """
+    size = n // 2 + 1
+    step = 2.0 * np.pi / n
+    block = int(np.sqrt(size)) + 1
+    coarse = np.exp(1j * (step * block) * np.arange(-(-size // block)))
+    unit = np.multiply.outer(coarse, np.exp(1j * step * np.arange(block))).ravel()[:size]
+    table = np.empty((2, reach, size))
+    cos, sin = table
+    cos[0], sin[0] = unit.real, unit.imag
+    two_cos = 2.0 * cos[0]
+    for m in range(1, reach):
+        np.multiply(two_cos, cos[m - 1], out=cos[m])
+        np.multiply(two_cos, sin[m - 1], out=sin[m])
+        cos[m] -= cos[m - 2] if m >= 2 else 1.0       # cos(0 t) = 1, sin(0 t) = 0
+        if m >= 2:
+            sin[m] -= sin[m - 2]
+    return table
+
+
+def circulant_symbol(stencil: dict[int, float], n: int,
+                     harmonics: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues sum_m c_m e^{2 pi i m k / n} of the periodic convolution
+    sum_m c_m u_{i+m} on the discrete Fourier modes used by rfft (length
+    n//2 + 1), in closed form: c_0 + sum_{m > 0} (c_m + c_{-m}) cos(m theta)
+    + i (c_m - c_{-m}) sin(m theta), from a ``fourier_harmonics(n)`` table
+    (pass one to share it between symbols; it must reach the widest
+    offset). Real, as a float array, when the stencil is symmetric."""
+    reach = max(abs(m) for m in stencil)
+    cos, sin = fourier_harmonics(n, max(reach, 1)) if harmonics is None else harmonics
+    if reach > cos.shape[0]:
+        raise ConfigurationError(f"harmonics table reaches {cos.shape[0]}, "
+                                 f"stencil {stencil} needs {reach}")
+    pairs = [(stencil.get(m, 0.0), stencil.get(-m, 0.0)) for m in range(1, reach + 1)]
+    even = [right + left for right, left in pairs]
+    odd = [right - left for right, left in pairs]
+    center = stencil.get(0, 0.0)
+    if any(odd) and not (center or any(even)):      # antisymmetric: imaginary
+        return 1j * np.dot(odd, sin[:reach])
+    symbol = np.dot(even, cos[:reach])
+    symbol += center
+    if any(odd):
+        symbol = symbol + 1j * np.dot(odd, sin[:reach])
+    return symbol
 
 
 class CirculantSolver:
     """Precomputed Fourier factorization of a periodic constant-stencil map.
 
-    The symbol is checked at construction; a (near) zero eigenvalue at any
-    discrete frequency makes the map singular on this grid.
+    ``solve(b)`` returns A^{-1} b for the map A given by ``stencil``: one
+    rfft, one product with the precomputed multiplier 1/sigma_A and one
+    irfft. ``times`` composes it with a numerator stencil N into the map
+    A^{-1} N, with the multiplier sigma_N / sigma_A. Multipliers are stored
+    complex even where they are real, because numpy multiplies a complex
+    array by a complex one several times faster than by a real one. The
+    symbol of A is checked at construction; a (near) zero eigenvalue at
+    any discrete frequency makes the map singular on this grid.
+    ``harmonics`` is a ``fourier_harmonics(n)`` table shared by the
+    solvers of one grid.
     """
 
-    def __init__(self, stencil: dict[int, float], n: int, name: str = "operator"):
+    def __init__(self, stencil: dict[int, float], n: int, name: str = "operator",
+                 harmonics: np.ndarray | None = None):
         self.n = n
-        self.symbol = circulant_symbol(stencil, n)
-        small = np.abs(self.symbol) < 1e-12
-        if np.any(small):
-            mode = int(np.argmax(small))
+        self._stencil = stencil
+        symbol = circulant_symbol(stencil, n, harmonics)
+        magnitude = np.abs(symbol)
+        if magnitude.min() < 1e-12:
+            mode = int(np.argmax(magnitude < 1e-12))
             raise ConfigurationError(
                 f"{name} is singular on N = {n}: symbol vanishes at "
                 f"Fourier mode {mode}")
-        self._identity = (len(stencil) == 1 and stencil.get(0) == 1.0)
+        self._identity = stencil == {0: 1.0}
+        self.multiplier = (1.0 / symbol).astype(complex)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    @property
+    def symbol(self) -> np.ndarray:
+        """Eigenvalues of A (see ``circulant_symbol``)."""
+        return circulant_symbol(self._stencil, self.n)
+
+    def times(self, numerator: dict[int, float],
+              harmonics: np.ndarray | None = None) -> "CirculantSolver":
+        """The solver whose ``solve`` applies A^{-1} N, N the ``numerator``
+        stencil, reusing this factorization of A."""
+        composed = copy.copy(self)
+        composed._identity = False
+        composed.multiplier = circulant_symbol(numerator, self.n, harmonics) * self.multiplier
+        return composed
+
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None,
+              spectrum: np.ndarray | None = None) -> np.ndarray:
+        """A^{-1} b (A^{-1} N b after ``times``), written into ``out`` when
+        given; ``spectrum`` is complex scratch of n//2 + 1 entries. The
+        identity returns b itself."""
         if self._identity:
             return b
-        return np.fft.irfft(np.fft.rfft(b) / self.symbol, n=self.n)
+        spectrum = np.fft.rfft(b, out=spectrum)
+        spectrum *= self.multiplier
+        return np.fft.irfft(spectrum, n=self.n, out=out)
+
+
+class FDWorkspace:
+    """Preallocated buffers of the finite-difference step on a grid of n points.
+
+    ``padded`` holds one field with FD_GHOSTS periodic ghost cells per side
+    and ``tmp`` is the scratch of the stencils; ``source`` keeps the
+    zeta-only source for the whole step; ``stage``, ``rate`` and ``acc``
+    are the RK4 stage, rate and running sum of v (one-field tuples, see
+    ``rk4_in_place``), which the zeta-only source borrows as scratch before
+    the stages start; ``spectrum`` is the complex scratch of the FFTs.
+
+    All of them are carved from one flat float array of ``size(n)``
+    entries (seven N-sized rows): ``memory`` when given, so that memory
+    another step owns but never uses at the same time serves both (the
+    ``StrangSolver`` passes its ``FVWorkspace.memory``), else a new
+    ``np.empty`` block, which touches no page before the kernels do.
+    """
+
+    def __init__(self, n: int, memory: np.ndarray | None = None):
+        self.n = n
+        spectrum_size = 2 * (n // 2 + 1)       # float entries of the complex spectrum
+        padded_size = n + 2 * FD_GHOSTS
+        size = self.size(n)
+        if memory is None:
+            memory = np.empty(size)
+        elif (memory.dtype != float or memory.ndim != 1 or memory.shape[0] < size
+              or not memory.flags.c_contiguous):
+            raise ConfigurationError(
+                f"FD workspace needs {size} contiguous float entries, got {memory.shape}")
+        # the spectrum comes first, where the block is aligned for complex values
+        self.spectrum = memory[:spectrum_size].view(complex)
+        self.padded = memory[spectrum_size:spectrum_size + padded_size]
+        rows = memory[spectrum_size + padded_size:size].reshape(5, n)
+        self.source, self.tmp = rows[:2]
+        self.stage, self.rate, self.acc = ((row,) for row in rows[2:])
+
+    @staticmethod
+    def size(n: int) -> int:
+        """Float entries of the buffers of a workspace for n points."""
+        return 2 * (n // 2 + 1) + n + 2 * FD_GHOSTS + 5 * n
+
+    def pad(self, u: np.ndarray) -> np.ndarray:
+        """``u`` with FD_GHOSTS ghost cells, in ``padded``."""
+        return periodic_pad(u, FD_GHOSTS, out=self.padded)
+
+
+def fd_workspace(n: int, workspace: FDWorkspace | None) -> FDWorkspace:
+    """``workspace`` checked against a grid of n points, or a new one."""
+    if workspace is None:
+        return FDWorkspace(n)
+    if workspace.n != n:
+        raise ConfigurationError(
+            f"workspace for {workspace.n} points used on a grid of {n}")
+    return workspace
+
+
+# what a bracket term is multiplied by, pointwise: nothing, zeta or the gradient
+_PLAIN, _TIMES_ZETA, _TIMES_GRADIENT = range(3)
+
+_PAIRS = {order: PairStencil.of(table) for order, table in _STENCILS.items()}
 
 
 @dataclass(frozen=True)
 class DispersiveOperators:
-    """Stencils and factorized elliptic operators for one grid and variant."""
+    """Stencils and factorized elliptic operators for one grid and variant.
+
+    ``gradient`` is g/alpha D1. The bracket of the zeta-only source is the
+    gradient plus three stencil terms, each with its prefactor folded in and
+    optionally multiplied by zeta or by the gradient: ``zeta_terms`` act on
+    zeta, ``u_terms`` on u = P^{-1} gradient. ``k_solver`` applies
+    K = 2/3 eps^2 J^{-1} D1.
+    """
 
     grid: Grid
     params: PhysParams
     variant: ModelVariant
-    d1: StencilOperator
-    d2: StencilOperator
-    d3: StencilOperator | None
-    d4: StencilOperator
-    d5: StencilOperator | None
+    d1: PairStencil
+    gradient: PairStencil
+    zeta_terms: tuple[tuple[PairStencil, int], ...]
+    u_terms: tuple[tuple[PairStencil, int], ...]
     j_solver: CirculantSolver
     p_solver: CirculantSolver
-
-    def apply(self, order: int, field: np.ndarray) -> np.ndarray:
-        op = {1: self.d1, 2: self.d2, 3: self.d3, 4: self.d4, 5: self.d5}[order]
-        if op is None:
-            raise ConfigurationError(f"D{order} not built for {self.variant}")
-        return apply_stencil(op, field, self.grid.dx)
+    k_solver: CirculantSolver
 
 
 def _combine(parts: list[tuple[float, dict[int, float]]]) -> dict[int, float]:
@@ -143,15 +385,30 @@ def _combine(parts: list[tuple[float, dict[int, float]]]) -> dict[int, float]:
     return out
 
 
-def build_operators(grid: Grid, params: PhysParams,
-                    variant: ModelVariant) -> DispersiveOperators:
-    """Assemble the stencils and factorize J and P once for the whole run.
+def build_operators(grid: Grid, params: PhysParams, variant: ModelVariant,
+                    harmonics: np.ndarray | None = None) -> DispersiveOperators:
+    """Assemble the stencils and factorize J, P and K once for the whole run.
 
     J = I - (eps alpha/3) D2 + (eps^2 alpha/45) D4 and
     P = I - (eps alpha/3) D2. Both symbols are >= 1 for eps, alpha >= 0
     because -D2 and +D4 have nonnegative symbols, so the factorizations
     cannot fail for physical parameters. With eps = 0 both operators reduce
     to the identity and their solves return the input unchanged.
+
+    With gradient = g/alpha D1 zeta, the solve of P on g D1 zeta is alpha u
+    with u = P^{-1} gradient, and eps^2 g D1 zeta = eps^2 alpha gradient,
+    so every bracket term is a stencil on zeta or on u, scaled by a
+    constant and multiplied by zeta, by the gradient or by nothing:
+
+        factorized_all:  2/45 eps^2 alpha D4 u + zeta 2/3 eps^2 alpha D2 u
+                         + gradient eps^2 alpha^2/g D1 u
+        unfactorized:    2/45 eps^2 g D5 zeta + zeta 2/3 eps^2 g D3 zeta
+                         + gradient eps^2 alpha D2 zeta
+        fifth_only:      2/45 eps^2 alpha D4 u + zeta 2/3 eps^2 g D3 zeta
+                         + gradient eps^2 alpha D2 zeta
+
+    ``harmonics`` is the ``fourier_harmonics`` table of the grid, when the
+    caller shares one with other operators of the grid.
     """
     n = grid.n_cells
     needs_d5 = variant is ModelVariant.UNFACTORIZED
@@ -163,7 +420,7 @@ def build_operators(grid: Grid, params: PhysParams,
         raise ConfigurationError(
             "the fifth-only factorized variant is defined for alpha = 1")
 
-    eps, alpha = params.epsilon, params.alpha
+    g, eps, alpha = params.gravity, params.epsilon, params.alpha
     dx = grid.dx
     j_stencil = _combine([(1.0, {0: 1.0}),
                           (-eps * alpha / (3.0 * dx ** 2), _D2),
@@ -174,61 +431,87 @@ def build_operators(grid: Grid, params: PhysParams,
         j_stencil = {0: 1.0}
         p_stencil = {0: 1.0}
 
-    needs_d3 = variant in (ModelVariant.UNFACTORIZED,
-                           ModelVariant.FIFTH_ONLY_FACTORIZED)
+    def stencil(order: int, scale: float) -> PairStencil:
+        return _PAIRS[order].scaled(scale / dx ** order)
+
+    if variant is ModelVariant.UNFACTORIZED:
+        zeta_terms = ((stencil(5, 2.0 / 45.0 * eps ** 2 * g), _PLAIN),)
+        u_terms = ()
+    else:
+        zeta_terms = ()
+        u_terms = ((stencil(4, 2.0 / 45.0 * eps ** 2 * alpha), _PLAIN),)
+    if variant is ModelVariant.FACTORIZED_ALL:
+        u_terms += ((stencil(2, 2.0 / 3.0 * eps ** 2 * alpha), _TIMES_ZETA),
+                    (stencil(1, eps ** 2 * alpha ** 2 / g), _TIMES_GRADIENT))
+    else:
+        zeta_terms += ((stencil(3, 2.0 / 3.0 * eps ** 2 * g), _TIMES_ZETA),
+                       (stencil(2, eps ** 2 * alpha), _TIMES_GRADIENT))
+
+    if harmonics is None:
+        harmonics = fourier_harmonics(n)
+    j_solver = CirculantSolver(j_stencil, n, "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4",
+                               harmonics=harmonics)
+    k_numerator = {m: 2.0 / 3.0 * eps ** 2 * c / dx for m, c in _D1.items()}
     return DispersiveOperators(
         grid=grid, params=params, variant=variant,
-        d1=StencilOperator.centered(1),
-        d2=StencilOperator.centered(2),
-        d3=StencilOperator.centered(3) if needs_d3 else None,
-        d4=StencilOperator.centered(4),
-        d5=StencilOperator.centered(5) if needs_d5 else None,
-        j_solver=CirculantSolver(j_stencil, n, "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"),
-        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2"),
+        d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
+        zeta_terms=zeta_terms, u_terms=u_terms,
+        j_solver=j_solver,
+        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2",
+                                 harmonics=harmonics),
+        k_solver=j_solver.times(k_numerator, harmonics),
     )
 
 
-def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray) -> np.ndarray:
+def _add_terms(bracket, terms, padded, factors, term, tmp) -> None:
+    """bracket += each stencil term of the field in ``padded``, computed in
+    ``term``."""
+    for stencil, weight in terms:
+        stencil.apply(padded, term, tmp)
+        if weight != _PLAIN:
+            term *= factors[weight]
+        bracket += term
+
+
+def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
+                     workspace: FDWorkspace | None = None) -> np.ndarray:
     """Velocity rate contribution that depends on zeta only.
 
     Since zeta is frozen during the dispersive half step, this part is
     computed once per step and reused by every Runge-Kutta stage:
 
-        source = g/alpha D1 zeta - J^{-1}[ g/alpha D1 zeta + high order terms ].
+        source = g/alpha D1 zeta - J^{-1}[ g/alpha D1 zeta + high order terms ]
+
+    (the terms are listed in ``build_operators``). The result is written
+    into ``workspace.source`` and returned as that array; without a
+    workspace a fresh one is built, so the returned array is the caller's.
     """
-    params = ops.params
-    g, eps, alpha = params.gravity, params.epsilon, params.alpha
-    d1z = ops.apply(1, zeta)
-    gradient = g / alpha * d1z
-    bracket = gradient.copy()
-
-    if ops.variant is ModelVariant.FACTORIZED_ALL:
-        w = ops.p_solver.solve(g * d1z)
-        bracket += 2.0 / 45.0 * eps ** 2 * ops.apply(4, w)
-        bracket += 2.0 / 3.0 * eps ** 2 * zeta * ops.apply(2, w)
-        bracket += eps ** 2 * d1z * ops.apply(1, w)
-    elif ops.variant is ModelVariant.UNFACTORIZED:
-        bracket += 2.0 / 45.0 * eps ** 2 * g * ops.apply(5, zeta)
-        bracket += 2.0 / 3.0 * eps ** 2 * g * zeta * ops.apply(3, zeta)
-        bracket += eps ** 2 * g * d1z * ops.apply(2, zeta)
-    elif ops.variant is ModelVariant.FIFTH_ONLY_FACTORIZED:
-        w = ops.p_solver.solve(g * d1z)
-        bracket += 2.0 / 45.0 * eps ** 2 * ops.apply(4, w)
-        bracket += 2.0 / 3.0 * eps ** 2 * g * zeta * ops.apply(3, zeta)
-        bracket += eps ** 2 * g * d1z * ops.apply(2, zeta)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown variant {ops.variant}")
-
-    return gradient - ops.j_solver.solve(bracket)
+    ws = fd_workspace(ops.grid.n_cells, workspace)
+    # the gradient becomes the source in place; the RK4 rows are free here
+    gradient, bracket, term = ws.source, ws.stage[0], ws.rate[0]
+    factors = (None, zeta, gradient)
+    padded = ws.pad(zeta)
+    ops.gradient.apply(padded, gradient, ws.tmp)
+    np.copyto(bracket, gradient)
+    _add_terms(bracket, ops.zeta_terms, padded, factors, term, ws.tmp)
+    if ops.u_terms:
+        u = ops.p_solver.solve(gradient, out=term, spectrum=ws.spectrum)
+        _add_terms(bracket, ops.u_terms, ws.pad(u), factors, term, ws.tmp)
+    solved = ops.j_solver.solve(bracket, out=bracket, spectrum=ws.spectrum)
+    return np.subtract(gradient, solved, out=gradient)
 
 
-def velocity_rate(ops: DispersiveOperators, v: np.ndarray,
-                  zeta_source: np.ndarray) -> np.ndarray:
-    """dv/dt = zeta_source - J^{-1}[ 2/3 eps^2 D1((D1 v)^2) ]."""
-    eps = ops.params.epsilon
-    d1v = ops.apply(1, v)
-    nonlinear = 2.0 / 3.0 * eps ** 2 * ops.apply(1, d1v * d1v)
-    return zeta_source - ops.j_solver.solve(nonlinear)
+def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarray,
+                  workspace: FDWorkspace | None = None) -> np.ndarray:
+    """dv/dt = zeta_source - K (D1 v)^2, with K = 2/3 eps^2 J^{-1} D1.
+
+    The rate is written into ``workspace.rate[0]`` and returned as that
+    array; without a workspace a fresh one is built."""
+    ws = fd_workspace(ops.grid.n_cells, workspace)
+    rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.tmp)
+    rate *= rate
+    nonlinear = ops.k_solver.solve(rate, out=rate, spectrum=ws.spectrum)
+    return np.subtract(zeta_source, nonlinear, out=rate)
 
 
 def dispersive_rhs(state: NodalState, ops: DispersiveOperators):
@@ -238,17 +521,24 @@ def dispersive_rhs(state: NodalState, ops: DispersiveOperators):
     return np.zeros_like(state.zeta), velocity_rate(ops, state.v, source)
 
 
-def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators) -> NodalState:
+def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators,
+                workspace: FDWorkspace | None = None) -> NodalState:
     """Advance the nodal velocity by one RK4 step of the dispersive part.
 
-    zeta is returned bit-identical to the input. The zeta-only part of the
-    rate is evaluated once and shared by the four stages, which is exact
-    because zeta does not move during this half step.
+    zeta is returned bit-identical to the input (as a copy). The zeta-only
+    part of the rate is evaluated once and shared by the four stages, which
+    is exact because zeta does not move during this half step. The stages
+    live in ``workspace`` (built here when None); only the two returned
+    arrays are allocated.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    source = zeta_source_term(ops, state.zeta)
-    v_new = rk4_step(state.v, dt, lambda v: velocity_rate(ops, v, source))
-    if not np.all(np.isfinite(v_new)):
+    ws = fd_workspace(ops.grid.n_cells, workspace)
+    source = zeta_source_term(ops, state.zeta, workspace=ws)
+    (v_new,) = rk4_in_place(
+        (state.v,), dt,
+        lambda y: (velocity_rate(ops, y[0], source, workspace=ws),), ws)
+    # min and max propagate NaN and reach any infinity, without a mask array
+    if not (np.isfinite(v_new.min()) and np.isfinite(v_new.max())):
         raise BlowUpError("non-finite velocity after dispersive step")
     return NodalState(state.zeta.copy(), v_new)

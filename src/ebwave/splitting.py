@@ -16,14 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BlowUpError, CellState, Grid, HyperbolicityError, ModelVariant,
-                   NodalState, PhysParams, periodic_pad)
-from .dispersive import CirculantSolver, DispersiveOperators, build_operators, rk4_fd_step
+                   NodalState, PhysParams)
+from .dispersive import (CirculantSolver, DispersiveOperators, FDWorkspace, PairStencil,
+                         build_operators, fd_workspace, fourier_harmonics,
+                         rk4_fd_step)
 from .hyperbolic import FVWorkspace, max_signal_speed, rk4_fv_step
 
 # cell averages -> point values at the cell centers (deconvolution of the
 # sliding mean), symmetric five-point map exact through sixth order
 _CONVERSION = {-2: 27 / 5760, -1: -348 / 5760, 0: 6402 / 5760,
                1: -348 / 5760, 2: 27 / 5760}
+_CONVERSION_PAIRS = PairStencil.of(_CONVERSION)
 
 
 class ConversionOperator:
@@ -43,28 +46,34 @@ class ConversionOperator:
     split scheme; a staggered (interface-based) switch cannot be both
     invertible and reflection-equivariant, because any stencil symmetric
     about a half-integer point annihilates the Nyquist mode.
+
+    The forward map is applied in pair form and the inverse through the
+    precomputed multiplier; both take their scratch from an ``FDWorkspace``
+    (a new one when none is passed) and allocate only their result.
+    ``harmonics`` is a ``fourier_harmonics`` table of the grid to reuse.
     """
 
-    def __init__(self, n_cells: int):
+    def __init__(self, n_cells: int, harmonics: np.ndarray | None = None):
         if n_cells < 5:
             raise ValueError("conversion stencil needs at least 5 cells")
         self.n = n_cells
-        self._solver = CirculantSolver(_CONVERSION, n_cells, "cell-to-nodal map")
+        self._solver = CirculantSolver(_CONVERSION, n_cells, "cell-to-nodal map",
+                                       harmonics=harmonics)
 
-    def forward(self, field: np.ndarray) -> np.ndarray:
-        padded = periodic_pad(field, 2)
-        out = np.zeros_like(field)
-        for m, c in _CONVERSION.items():
-            out += c * padded[2 + m:2 + m + self.n]
-        return out
+    def forward(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
+        ws = fd_workspace(self.n, workspace)
+        return _CONVERSION_PAIRS.apply(ws.pad(field), np.empty(self.n), ws.tmp)
 
-    def inverse(self, field: np.ndarray) -> np.ndarray:
-        return self._solver.solve(field)
+    def inverse(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
+        spectrum = None if workspace is None else workspace.spectrum
+        return self._solver.solve(field, spectrum=spectrum)
 
 
-def cell_to_nodal(state: CellState, conv: ConversionOperator) -> NodalState:
+def cell_to_nodal(state: CellState, conv: ConversionOperator,
+                  workspace: FDWorkspace | None = None) -> NodalState:
     """Point values of both components at the cell centers."""
-    return NodalState(conv.forward(state.zeta), conv.forward(state.v))
+    return NodalState(conv.forward(state.zeta, workspace),
+                      conv.forward(state.v, workspace))
 
 
 def nodal_to_cell(state: NodalState, conv: ConversionOperator) -> CellState:
@@ -124,9 +133,15 @@ class StrangSolver:
         self.variant = variant
         self.n_disp = n_disp
         self.blowup_threshold = blowup_threshold
-        self.operators: DispersiveOperators = build_operators(grid, params, variant)
-        self.conversion = ConversionOperator(grid.n_cells)
+        # one table of cos/sin(m theta) serves the symbols of every operator
+        harmonics = fourier_harmonics(grid.n_cells)
+        self.operators: DispersiveOperators = build_operators(grid, params, variant,
+                                                              harmonics)
+        self.conversion = ConversionOperator(grid.n_cells, harmonics)
         self.fv_workspace = FVWorkspace(grid.n_cells)
+        # the dispersive step never overlaps the hyperbolic ones, so its
+        # buffers reuse the FV workspace's memory instead of adding to it
+        self.fd_workspace = FDWorkspace(grid.n_cells, memory=self.fv_workspace.memory)
 
     def strang_step(self, run: RunState, dt: float) -> RunState:
         """One S1(dt/2) S2(dt) S1(dt/2) step; returns a fresh RunState."""
@@ -134,13 +149,14 @@ class StrangSolver:
         cells = rk4_fv_step(run.cells, 0.5 * dt, self.params, dx,
                             workspace=self.fv_workspace)
 
-        nodal = cell_to_nodal(cells, self.conversion)
+        nodal = cell_to_nodal(cells, self.conversion, self.fd_workspace)
         sub = dt / self.n_disp
         for _ in range(self.n_disp):
-            nodal = rk4_fd_step(nodal, sub, self.operators)
+            nodal = rk4_fd_step(nodal, sub, self.operators, workspace=self.fd_workspace)
         # d zeta/dt = 0 in the dispersive part: keep the cell-averaged zeta
         # as is instead of converting it forth and back.
-        cells = CellState(cells.zeta, self.conversion.inverse(nodal.v))
+        cells = CellState(cells.zeta,
+                          self.conversion.inverse(nodal.v, self.fd_workspace))
 
         cells = rk4_fv_step(cells, 0.5 * dt, self.params, dx,
                             workspace=self.fv_workspace)

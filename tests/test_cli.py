@@ -93,6 +93,17 @@ def test_converge_subcommand(tmp_path, capsys):
     assert len(csv) == 3
 
 
+def test_converge_blowup_exit_code(tmp_path, capsys):
+    config = replace(builtin_scenario("solitary"), blowup_threshold=0.01)
+    path = tmp_path / "fragile.cfg"
+    write_config(config, path)
+    code = main(["converge", str(path), "--n", "64,128", "--t-final", "0.5",
+                 "--outdir", str(tmp_path)])
+    assert code == EXIT_BLOWUP
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("blow-up") and "N=64" in err[0]
+
+
 def test_dispersion_subcommand(tmp_path):
     code = main(["dispersion", "--model", "eb_unfactorized", "--alpha", "0.8351",
                  "--kmax", "1.0", "--samples", "20", "--outdir", str(tmp_path)])

@@ -49,3 +49,7 @@ def test_traced_head_on_records_every_step_path_span():
     assert tracer.calls["splitting.strang_step"] == result.steps
     assert tracer.calls["hyperbolic.hyperbolic_rhs"] == 8 * result.steps
     assert tracer.calls["hyperbolic.rk4_fv_step"] == 2 * result.steps
+    # one P and one J solve for the zeta-only source, one K solve per stage
+    assert tracer.calls["dispersive.solve"] == 6 * result.steps
+    assert tracer.calls["dispersive.velocity_rate"] == 4 * result.steps
+    assert tracer.calls["dispersive.zeta_source_term"] == result.steps
