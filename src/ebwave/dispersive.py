@@ -21,21 +21,27 @@ Operators. Every constant-coefficient operator is built once per grid,
 parameters and variant (``build_operators``) and applied in one of two
 forms:
 
-* a ``PairStencil``: the stencil in pair form, c0 u_i + sum_m c_m
-  (u_{i+m} + u_{i-m}) when symmetric and sum_m c_m (u_{i+m} - u_{i-m})
-  when antisymmetric, applied by one kernel, with dx^-order and the
-  scalar prefactors of its bracket term (2/45 eps^2, 2/3 eps^2, eps^2,
-  g/alpha) folded into the coefficients. Each field is ghost-filled once
-  and every stencil on it reads the same padded copy. In pair form an odd
-  derivative of a constant is exactly zero, and of a smooth field far
-  less rounded than the offset-by-offset sum, since u_{i+m} - u_{i-m}
-  cancels exactly.
+* a ``PairStencil``: the stencil in pair form, total u_i + sum_m c_m
+  ((u_{i+m} - u_i) + (u_{i-m} - u_i)) when symmetric (total being the
+  exact coefficient sum: 0 for a derivative, 1 for the cell-to-nodal map)
+  and sum_m c_m (u_{i+m} - u_{i-m}) when antisymmetric, applied by one
+  kernel, with dx^-order and the scalar prefactors of its bracket term
+  (2/45 eps^2, 2/3 eps^2, eps^2, g/alpha) folded into the coefficients.
+  Each field is ghost-filled once and every stencil on it reads the same
+  padded copy. Every term is a difference of two neighbors, exact where
+  they are close, so a derivative of a constant is exactly zero and the
+  result rounds at the scale of the variation of the field, not of the
+  field: on a fine grid, where dx^-order is large and neighbors are close,
+  this is orders of magnitude less round-off than the offset-by-offset sum.
 * a Fourier multiplier (``CirculantSolver``): b -> A^{-1} b, or
   A^{-1} N b for a numerator stencil N, as one complex array that the
   rfft of b is multiplied by. The symbols are evaluated in closed form,
-  sum_m c_m e^{i m theta_k}, from one table of cos and sin of m theta_k
-  (``fourier_harmonics``, shared by the solvers of a grid), so set-up
-  takes no FFT.
+  sum_m c_m e^{i m theta_k}, from one table of 1 - cos and sin of
+  m theta_k (``fourier_harmonics``, kept for the last grid size so that
+  the operators of a grid share it), so set-up takes no FFT. Written with
+  1 - cos m theta, the same differences as the stencils, a symbol keeps
+  its relative accuracy at low frequencies, where J's terms of order
+  dx^-4 cancel.
 
 The nonlinear velocity term 2/3 eps^2 J^{-1} D1 (D1 v)^2 folds the outer
 D1 into the J solve: circulants commute, so K = 2/3 eps^2 J^{-1} D1 is one
@@ -59,7 +65,8 @@ dispersive step adds no resident memory at all.
 
 from __future__ import annotations
 
-import copy
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,34 +115,40 @@ class StencilOperator:
 
 @dataclass(frozen=True)
 class PairStencil:
-    """A symmetric or antisymmetric periodic stencil in pair form,
+    """A symmetric or antisymmetric periodic stencil in pair form. An
+    antisymmetric stencil is applied to the field u as
 
-        c0 u_i + sum_m c_m (u_{i+m} + u_{i-m})    (symmetric),
-        sum_m c_m (u_{i+m} - u_{i-m})             (antisymmetric),
+        sum_{m=1..r} c_m (u_{i+m} - u_{i-m}),
 
-    over m = 1 .. reach, with every scale already in the coefficients.
+    a symmetric one, with the exact sum of its coefficients ``total`` (0 for
+    a derivative, 1 for the cell-to-nodal map), as
+
+        total u_i + sum_{m=1..r} c_m (u_{i+m} + u_{i-m} - 2 u_i)
+          = total u_i + sum_{k=0..r-1} a_k (d_{i+k} - d_{i-1-k}),
+
+    with a_k = sum_{m>k} c_m, on the first differences d_j = u_{j+1} - u_j:
+    the same pair form about the point i - 1/2. ``pairs`` holds (m, c_m) or
+    (k, a_k), with every scale already in the coefficients.
     """
 
-    center: float
+    total: float
     pairs: tuple[tuple[int, float], ...]
     antisymmetric: bool
 
     @classmethod
-    def of(cls, stencil: dict[int, float]) -> "PairStencil":
-        """Pair form of ``stencil`` (offset -> coefficient)."""
+    def of(cls, stencil: dict[int, float], total: float = 0.0) -> "PairStencil":
+        """Pair form of ``stencil`` (offset -> coefficient), whose
+        coefficients sum to ``total`` up to their rounding."""
         reach = max(abs(m) for m in stencil)
         right = [stencil.get(m, 0.0) for m in range(1, reach + 1)]
         left = [stencil.get(-m, 0.0) for m in range(1, reach + 1)]
-        center = stencil.get(0, 0.0)
-        if left == right:
-            antisymmetric = False
-        elif left == [-c for c in right] and center == 0.0:
-            antisymmetric = True
-        else:
+        if left == [-c for c in right] and stencil.get(0, 0.0) == 0.0:
+            return cls(total=0.0, antisymmetric=True, pairs=tuple(enumerate(right, 1)))
+        if left != right:
             raise ConfigurationError(f"stencil {stencil} is neither symmetric "
                                      "nor antisymmetric")
-        return cls(center=center, antisymmetric=antisymmetric,
-                   pairs=tuple(enumerate(right, 1)))
+        return cls(total=_checked_total(stencil, total), antisymmetric=False,
+                   pairs=tuple((k, math.fsum(right[k:])) for k in range(reach)))
 
     @property
     def reach(self) -> int:
@@ -143,30 +156,43 @@ class PairStencil:
 
     def scaled(self, factor: float) -> "PairStencil":
         """This stencil times ``factor``."""
-        return PairStencil(center=factor * self.center, antisymmetric=self.antisymmetric,
+        return PairStencil(total=factor * self.total, antisymmetric=self.antisymmetric,
                            pairs=tuple((m, factor * c) for m, c in self.pairs))
 
-    def apply(self, padded: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    def apply(self, padded: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+              diffs: np.ndarray) -> np.ndarray:
         """Write the stencil of the field held by ``padded`` into ``out``.
 
         ``padded`` is the field with the same number g >= reach of periodic
         ghost cells on each side (``periodic_pad``), so that it has
-        len(out) + 2g entries; ``tmp`` is scratch of len(out). Returns out.
+        len(out) + 2g entries; ``tmp`` is scratch of len(out) and ``diffs``
+        of at least len(padded) - 1, for the first differences that a
+        symmetric stencil reads. Returns out.
+
+        Every term is a difference of two neighbors, or of two first
+        differences, which is exact where they are close: a derivative of a
+        constant is exactly zero, and on smooth data the result rounds at
+        the scale of the variation of the field, not of the field itself.
         """
         n = out.shape[0]
         g = (padded.shape[0] - n) // 2
-        combine = np.subtract if self.antisymmetric else np.add
-        pairs = self.pairs
         if self.antisymmetric:
-            (m, c), pairs = pairs[0], pairs[1:]
-            combine(padded[g + m:g + m + n], padded[g - m:g - m + n], out=out)
-            out *= c
+            source, shift = padded, 0
         else:
-            np.multiply(padded[g:g + n], self.center, out=out)
-        for m, c in pairs:
-            combine(padded[g + m:g + m + n], padded[g - m:g - m + n], out=tmp)
-            tmp *= c
-            out += tmp
+            source, shift = diffs[:padded.shape[0] - 1], 1
+            np.subtract(padded[1:], padded[:-1], out=source)
+        for i, (m, c) in enumerate(self.pairs):
+            term = tmp if i else out
+            np.subtract(source[g + m:g + m + n], source[g - m - shift:g - m - shift + n],
+                        out=term)
+            term *= c
+            if i:
+                out += term
+        if self.total:
+            u = padded[g:g + n]
+            if self.total != 1.0:
+                u = np.multiply(u, self.total, out=tmp)
+            out += u
         return out
 
 
@@ -177,114 +203,135 @@ def apply_stencil(op: StencilOperator, field: np.ndarray, dx: float) -> np.ndarr
         raise ConfigurationError(
             f"grid of {field.shape[0]} points is narrower than the "
             f"{op.width}-point stencil")
+    # the coefficients of a difference operator sum to zero
     stencil = PairStencil.of(dict(zip(op.offsets, op.coefficients))).scaled(dx ** -op.order)
-    return stencil.apply(periodic_pad(field, stencil.reach),
-                         np.empty_like(field), np.empty_like(field))
+    padded = periodic_pad(field, stencil.reach)
+    return stencil.apply(padded, np.empty_like(field), np.empty_like(field),
+                         np.empty(padded.shape[0] - 1))
 
 
+def _checked_total(stencil: dict[int, float], total: float | None) -> float:
+    """``total``, the exact sum of the coefficients of ``stencil``, checked
+    against their float sum; that float sum when ``total`` is None."""
+    rounded = math.fsum(stencil.values())
+    if total is None:
+        return rounded
+    if abs(rounded - total) > 1e-14 * sum(abs(c) for c in stencil.values()):
+        raise ConfigurationError(f"stencil {stencil} does not sum to {total}")
+    return total
+
+
+@functools.lru_cache(maxsize=1)
 def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:
-    """cos(m theta_k) and sin(m theta_k) for m = 1 .. reach at the
-    frequencies theta_k = 2 pi k / n that rfft keeps, as rows m - 1 of
-    the two halves of a (2, reach, n//2 + 1) array. Reach 3 covers J, P,
-    D1 and the cell-to-nodal map.
+    """1 - cos(m theta_k) and sin(m theta_k) for m = 1 .. reach at the
+    frequencies theta_k = 2 pi k / n that rfft keeps, as rows m - 1 of the
+    two halves of a read-only (2, reach, n//2 + 1) array. Reach 3 covers J,
+    P, K, D1 and the cell-to-nodal map.
 
-    e^{i theta_k} for k = a B + b (B about sqrt(n/2)) is the product of
-    e^{i a B theta_1} and e^{i b theta_1}, so the first row takes about
-    2 sqrt(2n) complex exponentials and one outer product instead of a cos
-    and a sin per frequency, to the same few-ulp accuracy. The other rows
-    follow from the Chebyshev recurrence x_{m+1} = 2 cos(theta) x_m - x_{m-1}.
+    Row 1 is 2 sin^2(theta/2) and sin(theta), so 1 - cos keeps its relative
+    accuracy at low frequencies; the other rows follow from the Chebyshev
+    recurrence x_{m+1} = 2 cos(theta) x_m - x_{m-1}, which for
+    w_m = 1 - cos(m theta) reads w_{m+1} = 2 (w_1 + w_m - w_1 w_m) - w_{m-1}
+    and is about five times cheaper than the trigonometric functions of
+    m theta at N = 65536. The last table is kept, so the operators of one
+    grid share it; ``fourier_harmonics.cache_clear()`` drops it once they
+    are built.
     """
-    size = n // 2 + 1
-    step = 2.0 * np.pi / n
-    block = int(np.sqrt(size)) + 1
-    coarse = np.exp(1j * (step * block) * np.arange(-(-size // block)))
-    unit = np.multiply.outer(coarse, np.exp(1j * step * np.arange(block))).ravel()[:size]
-    table = np.empty((2, reach, size))
-    cos, sin = table
-    cos[0], sin[0] = unit.real, unit.imag
-    two_cos = 2.0 * cos[0]
+    theta = (2.0 * np.pi / n) * np.arange(n // 2 + 1)
+    table = np.empty((2, reach, theta.shape[0]))
+    versine, sine = table
+    np.sin(0.5 * theta, out=versine[0])
+    versine[0] *= versine[0]
+    versine[0] *= 2.0
+    np.sin(theta, out=sine[0])
+    two_cos = 2.0 - 2.0 * versine[0]
     for m in range(1, reach):
-        np.multiply(two_cos, cos[m - 1], out=cos[m])
-        np.multiply(two_cos, sin[m - 1], out=sin[m])
-        cos[m] -= cos[m - 2] if m >= 2 else 1.0       # cos(0 t) = 1, sin(0 t) = 0
-        if m >= 2:
-            sin[m] -= sin[m - 2]
+        np.multiply(versine[0], versine[m - 1], out=versine[m])
+        np.subtract(versine[m - 1], versine[m], out=versine[m])
+        versine[m] += versine[0]
+        versine[m] *= 2.0
+        np.multiply(two_cos, sine[m - 1], out=sine[m])
+        if m >= 2:                          # 1 - cos(0 t) = 0, sin(0 t) = 0
+            versine[m] -= versine[m - 2]
+            sine[m] -= sine[m - 2]
+    table.flags.writeable = False
     return table
 
 
 def circulant_symbol(stencil: dict[int, float], n: int,
-                     harmonics: np.ndarray | None = None) -> np.ndarray:
+                     total: float | None = None) -> np.ndarray:
     """Eigenvalues sum_m c_m e^{2 pi i m k / n} of the periodic convolution
     sum_m c_m u_{i+m} on the discrete Fourier modes used by rfft (length
-    n//2 + 1), in closed form: c_0 + sum_{m > 0} (c_m + c_{-m}) cos(m theta)
-    + i (c_m - c_{-m}) sin(m theta), from a ``fourier_harmonics(n)`` table
-    (pass one to share it between symbols; it must reach the widest
-    offset). Real, as a float array, when the stencil is symmetric."""
+    n//2 + 1), in closed form,
+
+        total - sum_{m > 0} (c_m + c_{-m}) (1 - cos m theta)
+              + i sum_{m > 0} (c_m - c_{-m}) sin m theta,
+
+    from the ``fourier_harmonics`` table (the shared one of reach 3 unless
+    the stencil reaches further). ``total``, the symbol at the zero
+    frequency, is the exact sum of the coefficients when it is known (1 for
+    J, P and the cell-to-nodal map), else their float sum. Since
+    1 - cos m theta is small at low frequencies, the rounding of large
+    coefficients (J's are of order dx^-4) only enters where the symbol is
+    large as well. Real, as a float array, when the stencil is symmetric."""
     reach = max(abs(m) for m in stencil)
-    cos, sin = fourier_harmonics(n, max(reach, 1)) if harmonics is None else harmonics
-    if reach > cos.shape[0]:
-        raise ConfigurationError(f"harmonics table reaches {cos.shape[0]}, "
-                                 f"stencil {stencil} needs {reach}")
+    versine, sine = fourier_harmonics(n, max(reach, 3))
     pairs = [(stencil.get(m, 0.0), stencil.get(-m, 0.0)) for m in range(1, reach + 1)]
     even = [right + left for right, left in pairs]
     odd = [right - left for right, left in pairs]
-    center = stencil.get(0, 0.0)
-    if any(odd) and not (center or any(even)):      # antisymmetric: imaginary
-        return 1j * np.dot(odd, sin[:reach])
-    symbol = np.dot(even, cos[:reach])
-    symbol += center
+    total = _checked_total(stencil, total)
+    if any(odd) and not (total or any(even)):      # antisymmetric: imaginary
+        return 1j * np.dot(odd, sine[:reach])
+    symbol = np.dot(even, versine[:reach])
+    np.subtract(total, symbol, out=symbol)
     if any(odd):
-        symbol = symbol + 1j * np.dot(odd, sin[:reach])
+        symbol = symbol + 1j * np.dot(odd, sine[:reach])
     return symbol
 
 
 class CirculantSolver:
     """Precomputed Fourier factorization of a periodic constant-stencil map.
 
-    ``solve(b)`` returns A^{-1} b for the map A given by ``stencil``: one
-    rfft, one product with the precomputed multiplier 1/sigma_A and one
-    irfft. ``times`` composes it with a numerator stencil N into the map
-    A^{-1} N, with the multiplier sigma_N / sigma_A. Multipliers are stored
+    ``solve(b)`` returns A^{-1} b for the map A given by ``stencil``, or
+    A^{-1} N b when a ``numerator`` stencil N is given: one rfft, one
+    product with the precomputed multiplier sigma_N / sigma_A (1 / sigma_A
+    without a numerator) and one irfft. ``total`` is the exact coefficient
+    sum of A, when known (see ``circulant_symbol``). Multipliers are stored
     complex even where they are real, because numpy multiplies a complex
     array by a complex one several times faster than by a real one. The
-    symbol of A is checked at construction; a (near) zero eigenvalue at
-    any discrete frequency makes the map singular on this grid.
-    ``harmonics`` is a ``fourier_harmonics(n)`` table shared by the
-    solvers of one grid.
+    symbol sigma_A is checked at construction; a (near) zero eigenvalue at
+    any discrete frequency makes A singular on this grid.
     """
 
-    def __init__(self, stencil: dict[int, float], n: int, name: str = "operator",
-                 harmonics: np.ndarray | None = None):
+    def __init__(self, stencil: dict[int, float], n: int, name: str = "operator", *,
+                 total: float | None = None, numerator: dict[int, float] | None = None):
         self.n = n
-        self._stencil = stencil
-        symbol = circulant_symbol(stencil, n, harmonics)
+        self.stencil = stencil
+        self.total = total
+        symbol = self.symbol
         magnitude = np.abs(symbol)
         if magnitude.min() < 1e-12:
             mode = int(np.argmax(magnitude < 1e-12))
             raise ConfigurationError(
                 f"{name} is singular on N = {n}: symbol vanishes at "
                 f"Fourier mode {mode}")
-        self._identity = stencil == {0: 1.0}
-        self.multiplier = (1.0 / symbol).astype(complex)
+        self._identity = stencil == {0: 1.0} and numerator is None
+        multiplier = 1.0 / symbol
+        if numerator is not None:
+            multiplier = circulant_symbol(numerator, n) * multiplier
+        self.multiplier = multiplier.astype(complex)
 
     @property
     def symbol(self) -> np.ndarray:
-        """Eigenvalues of A (see ``circulant_symbol``)."""
-        return circulant_symbol(self._stencil, self.n)
-
-    def times(self, numerator: dict[int, float],
-              harmonics: np.ndarray | None = None) -> "CirculantSolver":
-        """The solver whose ``solve`` applies A^{-1} N, N the ``numerator``
-        stencil, reusing this factorization of A."""
-        composed = copy.copy(self)
-        composed._identity = False
-        composed.multiplier = circulant_symbol(numerator, self.n, harmonics) * self.multiplier
-        return composed
+        """Eigenvalues sigma_A of the factorized map A (see
+        ``circulant_symbol``); ``multiplier`` holds those of the map that
+        ``solve`` applies."""
+        return circulant_symbol(self.stencil, self.n, self.total)
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None,
               spectrum: np.ndarray | None = None) -> np.ndarray:
-        """A^{-1} b (A^{-1} N b after ``times``), written into ``out`` when
-        given; ``spectrum`` is complex scratch of n//2 + 1 entries. The
+        """A^{-1} b (A^{-1} N b with a numerator), written into ``out``
+        when given; ``spectrum`` is complex scratch of n//2 + 1 entries. The
         identity returns b itself."""
         if self._identity:
             return b
@@ -297,22 +344,23 @@ class FDWorkspace:
     """Preallocated buffers of the finite-difference step on a grid of n points.
 
     ``padded`` holds one field with FD_GHOSTS periodic ghost cells per side
-    and ``tmp`` is the scratch of the stencils; ``source`` keeps the
-    zeta-only source for the whole step; ``stage``, ``rate`` and ``acc``
-    are the RK4 stage, rate and running sum of v (one-field tuples, see
-    ``rk4_in_place``), which the zeta-only source borrows as scratch before
-    the stages start; ``spectrum`` is the complex scratch of the FFTs.
+    and ``tmp`` and ``diffs`` are the scratch of the stencils; ``source``
+    keeps the zeta-only source for the whole step; ``stage``, ``rate`` and
+    ``acc`` are the RK4 stage, rate and running sum of v (one-field tuples,
+    see ``rk4_in_place``), which the zeta-only source borrows as scratch
+    before the stages start; ``spectrum`` is the complex scratch of the
+    FFTs. ``diffs`` and ``spectrum`` share their memory, because a stencil
+    and a solve never run at the same time.
 
     All of them are carved from one flat float array of ``size(n)``
-    entries (seven N-sized rows): ``memory`` when given, so that memory
-    another step owns but never uses at the same time serves both (the
-    ``StrangSolver`` passes its ``FVWorkspace.memory``), else a new
+    entries (about seven N-sized rows): ``memory`` when given, so that
+    memory another step owns but never uses at the same time serves both
+    (the ``StrangSolver`` passes its ``FVWorkspace.memory``), else a new
     ``np.empty`` block, which touches no page before the kernels do.
     """
 
     def __init__(self, n: int, memory: np.ndarray | None = None):
         self.n = n
-        spectrum_size = 2 * (n // 2 + 1)       # float entries of the complex spectrum
         padded_size = n + 2 * FD_GHOSTS
         size = self.size(n)
         if memory is None:
@@ -322,16 +370,17 @@ class FDWorkspace:
             raise ConfigurationError(
                 f"FD workspace needs {size} contiguous float entries, got {memory.shape}")
         # the spectrum comes first, where the block is aligned for complex values
-        self.spectrum = memory[:spectrum_size].view(complex)
-        self.padded = memory[spectrum_size:spectrum_size + padded_size]
-        rows = memory[spectrum_size + padded_size:size].reshape(5, n)
+        self.spectrum = memory[:2 * (n // 2 + 1)].view(complex)
+        self.diffs = memory[:padded_size]
+        self.padded = memory[padded_size:2 * padded_size]
+        rows = memory[2 * padded_size:size].reshape(5, n)
         self.source, self.tmp = rows[:2]
         self.stage, self.rate, self.acc = ((row,) for row in rows[2:])
 
     @staticmethod
     def size(n: int) -> int:
         """Float entries of the buffers of a workspace for n points."""
-        return 2 * (n // 2 + 1) + n + 2 * FD_GHOSTS + 5 * n
+        return 2 * (n + 2 * FD_GHOSTS) + 5 * n
 
     def pad(self, u: np.ndarray) -> np.ndarray:
         """``u`` with FD_GHOSTS ghost cells, in ``padded``."""
@@ -385,8 +434,8 @@ def _combine(parts: list[tuple[float, dict[int, float]]]) -> dict[int, float]:
     return out
 
 
-def build_operators(grid: Grid, params: PhysParams, variant: ModelVariant,
-                    harmonics: np.ndarray | None = None) -> DispersiveOperators:
+def build_operators(grid: Grid, params: PhysParams,
+                    variant: ModelVariant) -> DispersiveOperators:
     """Assemble the stencils and factorize J, P and K once for the whole run.
 
     J = I - (eps alpha/3) D2 + (eps^2 alpha/45) D4 and
@@ -406,9 +455,6 @@ def build_operators(grid: Grid, params: PhysParams, variant: ModelVariant,
                          + gradient eps^2 alpha D2 zeta
         fifth_only:      2/45 eps^2 alpha D4 u + zeta 2/3 eps^2 g D3 zeta
                          + gradient eps^2 alpha D2 zeta
-
-    ``harmonics`` is the ``fourier_harmonics`` table of the grid, when the
-    caller shares one with other operators of the grid.
     """
     n = grid.n_cells
     needs_d5 = variant is ModelVariant.UNFACTORIZED
@@ -447,27 +493,23 @@ def build_operators(grid: Grid, params: PhysParams, variant: ModelVariant,
         zeta_terms += ((stencil(3, 2.0 / 3.0 * eps ** 2 * g), _TIMES_ZETA),
                        (stencil(2, eps ** 2 * alpha), _TIMES_GRADIENT))
 
-    if harmonics is None:
-        harmonics = fourier_harmonics(n)
-    j_solver = CirculantSolver(j_stencil, n, "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4",
-                               harmonics=harmonics)
+    j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
     k_numerator = {m: 2.0 / 3.0 * eps ** 2 * c / dx for m, c in _D1.items()}
     return DispersiveOperators(
         grid=grid, params=params, variant=variant,
         d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
         zeta_terms=zeta_terms, u_terms=u_terms,
-        j_solver=j_solver,
-        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2",
-                                 harmonics=harmonics),
-        k_solver=j_solver.times(k_numerator, harmonics),
+        j_solver=CirculantSolver(j_stencil, n, j_name, total=1.0),
+        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2", total=1.0),
+        k_solver=CirculantSolver(j_stencil, n, j_name, total=1.0, numerator=k_numerator),
     )
 
 
-def _add_terms(bracket, terms, padded, factors, term, tmp) -> None:
+def _add_terms(bracket, terms, padded, factors, term, ws) -> None:
     """bracket += each stencil term of the field in ``padded``, computed in
-    ``term``."""
+    ``term`` with the scratch of ``ws``."""
     for stencil, weight in terms:
-        stencil.apply(padded, term, tmp)
+        stencil.apply(padded, term, ws.tmp, ws.diffs)
         if weight != _PLAIN:
             term *= factors[weight]
         bracket += term
@@ -491,12 +533,12 @@ def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
     gradient, bracket, term = ws.source, ws.stage[0], ws.rate[0]
     factors = (None, zeta, gradient)
     padded = ws.pad(zeta)
-    ops.gradient.apply(padded, gradient, ws.tmp)
+    ops.gradient.apply(padded, gradient, ws.tmp, ws.diffs)
     np.copyto(bracket, gradient)
-    _add_terms(bracket, ops.zeta_terms, padded, factors, term, ws.tmp)
+    _add_terms(bracket, ops.zeta_terms, padded, factors, term, ws)
     if ops.u_terms:
         u = ops.p_solver.solve(gradient, out=term, spectrum=ws.spectrum)
-        _add_terms(bracket, ops.u_terms, ws.pad(u), factors, term, ws.tmp)
+        _add_terms(bracket, ops.u_terms, ws.pad(u), factors, term, ws)
     solved = ops.j_solver.solve(bracket, out=bracket, spectrum=ws.spectrum)
     return np.subtract(gradient, solved, out=gradient)
 
@@ -508,7 +550,7 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarr
     The rate is written into ``workspace.rate[0]`` and returned as that
     array; without a workspace a fresh one is built."""
     ws = fd_workspace(ops.grid.n_cells, workspace)
-    rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.tmp)
+    rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.tmp, ws.diffs)
     rate *= rate
     nonlinear = ops.k_solver.solve(rate, out=rate, spectrum=ws.spectrum)
     return np.subtract(zeta_source, nonlinear, out=rate)

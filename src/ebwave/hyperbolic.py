@@ -22,7 +22,7 @@ than the arithmetic.
 Strips. ``hyperbolic_rhs`` pads once, then walks the grid in strips of at
 most ``FV_STRIP`` cells; each strip reconstructs, limits, takes the flux
 and writes its slice of the rate. The scratch is sized to one strip, so at
-8192 cells its nine float arrays of 64 KiB (plus two masks) stay in a
+8192 cells its nine float arrays of 64 KiB (plus a mask) stay in a
 2 MiB L2 cache, while each strip still holds enough work to hide the fixed
 cost of its ~110 ufunc calls: at N = 65536, strips of 2048 and 4096 cells
 were slower, 16384 no faster, and a single whole-grid strip no faster but
@@ -30,11 +30,12 @@ larger in memory. A grid of at most ``FV_STRIP`` cells is one strip.
 
 The limiter is fused across the two faces of a cell: L(u, v, w) is
 symmetric in u and v, so the signs, the cap min(2|u|, 2|v|) and the
-sign-agreement mask are computed once for both. Every operation is the
+sign-agreement factor are computed once for both. Every operation is the
 one of the plain allocating formula, or one whose result IEEE arithmetic
 guarantees to be the same bits (b - a for -a + b, x / (-dx) for
-(-x) / dx, one product shared by two sums, swapped min arguments), so
-results are independent of the strip width and the workspace.
+(-x) / dx, one product shared by two sums, swapped min arguments, a slope
+times a 0/1 factor plus +0.0 for a masked zero), so results are
+independent of the strip width and the workspace.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def _check_width(n: int) -> None:
 
 def _scratch(width: int):
     """Kernel temporaries for windows of up to ``width`` entries: five float
-    arrays and two boolean masks (rows of one block each)."""
-    return tuple(np.empty((5, width))), tuple(np.empty((2, width), dtype=bool))
+    arrays (rows of one block) and a boolean mask."""
+    return tuple(np.empty((5, width))), np.empty(width, dtype=bool)
 
 
 class FVWorkspace:
@@ -85,7 +86,7 @@ class FVWorkspace:
     ``padded`` holds both fields with GHOSTS periodic ghost cells per side;
     ``stage``, ``rate`` and ``acc`` are the RK4 stage state, the current
     rate and the running sum; ``faces`` (zeta right/left, v right/left),
-    ``tmp`` and ``masks`` are the scratch of one strip. Every array is a
+    ``tmp`` and ``mask`` are the scratch of one strip. Every array is a
     row of one of a few ``np.empty`` blocks: building a workspace costs a
     handful of allocations and touches no page before the kernels write it.
     The padded fields and the RK4 rows are carved from one flat block,
@@ -103,7 +104,7 @@ class FVWorkspace:
         rk4 = self.memory[2 * padded_size:].reshape(6, n)
         self.stage, self.rate, self.acc = tuple(rk4[:2]), tuple(rk4[2:4]), tuple(rk4[4:])
         self.faces = tuple(np.empty((4, width)))
-        self.tmp, self.masks = _scratch(width)
+        self.tmp, self.mask = _scratch(width)
 
     def pad(self, state: CellState):
         """Both fields of ``state`` with ghost cells, in ``padded``."""
@@ -180,19 +181,25 @@ def reconstruction_deltas(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _disagree(sign_u, sign_v, out, spare) -> None:
-    """out <- not (sgn u = sgn v != 0): where the limiter returns 0."""
-    np.not_equal(sign_u, sign_v, out=out)
-    np.equal(sign_u, 0.0, out=spare)
-    out |= spare
+def _agreement(sign_u, sign_v, out) -> None:
+    """out <- 1.0 where sgn u = sgn v != 0, else 0.0 (signs in {-1, 0, 1})."""
+    np.multiply(sign_u, sign_v, out=out)
+    np.maximum(out, 0.0, out=out)
 
 
-def _limit(w, sign, cap, disagree) -> None:
-    """w <- min(cap, |w|) sign, zeroed where ``disagree``, in place."""
+def _limit(w, sign, cap, agreement) -> None:
+    """w <- min(cap, |w|) sign where ``agreement`` is 1, else 0.0, in place.
+
+    The slope is zeroed by the 0/1 factor, not by a masked assignment: a
+    masked copy costs per run of its mask, about 8 times more on the random
+    sign pattern of round-off noise than on smooth data. Adding +0.0 turns
+    the -0.0 of a negative slope times 0 into the +0.0 of the formula.
+    """
     np.abs(w, out=w)
     np.minimum(cap, w, out=w)
     w *= sign
-    np.copyto(w, 0.0, where=disagree)
+    w *= agreement
+    w += 0.0
 
 
 def limiter(u, v, w):
@@ -208,35 +215,34 @@ def limiter(u, v, w):
     u, v, w = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (u, v, w)))
     sign_u = np.sign(u)
     cap = np.minimum(2.0 * np.abs(u), 2.0 * np.abs(v))
-    disagree = np.empty(cap.shape, dtype=bool)
-    _disagree(sign_u, np.sign(v), disagree, np.empty_like(disagree))
+    agreement = np.empty(cap.shape)
+    _agreement(sign_u, np.sign(v), agreement)
     out = np.array(w)
-    _limit(out, sign_u, cap, disagree)
+    _limit(out, sign_u, cap, agreement)
     return out
 
 
-def _limited_faces(p, right, left, tmp, masks) -> None:
+def _limited_faces(p, right, left, tmp) -> None:
     """Limited right/left face values of the cells p[2:-2] of a padded
     window, written into ``right`` and ``left``."""
     c = len(p) - 4
     _variations(p, right, left, tmp)
     d = tmp[0][:c + 3]
-    sign, abs2, cap = tmp[1][:c + 3], tmp[2][:c + 3], tmp[3][:c]
+    sign, abs2, cap, agreement = tmp[1][:c + 3], tmp[2][:c + 3], tmp[3][:c], tmp[4][:c]
     np.sign(d, out=sign)
     np.abs(d, out=abs2)
     abs2 *= 2.0
     # right face: L(diff_down, diff_up, delta_plus); left face:
     # L(diff_up, diff_down, delta_minus). L is symmetric in its first two
     # arguments up to the sign it returns, so both faces share the cap and
-    # the agreement mask.
+    # the agreement factor.
     np.minimum(abs2[1:-2], abs2[2:-1], out=cap)
-    disagree = masks[0][:c]
-    _disagree(sign[1:-2], sign[2:-1], disagree, masks[1][:c])
+    _agreement(sign[1:-2], sign[2:-1], agreement)
     # u +- slope/2: a slope min(..) sgn is +-min(..) exactly, so scaling the
     # sign by 1/2 rounds like scaling the slope; zeroed faces stay 0.0
     sign *= 0.5
-    _limit(right, sign[1:-2], cap, disagree)
-    _limit(left, sign[2:-1], cap, disagree)
+    _limit(right, sign[1:-2], cap, agreement)
+    _limit(left, sign[2:-1], cap, agreement)
     u = p[2:-2]
     right += u
     np.subtract(u, left, out=left)
@@ -254,8 +260,7 @@ def reconstruct_interfaces(state: CellState):
     faces = tuple(np.empty(n) for _ in range(4))
     for p, right, left in zip(ws.pad(state), faces[::2], faces[1::2]):
         for start, end in _strips(n):
-            _limited_faces(p[start + 1:end + 5], right[start:end], left[start:end],
-                           ws.tmp, ws.masks)
+            _limited_faces(p[start + 1:end + 5], right[start:end], left[start:end], ws.tmp)
     return faces
 
 
@@ -318,8 +323,8 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
     sides = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                   for a in (zeta_l, v_l, zeta_r, v_r)))
     shape = sides[0].shape
-    tmp, masks = _scratch(sides[0].size)
-    fluxes = _rusanov(*(a.ravel() for a in sides), params, tmp, masks[0])
+    tmp, mask = _scratch(sides[0].size)
+    fluxes = _rusanov(*(a.ravel() for a in sides), params, tmp, mask)
     return tuple(f.reshape(shape)[()] for f in fluxes)
 
 
@@ -343,24 +348,15 @@ def hyperbolic_rhs(state: CellState, params: PhysParams, dx: float,
     for start, end in _strips(ws.n):
         c = end - start + 2                     # cells start-1 .. end
         window = slice(start, end + 2 * GHOSTS)
-        _limited_faces(zeta_pad[window], zr[:c], zl[:c], ws.tmp, ws.masks)
-        _limited_faces(v_pad[window], vr[:c], vl[:c], ws.tmp, ws.masks)
+        _limited_faces(zeta_pad[window], zr[:c], zl[:c], ws.tmp)
+        _limited_faces(v_pad[window], vr[:c], vl[:c], ws.tmp)
         fluxes = _rusanov(zr[:c - 1], vr[:c - 1], zl[1:c], vl[1:c], params,
-                          ws.tmp, ws.masks[0])
+                          ws.tmp, ws.mask)
         for flux, rate in zip(fluxes, ws.rate):
             out = rate[start:end]
             np.subtract(flux[1:], flux[:-1], out=out)
             out /= -dx
     return ws.rate
-
-
-def rk4_step(y: np.ndarray, dt: float, rhs):
-    """One classical fourth-order Runge-Kutta step for dy/dt = rhs(y)."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _set_stage(stage, y, c: float, k) -> None:

@@ -18,15 +18,14 @@ import numpy as np
 from .core import (BlowUpError, CellState, Grid, HyperbolicityError, ModelVariant,
                    NodalState, PhysParams)
 from .dispersive import (CirculantSolver, DispersiveOperators, FDWorkspace, PairStencil,
-                         build_operators, fd_workspace, fourier_harmonics,
-                         rk4_fd_step)
+                         build_operators, fd_workspace, fourier_harmonics, rk4_fd_step)
 from .hyperbolic import FVWorkspace, max_signal_speed, rk4_fv_step
 
 # cell averages -> point values at the cell centers (deconvolution of the
 # sliding mean), symmetric five-point map exact through sixth order
 _CONVERSION = {-2: 27 / 5760, -1: -348 / 5760, 0: 6402 / 5760,
                1: -348 / 5760, 2: 27 / 5760}
-_CONVERSION_PAIRS = PairStencil.of(_CONVERSION)
+_CONVERSION_PAIRS = PairStencil.of(_CONVERSION, total=1.0)
 
 
 class ConversionOperator:
@@ -50,19 +49,17 @@ class ConversionOperator:
     The forward map is applied in pair form and the inverse through the
     precomputed multiplier; both take their scratch from an ``FDWorkspace``
     (a new one when none is passed) and allocate only their result.
-    ``harmonics`` is a ``fourier_harmonics`` table of the grid to reuse.
     """
 
-    def __init__(self, n_cells: int, harmonics: np.ndarray | None = None):
+    def __init__(self, n_cells: int):
         if n_cells < 5:
             raise ValueError("conversion stencil needs at least 5 cells")
         self.n = n_cells
-        self._solver = CirculantSolver(_CONVERSION, n_cells, "cell-to-nodal map",
-                                       harmonics=harmonics)
+        self._solver = CirculantSolver(_CONVERSION, n_cells, "cell-to-nodal map", total=1.0)
 
     def forward(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
         ws = fd_workspace(self.n, workspace)
-        return _CONVERSION_PAIRS.apply(ws.pad(field), np.empty(self.n), ws.tmp)
+        return _CONVERSION_PAIRS.apply(ws.pad(field), np.empty(self.n), ws.tmp, ws.diffs)
 
     def inverse(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
         spectrum = None if workspace is None else workspace.spectrum
@@ -133,11 +130,11 @@ class StrangSolver:
         self.variant = variant
         self.n_disp = n_disp
         self.blowup_threshold = blowup_threshold
-        # one table of cos/sin(m theta) serves the symbols of every operator
-        harmonics = fourier_harmonics(grid.n_cells)
-        self.operators: DispersiveOperators = build_operators(grid, params, variant,
-                                                              harmonics)
-        self.conversion = ConversionOperator(grid.n_cells, harmonics)
+        self.operators: DispersiveOperators = build_operators(grid, params, variant)
+        self.conversion = ConversionOperator(grid.n_cells)
+        # the symbols above shared one cos/sin table; the run needs it no more,
+        # and kept it would add 0.75 MiB to the resident memory at N = 65536
+        fourier_harmonics.cache_clear()
         self.fv_workspace = FVWorkspace(grid.n_cells)
         # the dispersive step never overlaps the hyperbolic ones, so its
         # buffers reuse the FV workspace's memory instead of adding to it

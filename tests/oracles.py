@@ -12,6 +12,7 @@ pair-form stencils and its closed-form symbols must match to round-off.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,6 +85,79 @@ def dense_dispersive_rhs(variant, zeta, v, grid, params) -> np.ndarray:
         raise ValueError(variant)
     bracket = bracket + 2 / 3 * eps ** 2 * (d[1] @ ((d[1] @ v) ** 2))
     return grad - np.linalg.solve(j, bracket)
+
+
+def _exact(c: float) -> np.longdouble:
+    """A stencil coefficient k/12, k/8 or k/6 as the long double nearest
+    the exact ratio, not the rounded double."""
+    ratio = Fraction(c).limit_denominator(12)
+    return np.longdouble(ratio.numerator) / np.longdouble(ratio.denominator)
+
+
+def long_double_stencil(order: int, u: np.ndarray, dx: float) -> np.ndarray:
+    """STENCILS[order] applied periodically in long double, with exact
+    coefficients; returns a long double array."""
+    u = np.asarray(u, dtype=np.longdouble)
+    return sum(_exact(c) * np.roll(u, -m)
+               for m, c in STENCILS[order].items()) / np.longdouble(dx) ** order
+
+
+def long_double_dispersive(variant, zeta, v, grid, params, dt=None):
+    """The dispersive rate of ``dense_dispersive_rhs`` evaluated in long
+    double (eps 1.1e-19): periodic stencils with exact coefficients (every
+    table is k/12, k/8 or k/6), J and P solved by long double FFTs.
+
+    Returns the zeta-only source and, when ``dt`` is given, the velocity
+    after one RK4 step of dv/dt = source - J^{-1} 2/3 eps^2 D1 (D1 v)^2,
+    both rounded to double once at the end. A reference for the round-off
+    of the double precision kernels on grids of any size.
+    """
+    ld = np.longdouble
+    n = grid.n_cells
+    g, eps, alpha = ld(params.gravity), ld(params.epsilon), ld(params.alpha)
+
+    def d(k, u):
+        return long_double_stencil(k, u, grid.dx)
+
+    def circulant_symbol(k):
+        delta = np.zeros(n, dtype=ld)
+        delta[0] = 1
+        return np.fft.rfft(d(k, delta))
+
+    p_symbol = 1 - eps * alpha / 3 * circulant_symbol(2)
+    j_symbol = p_symbol + eps ** 2 * alpha / 45 * circulant_symbol(4)
+
+    def solve(sym, b):
+        return np.fft.irfft(np.fft.rfft(b) / sym, n=n)
+
+    zeta = zeta.astype(ld)
+    d1z = d(1, zeta)
+    grad = g / alpha * d1z
+    if variant is ModelVariant.UNFACTORIZED:
+        bracket = (grad + 2 * eps ** 2 * g / 45 * d(5, zeta)
+                   + 2 * eps ** 2 * g / 3 * zeta * d(3, zeta)
+                   + eps ** 2 * g * d1z * d(2, zeta))
+    else:
+        w = solve(p_symbol, g * d1z)
+        bracket = grad + 2 * eps ** 2 / 45 * d(4, w)
+        if variant is ModelVariant.FACTORIZED_ALL:
+            bracket += 2 * eps ** 2 / 3 * zeta * d(2, w) + eps ** 2 * d1z * d(1, w)
+        else:
+            bracket += (2 * eps ** 2 * g / 3 * zeta * d(3, zeta)
+                        + eps ** 2 * g * d1z * d(2, zeta))
+    source = grad - solve(j_symbol, bracket)
+    if dt is None:
+        return source.astype(float)
+
+    def rate(u):
+        return source - solve(j_symbol, 2 * eps ** 2 / 3 * d(1, d(1, u) ** 2))
+
+    dt, y = ld(dt), v.astype(ld)
+    k1 = rate(y)
+    k2 = rate(y + dt / 2 * k1)
+    k3 = rate(y + dt / 2 * k2)
+    k4 = rate(y + dt * k3)
+    return source.astype(float), (y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)).astype(float)
 
 
 def cell_averages_of_sin(n: int, length: float) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The dispersive (FD) workspace kernel against the allocating kernel.
+"""The dispersive (FD) workspace kernel against the allocating kernel and
+a long double reference.
 
 ``oracles`` keeps the allocating dispersive kernel verbatim: stencils
 summed offset by offset, symbols by rfft, solves that divide by the symbol.
@@ -6,11 +7,12 @@ The workspace kernel applies pair-form stencils with folded prefactors,
 closed-form symbols and a K = 2/3 eps^2 J^{-1} D1 multiplier, so it agrees
 with the oracle to round-off rather than bit for bit.
 
-Both kernels round each stencil at the scale dx^-order |u| sum |c_m| and
-differ in the order of the sums, so their difference grows with that scale.
-The random states below live on grids of unit spacing, where it does not
-amplify the round-off and the two kernels agree to 1e-12; the dam-break
-state at N = 65536 (dx = 0.02) is the fine-grid case.
+The offset-by-offset sum of a stencil rounds at the scale dx^-order |u|
+sum |c_m|; the pair form rounds at the scale of the differences of
+neighbors. On a grid of unit spacing the two scales are alike and both
+kernels agree to 1e-12. On a fine grid the allocating kernel's own
+round-off dominates their difference, so there both are measured against
+``oracles.long_double_dispersive``, the same step in long double.
 """
 
 import tracemalloc
@@ -81,37 +83,112 @@ def dam_break_64k():
     return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
 
 
+def smooth_random_state(rng, grid, modes=5):
+    x = grid.centers
+    k = 2.0 * np.pi / grid.length
+
+    def field():
+        return sum(0.05 * rng.standard_normal() * np.cos(j * k * x + rng.uniform(0.0, 6.0))
+                   for j in range(1, modes + 1))
+
+    return NodalState(field(), field())
+
+
+# Round-off against the long double reference on a fine grid. The
+# unfactorized variant applies D5 explicitly: on these states its term is
+# ~dx^-4 = 1e8 times the source, so its round-off is 1e-8 of the source
+# before J^{-1} damps it (the allocating kernel is 2e-9 off on the smooth
+# state). The factorized variants keep every term near the scale of the
+# source (measured <= 5e-13).
+FINE_GRID_TOLERANCE = {ModelVariant.FACTORIZED_ALL: 1e-12,
+                       ModelVariant.FIFTH_ONLY_FACTORIZED: 1e-12,
+                       ModelVariant.UNFACTORIZED: 1e-8}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fd_kernel_on_fine_grid_matches_long_double_reference(variant):
+    n = 1200
+    grid = build_grid(0.0, 12.0, n)                 # dx = 0.01
+    params = params_for(variant)
+    ops = build_operators(grid, params, variant)
+    rel = FINE_GRID_TOLERANCE[variant]
+    rng = np.random.default_rng(3)
+    reused = FDWorkspace(n)
+    for state in (random_state(rng, n), smooth_random_state(rng, grid)):
+        source, v = oracles.long_double_dispersive(variant, state.zeta, state.v,
+                                                    grid, params, dt=1e-4)
+        for ws in (None, reused):
+            assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, rel)
+            assert_close(rk4_fd_step(state, 1e-4, ops, workspace=ws).v, v, rel)
+
+
+def dam_break_64k():
+    """Grid, parameters, nodal initial state and first time step of the
+    benchmark's 64k dam break."""
+    config = replace(builtin_scenario("dam_break"), n_cells=65536, t_end=0.1,
+                     output_times=(0.0, 0.1))
+    grid, params = config.grid(), config.params()
+    cells = initial_state(config)
+    state = cell_to_nodal(cells, ConversionOperator(grid.n_cells))
+    return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fd_kernel_matches_on_dam_break_64k_initial_state(variant):
     grid, params, state, dt = dam_break_64k()
-    # the oracle's offset sums of D3 and D5 carry ~5e-9 of round-off on this
-    # state, 40 times the pair form's (test_odd_pair_stencils_beat_offset_sums)
-    rel = 1e-8 if variant is ModelVariant.UNFACTORIZED else 1e-9
     ops = build_operators(grid, params, variant)
+    source, v = oracles.long_double_dispersive(variant, state.zeta, state.v,
+                                                grid, params, dt=dt)
     want_ops = oracles.build_operators(grid, params, variant)
-    want = oracles.rk4_fd_step(state, dt, want_ops)
+    want_source = oracles.zeta_source_term(want_ops, state.zeta)
+    want_v = oracles.rk4_fd_step(state, dt, want_ops).v
     reused = FDWorkspace(grid.n_cells)
     rk4_fd_step(state, dt, ops, workspace=reused)
     for ws in (None, reused):
-        assert_close(zeta_source_term(ops, state.zeta, workspace=ws),
-                     oracles.zeta_source_term(want_ops, state.zeta), rel)
-        assert_close(rk4_fd_step(state, dt, ops, workspace=ws).v, want.v, rel)
+        got_source = zeta_source_term(ops, state.zeta, workspace=ws)
+        got_v = rk4_fd_step(state, dt, ops, workspace=ws).v
+        assert_close(got_source, source, 1e-9)
+        assert_close(got_v, v, 1e-9)
+        if variant is ModelVariant.UNFACTORIZED:
+            # the allocating kernel's offset sums of D3 and D5 are 2e-8 off
+            # the reference here (test_pair_stencils_beat_offset_sums)
+            assert np.max(np.abs(want_source - source)) > 1e-9 * np.max(np.abs(source))
+        else:
+            assert_close(got_source, want_source, 1e-9)
+            assert_close(got_v, want_v, 1e-9)
 
 
-def test_odd_pair_stencils_beat_offset_sums():
-    # against the stencils summed in long double on the steep dam-break
-    # surface: u_{i+m} - u_{i-m} is exact where the field is smooth, so the
-    # pair form is 50-60 times closer than the offset-by-offset sum
+def test_pair_stencils_beat_offset_sums():
+    # against the stencils with exact coefficients summed in long double,
+    # on the steep dam-break surface and on a smooth field of a fine grid:
+    # differences of neighbors are exact where the field is smooth, so the
+    # pair form is at least 30 times closer than the offset-by-offset sum
     grid, _, state, _ = dam_break_64k()
-    u = state.zeta.astype(np.longdouble)
-    for order in (1, 3, 5):
-        op = StencilOperator.centered(order)
-        exact = sum(np.longdouble(c) * np.roll(u, -m)
-                    for m, c in zip(op.offsets, op.coefficients))
-        exact = exact / np.longdouble(grid.dx) ** order
-        pair = np.max(np.abs(apply_stencil(op, state.zeta, grid.dx) - exact))
-        offset_sum = np.max(np.abs(oracles.apply_stencil(op, state.zeta, grid.dx) - exact))
-        assert pair <= 0.1 * offset_sum
+    fine = build_grid(0.0, 3.0, 1200)
+    smooth = np.sin(2.0 * np.pi * fine.centers / 3.0) + 0.3 * np.cos(4.0 * np.pi * fine.centers / 3.0)
+    for field, dx in ((state.zeta, grid.dx), (smooth, fine.dx)):
+        for order in range(1, 6):
+            op = StencilOperator.centered(order)
+            exact = oracles.long_double_stencil(order, field, dx)
+            pair = np.max(np.abs(apply_stencil(op, field, dx) - exact))
+            offset_sum = np.max(np.abs(oracles.apply_stencil(op, field, dx) - exact))
+            assert pair <= 0.1 * offset_sum
+
+
+def test_solver_symbols_keep_relative_accuracy():
+    # 1 - cos(m theta) keeps its relative accuracy where the terms of J's
+    # symbol cancel; cos(m theta) (or an rfft) loses ~1e-16 dx^-4 there
+    grid, params, _, _ = dam_break_64k()
+    n = grid.n_cells
+    ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
+    delta = np.zeros(n)
+    delta[0] = 1.0
+    d2, d4 = (np.fft.rfft(oracles.long_double_stencil(k, delta, grid.dx)).real for k in (2, 4))
+    eps_alpha = np.longdouble(params.epsilon) * np.longdouble(params.alpha)
+    p = 1 - eps_alpha / 3 * d2
+    j = p + eps_alpha * np.longdouble(params.epsilon) / 45 * d4
+    for solver, want, rel in ((ops.p_solver, p, 1e-15), (ops.j_solver, j, 1e-12)):
+        assert np.max(np.abs(solver.symbol - want) / want) <= rel
 
 
 def test_public_stencils_and_symbols_match_allocating_kernel():
@@ -136,7 +213,7 @@ def test_odd_derivatives_of_a_constant_are_exactly_zero():
 
 
 def fd_buffers(ws):
-    return [ws.padded, ws.spectrum, ws.source, ws.tmp, *ws.stage, *ws.rate, *ws.acc]
+    return [ws.padded, ws.spectrum, ws.diffs, ws.source, ws.tmp, *ws.stage, *ws.rate, *ws.acc]
 
 
 def test_fd_results_own_their_memory():

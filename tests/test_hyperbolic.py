@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ebwave.core import CellState, ConfigurationError, HyperbolicityError, PhysP
 from ebwave.hyperbolic import (FV_STRIP, FVWorkspace, hyperbolic_rhs, limiter,
                                max_signal_speed, numerical_flux, physical_flux,
                                reconstruct_interfaces, reconstruction_deltas,
-                               rk4_fv_step, rk4_step)
+                               rk4_fv_step, rk4_in_place)
 
 import oracles
 
@@ -230,7 +231,12 @@ def test_rk4_step_exactness_order():
     lam = -0.7
     errs = []
     for dt in [0.2, 0.1, 0.05]:
-        y1 = rk4_step(np.array([1.0]), dt, lambda y: lam * y)
+        ws = SimpleNamespace(stage=(np.empty(1),), rate=(np.empty(1),), acc=(np.empty(1),))
+
+        def rhs(y):
+            return (np.multiply(y[0], lam, out=ws.rate[0]),)
+
+        (y1,) = rk4_in_place((np.array([1.0]),), dt, rhs, ws)
         errs.append(abs(float(y1[0]) - np.exp(lam * dt)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 4.7
@@ -430,7 +436,7 @@ def test_workspace_size_mismatch_rejected():
 
 
 def workspace_buffers(ws):
-    return [*ws.padded, *ws.stage, *ws.rate, *ws.acc, *ws.faces, *ws.tmp, *ws.masks]
+    return [*ws.padded, *ws.stage, *ws.rate, *ws.acc, *ws.faces, *ws.tmp, ws.mask]
 
 
 def test_rk4_fv_step_results_own_their_memory():
