@@ -274,8 +274,11 @@ def stability_bound(variant: ModelVariant, k: float, alpha: float = 1.0):
 
     UNFACTORIZED and FIFTH_ONLY_FACTORIZED bounds hold for alpha = 1 (the
     only case their linearizations are stated for); the FACTORIZED_ALL
-    bound is valid for any alpha > 0.
+    bound is valid for any alpha > 0. Raises ValueError for alpha <= 0 or
+    k <= 0.
     """
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha:g}")
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("k must be positive")

@@ -578,8 +578,7 @@ def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators,
     ws = fd_workspace(ops.grid.n_cells, workspace)
     source = zeta_source_term(ops, state.zeta, workspace=ws)
     (v_new,) = rk4_in_place(
-        (state.v,), dt,
-        lambda y: (velocity_rate(ops, y[0], source, workspace=ws),), ws)
+        (state.v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace=ws), ws)
     # min and max propagate NaN and reach any infinity, without a mask array
     if not (np.isfinite(v_new.min()) and np.isfinite(v_new.max())):
         raise BlowUpError("non-finite velocity after dispersive step")

@@ -7,26 +7,58 @@ The conserved pair is U = (zeta, v) with flux
 and Jacobian eigenvalues eps*v +- sqrt(g h). Interfaces are fed with
 high-order reconstructed cell values run through a three-argument slope
 limiter, and the interface flux is the Rusanov (local Lax-Friedrichs)
-two-point flux. Everything is periodic: each field is wrapped once with
-ghost cells (``periodic_pad``) and every neighbor is read as a slice.
+two-point flux. Everything is periodic: every neighbor is read as a slice
+of a ghost-filled window.
 
 Workspace. Every buffer of one RK4 step lives in an ``FVWorkspace``, built
-once per grid (``StrangSolver`` keeps one): the two ghost-padded fields,
-the RK4 stage state, rate and running sum, and the kernel scratch. The
-kernels write every result through ``out=``, so a step allocates only its
-two result arrays. Without the workspace a step at N = 65536 allocated
-about a hundred 512 KiB temporaries per rate evaluation, and the page
-faults of handing them back to the OS and taking them again cost more
-than the arithmetic.
+once per grid (``StrangSolver`` keeps one): the RK4 stage state, rate and
+running sum, each one contiguous (2, n) block whose arithmetic runs as one
+flat pass over both fields, and the scratch of one strip. The kernels
+write every result through ``out=``, so a step allocates only its two
+result arrays. Without the workspace a step at N = 65536 allocated about a
+hundred 512 KiB temporaries per rate evaluation, and the page faults of
+handing them back to the OS and taking them again cost more than the
+arithmetic.
 
-Strips. ``hyperbolic_rhs`` pads once, then walks the grid in strips of at
-most ``FV_STRIP`` cells; each strip reconstructs, limits, takes the flux
-and writes its slice of the rate. The scratch is sized to one strip, so at
-8192 cells its nine float arrays of 64 KiB (plus a mask) stay in a
-2 MiB L2 cache, while each strip still holds enough work to hide the fixed
-cost of its ~110 ufunc calls: at N = 65536, strips of 2048 and 4096 cells
-were slower, 16384 no faster, and a single whole-grid strip no faster but
-larger in memory. A grid of at most ``FV_STRIP`` cells is one strip.
+Flat strip block. ``hyperbolic_rhs`` walks the grid in strips of at most
+``FV_STRIP`` cells. For each strip one ``np.concatenate`` copies the
+periodic window of zeta (cells start-3 .. end+2) and then the window of v
+into one 1-D block, end to end, and the reconstruction and the limiter run
+once over the whole block: each of their ~35 ufunc calls serves both
+fields. Every kernel is pointwise on its stencil, so a face of zeta reads
+zeta only and one of v reads v only; the four faces around the junction of
+the two windows mix them and are computed but never read. The Rusanov flux
+reads the zeta faces at offset 0 and the v faces at offset m, the window
+length of one field. Stacking the fields as the rows of a (2, width)
+window instead makes every operand a strided 2-D view, and such a ufunc
+call costs about as much as two 1-D calls (a subtraction of shifted
+windows of 1206 entries: 3.7 us strided (2, w), 0.8 us one 1-D row, 1.4
+us flat over both), so a prototype of that layout ran the rate at
+0.96-1.04x the per-field one at N = 1200 and 0.87-0.93x at N = 65536.
+
+Views built once. Every slice of the scratch that the kernels read or
+write is built with the workspace, one set per distinct strip width (at
+most two: the full strips and the remainder). A call slices only the input
+pieces of each window, because the state changes, and the rate rows it
+writes, because ``rk4_in_place`` swaps the rate and sum blocks. Below a few
+thousand cells the cost of a call is its count of numpy calls and slices,
+not its arithmetic. Against two padded fields run one after the other, the
+flat block and the prebuilt views took a rate evaluation from 115 to 81 us
+at N = 1200 and from 3.37 to 2.84 ms at N = 65536 (medians of 15
+interleaved rounds on 2 vCPUs); building the views costs ~12 us per strip
+width.
+
+Strips. The scratch is sized to one strip, so at 8192 cells its eight
+float rows of 128 KiB (plus a mask) stay in a 2 MiB L2 cache, while each
+strip still holds enough work to hide the fixed cost of its ~80 numpy
+calls. One ``rk4_fv_step`` at N = 65536 took 25.9 ms with strips of 4096
+cells, 23.1 ms with 8192 and 22.7 ms with 16384 (medians of 9 interleaved
+rounds); with one field per window, 2048 had been slower still and a
+single whole-grid strip no faster but larger in memory. A grid of at most
+``FV_STRIP`` cells is one strip. The RK4 blocks and the
+scratch are carved from one flat array, ``memory``, which the solver's
+dispersive workspace reuses (the two half steps never run at the same
+time).
 
 The limiter is fused across the two faces of a cell: L(u, v, w) is
 symmetric in u and v, so the signs, the cap min(2|u|, 2|v|) and the
@@ -35,7 +67,7 @@ one of the plain allocating formula, or one whose result IEEE arithmetic
 guarantees to be the same bits (b - a for -a + b, x / (-dx) for
 (-x) / dx, one product shared by two sums, swapped min arguments, a slope
 times a 0/1 factor plus +0.0 for a masked zero), so results are
-independent of the strip width and the workspace.
+independent of the strip width, the block layout and the workspace.
 """
 
 from __future__ import annotations
@@ -80,36 +112,162 @@ def _scratch(width: int):
     return tuple(np.empty((5, width))), np.empty(width, dtype=bool)
 
 
+def _strips(n: int):
+    """(first, end) cell indices of the strips covering a grid of n cells."""
+    for start in range(0, n, FV_STRIP):
+        yield start, min(start + FV_STRIP, n)
+
+
+def _window(n: int, start: int, end: int) -> tuple[slice, ...]:
+    """Slices of a field of n >= GHOSTS cells that hold, end to end, the
+    periodic window of cells start - GHOSTS .. end + GHOSTS - 1."""
+    first, last = start - GHOSTS, end + GHOSTS
+    pieces = [slice(max(first, 0), min(last, n))]
+    if first < 0:
+        pieces.insert(0, slice(n + first, n))
+    if last > n:
+        pieces.append(slice(0, last - n))
+    return tuple(pieces)
+
+
+class _FaceKernel:
+    """Reconstruction and limiter on the cells p[2:-2] of a padded window.
+
+    ``right`` and ``left`` receive one entry per cell, and the five rows of
+    ``tmp`` (at least len(p) - 1 entries each) are the scratch. Every view
+    the kernel reads or writes is built here, so a call slices nothing.
+    """
+
+    def __init__(self, p, right, left, tmp):
+        c = len(p) - 4
+        d, d3, t, two_thirds, one_third = (b[:c + 3] for b in tmp)
+        self.right, self.left, self.cells = right, left, p[2:-2]
+        # neighbor differences d[k] = p[k+1] - p[k]: diff_down = u_i - u_{i-1}
+        # of cell i is d[1:-2] and diff_up = u_{i+1} - u_i is d[2:-1]
+        self.neighbors, self.d = (p[1:], p[:-1]), d
+        # third differences starting at cells i-1 and i, from t = 3 p: the
+        # backward one of cell i is the forward one of cell i-1
+        self.triple, self.t = p[1:-1], t[:c + 2]
+        self.d3_terms = t[:c + 1], p[:-3], t[1:c + 2], p[3:]
+        self.d3 = d3[:c + 1]
+        # each weighted difference serves both deltas; the tenths reuse t
+        # and the fifteenths are d3 divided in place
+        tenth, fifteenth = t[:c + 1], self.d3
+        self.two_thirds, self.one_third, self.tenth = two_thirds, one_third, tenth
+        self.deltas = (
+            (right, (two_thirds[2:-1], one_third[1:-2], tenth[1:], fifteenth[:-1])),
+            (left, (two_thirds[1:-2], one_third[2:-1], tenth[:-1], fifteenth[1:])))
+        # the limiter overwrites d3, t and the weighted differences
+        self.sign, self.abs2 = tmp[1][:c + 3], tmp[2][:c + 3]
+        self.cap, self.agreement = tmp[3][:c], tmp[4][:c]
+        self.pairs = ((self.abs2[1:-2], self.abs2[2:-1]),
+                      (self.sign[1:-2], self.sign[2:-1]))
+
+    def variations(self) -> None:
+        """delta_plus into ``right`` and delta_minus into ``left``, where
+
+        delta_plus  = 2/3 (u_{i+1}-u_i) + 1/3 (u_i-u_{i-1})
+                      - 1/10 (-u_{i-1}+3u_i-3u_{i+1}+u_{i+2})
+                      - 1/15 (-u_{i-2}+3u_{i-1}-3u_i+u_{i+1})
+
+        and delta_minus its mirror. The 2/3, 1/3, -1/10, -1/15 weights give
+        the fifth-order interface values u_i +- delta/2 on smooth data. The
+        neighbor differences are left in ``d`` for the limiter.
+        """
+        d, d3 = self.d, self.d3
+        np.subtract(*self.neighbors, out=d)
+        np.multiply(self.triple, 3.0, out=self.t)
+        t_lo, p_lo, t_hi, p_hi = self.d3_terms
+        np.subtract(t_lo, p_lo, out=d3)
+        d3 -= t_hi
+        d3 += p_hi
+        np.multiply(d, 2.0 / 3.0, out=self.two_thirds)
+        np.multiply(d, 1.0 / 3.0, out=self.one_third)
+        np.multiply(d3, 0.1, out=self.tenth)
+        np.divide(d3, 15.0, out=d3)
+        for delta, (two_thirds, one_third, tenth, fifteenth) in self.deltas:
+            np.add(two_thirds, one_third, out=delta)
+            delta -= tenth
+            delta -= fifteenth
+
+    def faces(self) -> None:
+        """Limited right face values into ``right`` and left ones into
+        ``left``."""
+        self.variations()
+        sign, abs2, cap, agreement = self.sign, self.abs2, self.cap, self.agreement
+        (abs2_down, abs2_up), (sign_down, sign_up) = self.pairs
+        np.sign(self.d, out=sign)
+        np.abs(self.d, out=abs2)
+        abs2 *= 2.0
+        # right face: L(diff_down, diff_up, delta_plus); left face:
+        # L(diff_up, diff_down, delta_minus). L is symmetric in its first two
+        # arguments up to the sign it returns, so both faces share the cap and
+        # the agreement factor.
+        np.minimum(abs2_down, abs2_up, out=cap)
+        _agreement(sign_down, sign_up, agreement)
+        # u +- slope/2: a slope min(..) sgn is +-min(..) exactly, so scaling the
+        # sign by 1/2 rounds like scaling the slope; zeroed faces stay 0.0
+        sign *= 0.5
+        _limit(self.right, sign_down, cap, agreement)
+        _limit(self.left, sign_up, cap, agreement)
+        self.right += self.cells
+        np.subtract(self.cells, self.left, out=self.left)
+
+
+class _StripKernel:
+    """The views of the rate kernel for strips of ``width`` cells, on the
+    scratch of a workspace (``block``, the two face rows, ``tmp`` and
+    ``mask``)."""
+
+    def __init__(self, width: int, block, faces, tmp, mask):
+        m = width + 2 * GHOSTS              # window entries per field
+        c = width + 2                       # cells start-1 .. end of a field
+        k = c - 1                           # interfaces start-1/2 .. end-1/2
+        right, left = faces
+        self.block = block[:2 * m]
+        self.kernel = _FaceKernel(self.block, right[:2 * m - 4], left[:2 * m - 4], tmp)
+        # interface i+1/2 pairs the right face of cell i with the left face
+        # of cell i+1; the faces of v start at offset m
+        self.sides = right[:k], right[m:m + k], left[1:c], left[m + 1:m + c]
+        self.flux_tmp, self.mask = tuple(t[:k] for t in tmp), mask[:k]
+        # _rusanov leaves the zeta and v fluxes in the first two rows
+        self.flux_pairs = tuple((f[1:], f[:-1]) for f in self.flux_tmp[:2])
+
+
 class FVWorkspace:
     """Preallocated buffers of the finite-volume step on a grid of n cells.
 
-    ``padded`` holds both fields with GHOSTS periodic ghost cells per side;
     ``stage``, ``rate`` and ``acc`` are the RK4 stage state, the current
-    rate and the running sum; ``faces`` (zeta right/left, v right/left),
-    ``tmp`` and ``mask`` are the scratch of one strip. Every array is a
-    row of one of a few ``np.empty`` blocks: building a workspace costs a
-    handful of allocations and touches no page before the kernels write it.
-    The padded fields and the RK4 rows are carved from one flat block,
-    ``memory``, which the solver's dispersive workspace reuses (the two
-    half steps never run at the same time).
+    rate and the running sum, each a (2, n) block of zeta and v rows.
+    ``block`` (both windows of a strip end to end), ``faces`` (right and
+    left faces of the block), ``tmp`` and ``mask`` are the scratch of one
+    strip. All but the mask are carved from one flat array, ``memory``,
+    with at least ``memory_size`` entries so that the solver's dispersive
+    workspace fits in it too; built with ``np.empty``, it touches no page
+    before the kernels write it. ``strips`` lists, per strip, the input
+    slices of its window, its first and end cell and the kernel views of
+    its width.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, memory_size: int = 0):
         _check_width(n)
         self.n = n
-        width = min(n, FV_STRIP) + 2 * GHOSTS
-        padded_size = n + 2 * GHOSTS
-        self.memory = np.empty(2 * padded_size + 6 * n)
-        self.padded = tuple(self.memory[:2 * padded_size].reshape(2, padded_size))
-        rk4 = self.memory[2 * padded_size:].reshape(6, n)
-        self.stage, self.rate, self.acc = tuple(rk4[:2]), tuple(rk4[2:4]), tuple(rk4[4:])
-        self.faces = tuple(np.empty((4, width)))
-        self.tmp, self.mask = _scratch(width)
-
-    def pad(self, state: CellState):
-        """Both fields of ``state`` with ghost cells, in ``padded``."""
-        return tuple(periodic_pad(u, GHOSTS, out=p)
-                     for u, p in zip((state.zeta, state.v), self.padded))
+        row = 2 * (min(n, FV_STRIP) + 2 * GHOSTS)     # both windows of the widest strip
+        rk4_size = 6 * n
+        self.memory = np.empty(max(rk4_size + 8 * row, memory_size))
+        self.stage, self.rate, self.acc = self.memory[:rk4_size].reshape(3, 2, n)
+        scratch = self.memory[rk4_size:rk4_size + 8 * row].reshape(8, row)
+        self.block, self.faces, self.tmp = scratch[0], tuple(scratch[1:3]), tuple(scratch[3:])
+        self.mask = np.empty(row // 2, dtype=bool)
+        kernels: dict[int, _StripKernel] = {}
+        strips = []
+        for start, end in _strips(n):
+            width = end - start
+            if width not in kernels:
+                kernels[width] = _StripKernel(width, self.block, self.faces,
+                                              self.tmp, self.mask)
+            strips.append((_window(n, start, end), start, end, kernels[width]))
+        self.strips = tuple(strips)
 
 
 def _workspace(n: int, workspace: FVWorkspace | None) -> FVWorkspace:
@@ -121,64 +279,24 @@ def _workspace(n: int, workspace: FVWorkspace | None) -> FVWorkspace:
     return workspace
 
 
-def _strips(n: int):
-    """(first, end) cell indices of the strips covering a grid of n cells."""
-    for start in range(0, n, FV_STRIP):
-        yield start, min(start + FV_STRIP, n)
-
-
-def _variations(p, plus, minus, tmp) -> None:
-    """High-order variations of the cells p[2:-2] of a padded window.
-
-    Writes delta_plus into ``plus`` and delta_minus into ``minus``
-    (len(p) - 4 entries each), where, with diff_down = u_i - u_{i-1} and
-    diff_up = u_{i+1} - u_i,
-
-    delta_plus  = 2/3 (u_{i+1}-u_i) + 1/3 (u_i-u_{i-1})
-                  - 1/10 (-u_{i-1}+3u_i-3u_{i+1}+u_{i+2})
-                  - 1/15 (-u_{i-2}+3u_{i-1}-3u_i+u_{i+1})
-
-    and delta_minus its mirror. The 2/3, 1/3, -1/10, -1/15 weights give
-    the fifth-order interface values u_i +- delta/2 on smooth data. The
-    neighbor differences d[k] = p[k+1] - p[k] are left in tmp[0], so that
-    diff_down is d[1:-2] and diff_up is d[2:-1].
-    """
-    c = len(p) - 4
-    d, d3, t, two_thirds, one_third = (b[:c + 3] for b in tmp)
-    np.subtract(p[1:], p[:-1], out=d)
-    # third differences starting at cells i-1 and i: the backward one of
-    # cell i is the forward one of cell i-1
-    d3, t = d3[:c + 1], t[:c + 2]
-    np.multiply(p[1:-1], 3.0, out=t)
-    np.subtract(t[:-1], p[:-3], out=d3)
-    d3 -= t[1:]
-    d3 += p[3:]
-    t = t[:c + 1]
-    # each weighted difference serves both deltas
-    np.multiply(d, 2.0 / 3.0, out=two_thirds)
-    np.multiply(d, 1.0 / 3.0, out=one_third)
-    tenth, fifteenth = t, d3
-    np.multiply(d3, 0.1, out=tenth)
-    np.divide(d3, 15.0, out=fifteenth)
-    np.add(two_thirds[2:-1], one_third[1:-2], out=plus)
-    plus -= tenth[1:]
-    plus -= fifteenth[:-1]
-    np.add(two_thirds[1:-2], one_third[2:-1], out=minus)
-    minus -= tenth[:-1]
-    minus -= fifteenth[1:]
+def _on_field(u, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """The right and left outputs of ``kernel`` (a ``_FaceKernel`` method)
+    for every cell of one periodic field, strip by strip."""
+    u = np.asarray(u)
+    n = u.shape[0]
+    _check_width(n)
+    p = periodic_pad(u, GHOSTS)
+    right, left = np.empty(n), np.empty(n)
+    tmp, _ = _scratch(min(n, FV_STRIP) + 2 * GHOSTS)
+    for start, end in _strips(n):
+        kernel(_FaceKernel(p[start + 1:end + 5], right[start:end], left[start:end], tmp))
+    return right, left
 
 
 def reconstruction_deltas(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upwind/downwind high-order variations on the periodic 5-point stencil
-    (see ``_variations``)."""
-    u = np.asarray(u)
-    n = u.shape[0]
-    ws = FVWorkspace(n)
-    p = periodic_pad(u, GHOSTS, out=ws.padded[0])
-    plus, minus = np.empty(n), np.empty(n)
-    for start, end in _strips(n):
-        _variations(p[start + 1:end + 5], plus[start:end], minus[start:end], ws.tmp)
-    return plus, minus
+    (see ``_FaceKernel.variations``)."""
+    return _on_field(u, _FaceKernel.variations)
 
 
 def _agreement(sign_u, sign_v, out) -> None:
@@ -222,32 +340,6 @@ def limiter(u, v, w):
     return out
 
 
-def _limited_faces(p, right, left, tmp) -> None:
-    """Limited right/left face values of the cells p[2:-2] of a padded
-    window, written into ``right`` and ``left``."""
-    c = len(p) - 4
-    _variations(p, right, left, tmp)
-    d = tmp[0][:c + 3]
-    sign, abs2, cap, agreement = tmp[1][:c + 3], tmp[2][:c + 3], tmp[3][:c], tmp[4][:c]
-    np.sign(d, out=sign)
-    np.abs(d, out=abs2)
-    abs2 *= 2.0
-    # right face: L(diff_down, diff_up, delta_plus); left face:
-    # L(diff_up, diff_down, delta_minus). L is symmetric in its first two
-    # arguments up to the sign it returns, so both faces share the cap and
-    # the agreement factor.
-    np.minimum(abs2[1:-2], abs2[2:-1], out=cap)
-    _agreement(sign[1:-2], sign[2:-1], agreement)
-    # u +- slope/2: a slope min(..) sgn is +-min(..) exactly, so scaling the
-    # sign by 1/2 rounds like scaling the slope; zeroed faces stay 0.0
-    sign *= 0.5
-    _limit(right, sign[1:-2], cap, agreement)
-    _limit(left, sign[2:-1], cap, agreement)
-    u = p[2:-2]
-    right += u
-    np.subtract(u, left, out=left)
-
-
 def reconstruct_interfaces(state: CellState):
     """Limited face values for both components.
 
@@ -255,24 +347,18 @@ def reconstruct_interfaces(state: CellState):
     value at the right face x_{i+1/2} seen from cell i and *_left the value
     at the left face x_{i-1/2} seen from cell i.
     """
-    n = state.zeta.shape[0]
-    ws = FVWorkspace(n)
-    faces = tuple(np.empty(n) for _ in range(4))
-    for p, right, left in zip(ws.pad(state), faces[::2], faces[1::2]):
-        for start, end in _strips(n):
-            _limited_faces(p[start + 1:end + 5], right[start:end], left[start:end], ws.tmp)
-    return faces
+    return (*_on_field(state.zeta, _FaceKernel.faces),
+            *_on_field(state.v, _FaceKernel.faces))
 
 
 def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp, mask):
-    """Rusanov flux of len(zeta_l) interfaces (see ``numerical_flux``).
+    """Rusanov flux of len(zeta_l) interfaces (see ``numerical_flux``), with
+    five scratch rows ``tmp`` and a ``mask`` of exactly that length.
 
-    Returns (flux_zeta, flux_v) as views of tmp[0] and tmp[1].
+    Returns (flux_zeta, flux_v) as tmp[0] and tmp[1].
     """
-    k = len(zeta_l)
     eps, g = params.epsilon, params.gravity
-    h_l, h_r, s, a, b = (t[:k] for t in tmp)
-    mask = mask[:k]
+    h_l, h_r, s, a, b = tmp
     for h, zeta in ((h_l, zeta_l), (h_r, zeta_r)):
         np.multiply(zeta, eps, out=h)
         h += params.depth
@@ -332,43 +418,47 @@ def hyperbolic_rhs(state: CellState, params: PhysParams, dx: float,
                    workspace: FVWorkspace | None = None):
     """Semi-discrete rate -(F_{i+1/2} - F_{i-1/2})/dx with limited faces.
 
-    Both fields are padded with three ghost cells, which is enough to
-    reconstruct cells -1 .. N. Interface i+1/2, for i = -1 .. N-1, pairs
-    the right face of cell i with the left face of cell i+1. Fluxes
-    telescope over the periodic domain, so both component sums of the
-    returned rate vanish to round-off.
+    Each strip's window holds three ghost cells per side, which is enough
+    to reconstruct cells -1 .. N of the grid. Interface i+1/2, for
+    i = -1 .. N-1, pairs the right face of cell i with the left face of
+    cell i+1. Fluxes telescope over the periodic domain, so both component
+    sums of the returned rate vanish to round-off.
 
-    The rate is written into ``workspace.rate`` and returned as those
-    arrays, which the next call overwrites; without a workspace a fresh
-    one is built, so the returned arrays are the caller's own.
+    The rate is written into ``workspace.rate`` and returned as that
+    (2, n) block of zeta and v rows, which the next call overwrites;
+    without a workspace a fresh one is built, so the returned block is the
+    caller's own.
     """
     ws = _workspace(state.zeta.shape[0], workspace)
-    zeta_pad, v_pad = ws.pad(state)
-    zr, zl, vr, vl = ws.faces
-    for start, end in _strips(ws.n):
-        c = end - start + 2                     # cells start-1 .. end
-        window = slice(start, end + 2 * GHOSTS)
-        _limited_faces(zeta_pad[window], zr[:c], zl[:c], ws.tmp)
-        _limited_faces(v_pad[window], vr[:c], vl[:c], ws.tmp)
-        fluxes = _rusanov(zr[:c - 1], vr[:c - 1], zl[1:c], vl[1:c], params,
-                          ws.tmp, ws.mask)
-        for flux, rate in zip(fluxes, ws.rate):
+    fields = (state.zeta, state.v)
+    for pieces, start, end, strip in ws.strips:
+        np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
+        strip.kernel.faces()
+        _rusanov(*strip.sides, params, strip.flux_tmp, strip.mask)
+        for (after, before), rate in zip(strip.flux_pairs, ws.rate):
             out = rate[start:end]
-            np.subtract(flux[1:], flux[:-1], out=out)
+            np.subtract(after, before, out=out)
             out /= -dx
     return ws.rate
 
 
+def _whole(fields):
+    """The arrays one ufunc call each covers ``fields`` with: a (fields, n)
+    block as a whole, which runs as one flat pass, else field by field."""
+    return (fields,) if isinstance(fields, np.ndarray) else fields
+
+
 def _set_stage(stage, y, c: float, k) -> None:
-    """stage <- y + c k, per field."""
-    for out, a, b in zip(stage, y, k):
+    """stage <- y + c k: the scaling over the whole block, y per field."""
+    for out, b in zip(_whole(stage), _whole(k)):
         np.multiply(b, c, out=out)
+    for out, a in zip(stage, y):
         out += a
 
 
 def _accumulate(acc, k, weight: float) -> None:
-    """acc += weight k, per field; scales k in place."""
-    for total, b in zip(acc, k):
+    """acc += weight k over the whole block; scales k in place."""
+    for total, b in zip(_whole(acc), _whole(k)):
         if weight != 1.0:
             b *= weight
         total += b
@@ -377,27 +467,28 @@ def _accumulate(acc, k, weight: float) -> None:
 def rk4_in_place(y: tuple, dt: float, rhs, ws) -> tuple:
     """One classical RK4 step for dy/dt = rhs(y) on a tuple of fields.
 
-    ``ws`` holds the tuples ``stage``, ``rate`` and ``acc``, shaped like y;
-    rhs(stage) writes its rate into ``ws.rate`` (read at call time) and
-    returns it. The first rate becomes the running sum by swapping the
-    ``rate`` and ``acc`` tuples instead of being copied, and 2 k2, 2 k3
-    and k4 are then added in place in that order, which is the evaluation
-    order of y + dt/6 (k1 + 2 k2 + 2 k3 + k4). Only the returned arrays are
+    ``ws`` holds ``stage``, ``rate`` and ``acc``, each either one
+    (fields, n) block or a tuple of field arrays shaped like y; rhs(stage)
+    writes its rate into ``ws.rate`` (read at call time), which is what
+    the step reads back. The first rate becomes the running sum by swapping
+    ``rate`` and ``acc`` instead of being copied, and 2 k2, 2 k3 and k4 are
+    then added in place in that order, which is the evaluation order of
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4). Only the returned arrays are
     allocated, so the result never aliases the workspace.
     """
-    k = rhs(y)
-    ws.rate, ws.acc = ws.acc, k
+    rhs(y)
+    ws.rate, ws.acc = ws.acc, ws.rate
     # each stage is built before the weighting of the sum overwrites k
-    _set_stage(ws.stage, y, 0.5 * dt, k)
-    k = rhs(ws.stage)
-    _set_stage(ws.stage, y, 0.5 * dt, k)
-    _accumulate(ws.acc, k, 2.0)
-    k = rhs(ws.stage)
-    _set_stage(ws.stage, y, dt, k)
-    _accumulate(ws.acc, k, 2.0)
-    k = rhs(ws.stage)
-    _accumulate(ws.acc, k, 1.0)
-    for total in ws.acc:
+    _set_stage(ws.stage, y, 0.5 * dt, ws.acc)
+    rhs(ws.stage)
+    _set_stage(ws.stage, y, 0.5 * dt, ws.rate)
+    _accumulate(ws.acc, ws.rate, 2.0)
+    rhs(ws.stage)
+    _set_stage(ws.stage, y, dt, ws.rate)
+    _accumulate(ws.acc, ws.rate, 2.0)
+    rhs(ws.stage)
+    _accumulate(ws.acc, ws.rate, 1.0)
+    for total in _whole(ws.acc):
         total *= dt / 6.0
     return tuple(a + total for a, total in zip(y, ws.acc))
 

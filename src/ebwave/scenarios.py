@@ -276,11 +276,15 @@ class ConvergenceReport:
 
 
 def run_convergence(base: ScenarioConfig, n_list, t_final: float) -> ConvergenceReport:
-    """Rerun the solitary scenario on a refinement ladder and regress the
-    error slopes against the corrected analytic solution."""
+    """Rerun the solitary scenario on a refinement ladder of at least two
+    distinct cell counts and regress the error slopes against the corrected
+    analytic solution."""
     if base.initial != "solitary" or len(base.amplitudes) != 1:
         raise ConfigurationError("convergence study needs a single solitary wave")
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted({int(n) for n in n_list})
+    if len(n_list) < 2:
+        raise ConfigurationError(
+            f"a convergence slope needs at least two distinct cell counts, got {n_list}")
     errs_z, errs_v = [], []
     spec = SolitaryWaveSpec(amplitude=base.amplitudes[0], epsilon=base.epsilon,
                             x0=base.centers[0], direction=int(base.directions[0]))
@@ -341,6 +345,8 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
     Cp_stokes, Cg_stokes, ratio_p, ratio_g and scan has columns alpha, error
     (NaN where the model loses its real branch).
     """
+    if samples < 1:
+        raise ConfigurationError(f"need at least one sample, got {samples}")
     model = dispersion_model(kind_name, alpha)
     k = np.linspace(k_max / samples, k_max, samples)
     cp, cg = velocities(model, k)

@@ -135,9 +135,10 @@ class StrangSolver:
         # the symbols above shared one cos/sin table; the run needs it no more,
         # and kept it would add 0.75 MiB to the resident memory at N = 65536
         fourier_harmonics.cache_clear()
-        self.fv_workspace = FVWorkspace(grid.n_cells)
         # the dispersive step never overlaps the hyperbolic ones, so its
         # buffers reuse the FV workspace's memory instead of adding to it
+        self.fv_workspace = FVWorkspace(grid.n_cells,
+                                        memory_size=FDWorkspace.size(grid.n_cells))
         self.fd_workspace = FDWorkspace(grid.n_cells, memory=self.fv_workspace.memory)
 
     def strang_step(self, run: RunState, dt: float) -> RunState:

@@ -104,6 +104,36 @@ def test_converge_blowup_exit_code(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("blow-up") and "N=64" in err[0]
 
 
+@pytest.mark.parametrize("levels", ["64", "64,64"])
+def test_converge_rejects_fewer_than_two_levels(tmp_path, capsys, levels):
+    code = main(["converge", "solitary", "--n", levels, "--t-final", "0.25",
+                 "--outdir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error") and "two" in err[0]
+    assert "slopes" not in captured.out
+    assert not (tmp_path / "convergence_solitary.csv").exists()
+
+
+def test_dispersion_rejects_zero_samples(tmp_path, capsys):
+    code = main(["dispersion", "--samples", "0", "--outdir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sample" in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
+def test_stability_rejects_nonpositive_alpha(capsys, alpha):
+    code = main(["stability", "--variant", "factorized_all", "--alpha", alpha])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "alpha must be positive" in err[0]
+    assert captured.out == ""
+
+
 def test_dispersion_subcommand(tmp_path):
     code = main(["dispersion", "--model", "eb_unfactorized", "--alpha", "0.8351",
                  "--kmax", "1.0", "--samples", "20", "--outdir", str(tmp_path)])

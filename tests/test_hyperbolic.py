@@ -436,7 +436,7 @@ def test_workspace_size_mismatch_rejected():
 
 
 def workspace_buffers(ws):
-    return [*ws.padded, *ws.stage, *ws.rate, *ws.acc, *ws.faces, *ws.tmp, ws.mask]
+    return [ws.memory, *ws.stage, *ws.rate, *ws.acc, ws.block, *ws.faces, *ws.tmp, ws.mask]
 
 
 def test_rk4_fv_step_results_own_their_memory():
