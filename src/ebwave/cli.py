@@ -109,7 +109,7 @@ def _cmd_stability_demo(args) -> int:
 
 
 def _cmd_self_test(args) -> int:
-    from .core import CellState, build_grid
+    from .core import State, build_grid
     from .splitting import ConversionOperator, RunState, StrangSolver
 
     failures = []
@@ -130,7 +130,7 @@ def _cmd_self_test(args) -> int:
 
     grid = build_grid(0.0, 10.0, 64)
     solver = StrangSolver(grid, PhysParams.nondimensional(0.1))
-    run = RunState.initial(CellState(0.25 * np.ones(64), np.zeros(64)), grid.dx)
+    run = RunState.initial(State(0.25 * np.ones(64), np.zeros(64)), grid.dx)
     for _ in range(20):
         run = solver.strang_step(run, 0.05)
     check("steady state preserved",

@@ -129,8 +129,13 @@ def build_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
 
 
 @dataclass
-class CellState:
-    """Cell-averaged surface deformation and velocity on a periodic grid."""
+class State:
+    """Surface deformation and velocity on a periodic grid.
+
+    The same container serves both halves of the split scheme: it holds cell
+    averages in the finite-volume step and point values at the cell centers
+    in the finite-difference step.
+    """
 
     zeta: np.ndarray
     v: np.ndarray
@@ -142,11 +147,11 @@ class CellState:
             raise ConfigurationError("zeta and v must be 1d arrays of equal length")
 
     @classmethod
-    def rest(cls, n: int) -> "CellState":
+    def rest(cls, n: int) -> "State":
         return cls(np.zeros(n), np.zeros(n))
 
-    def copy(self) -> "CellState":
-        return CellState(self.zeta.copy(), self.v.copy())
+    def copy(self) -> "State":
+        return State(self.zeta.copy(), self.v.copy())
 
     def water_column(self, params: PhysParams) -> np.ndarray:
         return params.depth + params.epsilon * self.zeta
@@ -154,23 +159,6 @@ class CellState:
     def is_hyperbolic(self, params: PhysParams) -> bool:
         """True when the water column is strictly positive everywhere."""
         return bool(np.min(self.water_column(params)) > 0.0)
-
-
-@dataclass
-class NodalState:
-    """Cell-center point values used by the finite-difference dispersive step."""
-
-    zeta: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.zeta.shape != self.v.shape or self.zeta.ndim != 1:
-            raise ConfigurationError("zeta and v must be 1d arrays of equal length")
-
-    def copy(self) -> "NodalState":
-        return NodalState(self.zeta.copy(), self.v.copy())
 
 
 def periodic_pad(u: np.ndarray, g: int, out: np.ndarray | None = None) -> np.ndarray:

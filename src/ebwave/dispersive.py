@@ -71,8 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, NodalState,
-                   PhysParams, periodic_pad)
+from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
+                   State, periodic_pad)
 from .hyperbolic import rk4_in_place
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
@@ -86,31 +86,6 @@ _D5 = {-4: 1 / 6, -3: -9 / 6, -2: 26 / 6, -1: -29 / 6,
 _STENCILS = {1: _D1, 2: _D2, 3: _D3, 4: _D4, 5: _D5}
 
 FD_GHOSTS = 4          # ghost cells per side: the reach of the widest stencil, D5
-
-
-@dataclass(frozen=True)
-class StencilOperator:
-    """Periodic centered difference of the given derivative order.
-
-    Application is the convolution sum_m c_m u_{i+m} scaled by dx^-order.
-    Coefficients sum to zero; odd orders are antisymmetric, even orders
-    symmetric.
-    """
-
-    order: int
-    offsets: tuple[int, ...]
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def centered(cls, order: int) -> "StencilOperator":
-        table = _STENCILS[order]
-        offs = tuple(sorted(table))
-        return cls(order=order, offsets=offs,
-                   coefficients=tuple(table[m] for m in offs))
-
-    @property
-    def width(self) -> int:
-        return max(self.offsets) - min(self.offsets) + 1
 
 
 @dataclass(frozen=True)
@@ -196,15 +171,16 @@ class PairStencil:
         return out
 
 
-def apply_stencil(op: StencilOperator, field: np.ndarray, dx: float) -> np.ndarray:
-    """Apply the periodic stencil to a field, scaled by dx^-order."""
+def apply_stencil(order: int, field: np.ndarray, dx: float) -> np.ndarray:
+    """Apply the fourth-order centered difference of the given derivative
+    order (1 to 5) to a periodic field, scaled by dx^-order."""
     field = np.asarray(field, dtype=float)
-    if field.shape[0] < op.width:
+    stencil = _PAIRS[order].scaled(dx ** -order)
+    width = 2 * stencil.reach + 1
+    if field.shape[0] < width:
         raise ConfigurationError(
             f"grid of {field.shape[0]} points is narrower than the "
-            f"{op.width}-point stencil")
-    # the coefficients of a difference operator sum to zero
-    stencil = PairStencil.of(dict(zip(op.offsets, op.coefficients))).scaled(dx ** -op.order)
+            f"{width}-point stencil")
     padded = periodic_pad(field, stencil.reach)
     return stencil.apply(padded, np.empty_like(field), np.empty_like(field),
                          np.empty(padded.shape[0] - 1))
@@ -556,15 +532,15 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarr
     return np.subtract(zeta_source, nonlinear, out=rate)
 
 
-def dispersive_rhs(state: NodalState, ops: DispersiveOperators):
+def dispersive_rhs(state: State, ops: DispersiveOperators):
     """Full rate of the dispersive part: (d zeta/dt, dv/dt) with
     d zeta/dt identically zero."""
     source = zeta_source_term(ops, state.zeta)
     return np.zeros_like(state.zeta), velocity_rate(ops, state.v, source)
 
 
-def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators,
-                workspace: FDWorkspace | None = None) -> NodalState:
+def rk4_fd_step(state: State, dt: float, ops: DispersiveOperators,
+                workspace: FDWorkspace | None = None) -> State:
     """Advance the nodal velocity by one RK4 step of the dispersive part.
 
     zeta is returned bit-identical to the input (as a copy). The zeta-only
@@ -582,4 +558,4 @@ def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators,
     # min and max propagate NaN and reach any infinity, without a mask array
     if not (np.isfinite(v_new.min()) and np.isfinite(v_new.max())):
         raise BlowUpError("non-finite velocity after dispersive step")
-    return NodalState(state.zeta.copy(), v_new)
+    return State(state.zeta.copy(), v_new)

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (CellState, ConfigurationError, HyperbolicityError, PhysParams,
+from .core import (ConfigurationError, HyperbolicityError, PhysParams, State,
                    periodic_pad)
 
 
@@ -340,7 +340,7 @@ def limiter(u, v, w):
     return out
 
 
-def reconstruct_interfaces(state: CellState):
+def reconstruct_interfaces(state: State):
     """Limited face values for both components.
 
     Returns (zeta_right, zeta_left, v_right, v_left) where *_right is the
@@ -414,7 +414,7 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
     return tuple(f.reshape(shape)[()] for f in fluxes)
 
 
-def hyperbolic_rhs(state: CellState, params: PhysParams, dx: float,
+def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
                    workspace: FVWorkspace | None = None):
     """Semi-discrete rate -(F_{i+1/2} - F_{i-1/2})/dx with limited faces.
 
@@ -493,8 +493,8 @@ def rk4_in_place(y: tuple, dt: float, rhs, ws) -> tuple:
     return tuple(a + total for a, total in zip(y, ws.acc))
 
 
-def rk4_fv_step(state: CellState, dt: float, params: PhysParams, dx: float,
-                workspace: FVWorkspace | None = None) -> CellState:
+def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float,
+                workspace: FVWorkspace | None = None) -> State:
     """Advance the cell averages by one RK4 step of the shallow-water part.
 
     The stages live in ``workspace`` (built here when None) and are
@@ -505,6 +505,6 @@ def rk4_fv_step(state: CellState, dt: float, params: PhysParams, dx: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     ws = _workspace(state.zeta.shape[0], workspace)
-    return CellState(*rk4_in_place(
+    return State(*rk4_in_place(
         (state.zeta, state.v), dt,
-        lambda y: hyperbolic_rhs(CellState(*y), params, dx, workspace=ws), ws))
+        lambda y: hyperbolic_rhs(State(*y), params, dx, workspace=ws), ws))

@@ -10,11 +10,19 @@ variants.
 
 CSV files use a header row and 17 significant digits so identical
 configurations produce identical bytes.
+
+``strang_steps`` is the package's one stepping loop: it owns the choice of
+dt, the landing on each output time and, through ``StrangSolver``, the
+blow-up check. It yields every step instead of returning the last one, so
+a caller keeps the last finite state when a step blows up, and it lives
+here rather than in ``splitting`` because the benchmark's trace wraps the
+``choose_dt`` that this module looks up.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -22,8 +30,8 @@ import numpy as np
 
 from .analytic import (SolitaryWaveSpec, corrected_solution, dam_break_profile,
                        heap_profile)
-from .core import (BlowUpError, CellState, ConfigurationError, Grid, ModelVariant,
-                   PhysParams, build_grid, relative_l2_error)
+from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
+                   State, build_grid, relative_l2_error)
 from .dispersion import DispersionKind, DispersionModel, stokes_reference, velocities, weighted_error
 from .splitting import RunState, StrangSolver, choose_dt
 
@@ -62,6 +70,13 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # the config file could not hold these: '#' starts a comment, a
+            # line break ends the entry and the parser strips outer whitespace
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or "".join(value.splitlines()) != value):
+                raise ConfigurationError(
+                    f"{f.name} must have no '#', line break or leading or trailing "
+                    f"whitespace, got {value!r}")
             items = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
@@ -98,7 +113,7 @@ def _format_value(value) -> str:
 def write_config(config: ScenarioConfig, path) -> None:
     lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
              for f in fields(ScenarioConfig)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -140,10 +155,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def read_config(path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def initial_state(config: ScenarioConfig) -> CellState:
+def initial_state(config: ScenarioConfig) -> State:
     """Evaluate the configured initial condition at the cell centers."""
     x = config.grid().centers
     if config.initial == "solitary":
@@ -159,12 +174,12 @@ def initial_state(config: ScenarioConfig) -> CellState:
             zi, vi = corrected_solution(spec, 0.0, x, corrector_center=center)
             zeta += zi
             v += vi
-        return CellState(zeta, v)
+        return State(zeta, v)
     if config.initial in ("heap_high_freq", "heap_low_freq"):
         kind = config.initial.removeprefix("heap_")
-        return CellState(config.ic_scale * heap_profile(kind, x), np.zeros_like(x))
+        return State(config.ic_scale * heap_profile(kind, x), np.zeros_like(x))
     if config.initial == "dam_break":
-        return CellState(dam_break_profile(config.dam_amplitude, x), np.zeros_like(x))
+        return State(dam_break_profile(config.dam_amplitude, x), np.zeros_like(x))
     raise ConfigurationError(f"unknown initial condition {config.initial!r}")
 
 
@@ -188,6 +203,22 @@ class ScenarioResult:
     @property
     def blew_up(self) -> bool:
         return self.blowup_time is not None
+
+
+def strang_steps(solver: StrangSolver, run: RunState, t_target: float,
+                 cfl: float = 0.4, fixed_dt: float = 0.0) -> Iterator[RunState]:
+    """Step ``run`` to ``t_target``, yielding the state after every step.
+
+    dt is ``fixed_dt`` when it is positive and the CFL step of the current
+    state otherwise; the last step is clipped to land on ``t_target``. A
+    BlowUpError from a step propagates, and the caller's loop variable still
+    holds the last state yielded before it.
+    """
+    dx = solver.grid.dx
+    while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
+        dt = fixed_dt if fixed_dt > 0.0 else choose_dt(run.cells, solver.params, dx, cfl)
+        run = solver.strang_step(run, min(dt, t_target - run.t))
+        yield run
 
 
 def run_scenario(config: ScenarioConfig, outdir=None,
@@ -221,12 +252,8 @@ def run_scenario(config: ScenarioConfig, outdir=None,
         targets.append(config.t_end)
     try:
         for t_target in targets:
-            while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
-                if config.fixed_dt > 0.0:
-                    dt = config.fixed_dt
-                else:
-                    dt = choose_dt(run.cells, config.params(), grid.dx, config.cfl)
-                run = solver.strang_step(run, min(dt, t_target - run.t))
+            for run in strang_steps(solver, run, t_target, config.cfl, config.fixed_dt):
+                pass
             if t_target in config.output_times or not config.output_times:
                 emit(run)
     except BlowUpError as exc:

@@ -7,16 +7,20 @@ is a high-order five-point map from cell averages to point values and its
 exact circulant inverse. Because the dispersive step leaves the surface
 untouched, zeta skips the conversion round trip entirely and mass
 bookkeeping reduces to the conservative finite-volume update.
+
+This module takes one step at a time (``StrangSolver.strang_step``); the
+loop that chooses dt and lands on output times is ``scenarios.strang_steps``,
+the only one in the package. It looks ``choose_dt`` up in ``scenarios``,
+where the benchmark's trace wraps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BlowUpError, CellState, Grid, HyperbolicityError, ModelVariant,
-                   NodalState, PhysParams)
+from .core import BlowUpError, Grid, ModelVariant, PhysParams, State
 from .dispersive import (CirculantSolver, DispersiveOperators, FDWorkspace, PairStencil,
                          build_operators, fd_workspace, fourier_harmonics, rk4_fd_step)
 from .hyperbolic import FVWorkspace, max_signal_speed, rk4_fv_step
@@ -66,19 +70,19 @@ class ConversionOperator:
         return self._solver.solve(field, spectrum=spectrum)
 
 
-def cell_to_nodal(state: CellState, conv: ConversionOperator,
-                  workspace: FDWorkspace | None = None) -> NodalState:
+def cell_to_nodal(state: State, conv: ConversionOperator,
+                  workspace: FDWorkspace | None = None) -> State:
     """Point values of both components at the cell centers."""
-    return NodalState(conv.forward(state.zeta, workspace),
+    return State(conv.forward(state.zeta, workspace),
                       conv.forward(state.v, workspace))
 
 
-def nodal_to_cell(state: NodalState, conv: ConversionOperator) -> CellState:
+def nodal_to_cell(state: State, conv: ConversionOperator) -> State:
     """Exact inverse of :func:`cell_to_nodal` through the factorized map."""
-    return CellState(conv.inverse(state.zeta), conv.inverse(state.v))
+    return State(conv.inverse(state.zeta), conv.inverse(state.v))
 
 
-def choose_dt(state: CellState, params: PhysParams, dx: float,
+def choose_dt(state: State, params: PhysParams, dx: float,
               cfl: float = 0.4) -> float:
     """Hyperbolic CFL time step, dt = cfl dx / max(|eps v| + sqrt(g h))."""
     if not 0.0 < cfl <= 1.0:
@@ -92,14 +96,14 @@ class RunState:
     """Simulation clock plus the current cell-averaged state and diagnostics."""
 
     t: float
-    cells: CellState
+    cells: State
     step_count: int = 0
     mass: float = 0.0
     max_amplitude: float = 0.0
 
     @classmethod
-    def initial(cls, cells: CellState, dx: float, t: float = 0.0) -> "RunState":
-        run = cls(t=t, cells=cells)
+    def initial(cls, cells: State, dx: float) -> "RunState":
+        run = cls(t=0.0, cells=cells)
         run.update_diagnostics(dx)
         return run
 
@@ -153,7 +157,7 @@ class StrangSolver:
             nodal = rk4_fd_step(nodal, sub, self.operators, workspace=self.fd_workspace)
         # d zeta/dt = 0 in the dispersive part: keep the cell-averaged zeta
         # as is instead of converting it forth and back.
-        cells = CellState(cells.zeta,
+        cells = State(cells.zeta,
                           self.conversion.inverse(nodal.v, self.fd_workspace))
 
         cells = rk4_fv_step(cells, 0.5 * dt, self.params, dx,
@@ -166,17 +170,3 @@ class StrangSolver:
                 f"amplitude {out.max_amplitude:g} exceeded threshold "
                 f"{self.blowup_threshold:g} at t = {out.t:g}", time=out.t)
         return out
-
-    def advance(self, run: RunState, t_target: float,
-                cfl: float | None = 0.4, fixed_dt: float | None = None) -> RunState:
-        """Step until t_target, clipping the last step to land on it exactly."""
-        if fixed_dt is None and cfl is None:
-            raise ValueError("either cfl or fixed_dt is required")
-        while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
-            if fixed_dt is not None:
-                dt = fixed_dt
-            else:
-                dt = choose_dt(run.cells, self.params, self.grid.dx, cfl)
-            dt = min(dt, t_target - run.t)
-            run = self.strang_step(run, dt)
-        return run

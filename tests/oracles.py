@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ebwave.core import (BlowUpError, CellState, ConfigurationError, Grid,
-                         HyperbolicityError, ModelVariant, NodalState, PhysParams)
+from ebwave.core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError,
+                         ModelVariant, PhysParams, State)
 
 # offset -> coefficient tables transcribed independently
 STENCILS = {
@@ -255,7 +255,7 @@ def _limited_faces(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u + 0.5 * slope_plus, u - 0.5 * slope_minus
 
 
-def reconstruct_interfaces(state: CellState):
+def reconstruct_interfaces(state: State):
     """Limited face values for both components.
 
     Returns (zeta_right, zeta_left, v_right, v_left) where *_right is the
@@ -290,7 +290,7 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
     return flux_zeta, flux_v
 
 
-def hyperbolic_rhs(state: CellState, params: PhysParams, dx: float):
+def hyperbolic_rhs(state: State, params: PhysParams, dx: float):
     """Semi-discrete rate -(F_{i+1/2} - F_{i-1/2})/dx with limited faces.
 
     Both fields are padded with three ghost cells, which is enough to
@@ -327,16 +327,16 @@ def rk4_step(y, dt: float, rhs):
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_fv_step(state: CellState, dt: float, params: PhysParams, dx: float) -> CellState:
+def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float) -> State:
     """Advance the cell averages by one RK4 step of the shallow-water part."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
     def rhs(y):
-        return hyperbolic_rhs(CellState(y[0], y[1]), params, dx)
+        return hyperbolic_rhs(State(y[0], y[1]), params, dx)
 
     zeta, v = rk4_step((state.zeta, state.v), dt, rhs)
-    return CellState(zeta, v)
+    return State(zeta, v)
 
 
 # --- allocating finite-difference kernel (reference) ------------------------
@@ -544,14 +544,14 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray,
     return zeta_source - ops.j_solver.solve(nonlinear)
 
 
-def dispersive_rhs(state: NodalState, ops: DispersiveOperators):
+def dispersive_rhs(state: State, ops: DispersiveOperators):
     """Full rate of the dispersive part: (d zeta/dt, dv/dt) with
     d zeta/dt identically zero."""
     source = zeta_source_term(ops, state.zeta)
     return np.zeros_like(state.zeta), velocity_rate(ops, state.v, source)
 
 
-def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators) -> NodalState:
+def rk4_fd_step(state: State, dt: float, ops: DispersiveOperators) -> State:
     """Advance the nodal velocity by one RK4 step of the dispersive part.
 
     zeta is returned bit-identical to the input. The zeta-only part of the
@@ -564,4 +564,4 @@ def rk4_fd_step(state: NodalState, dt: float, ops: DispersiveOperators) -> Nodal
     v_new = rk4_step(state.v, dt, lambda v: velocity_rate(ops, v, source))
     if not np.all(np.isfinite(v_new)):
         raise BlowUpError("non-finite velocity after dispersive step")
-    return NodalState(state.zeta.copy(), v_new)
+    return State(state.zeta.copy(), v_new)

@@ -10,14 +10,13 @@ import pytest
 from dataclasses import replace
 
 from ebwave.analytic import SolitaryWaveSpec, corrected_solution
-from ebwave.core import (CellState, ModelVariant, NodalState, PhysParams,
-                         build_grid, relative_l2_error)
+from ebwave.core import (ModelVariant, PhysParams, State, build_grid,
+                         relative_l2_error)
 from ebwave.dispersion import (DispersionKind, DispersionModel, omega_squared,
                                optimize_alpha, stability_bound, taylor_coefficients)
-from ebwave.dispersive import (StencilOperator, apply_stencil, build_operators,
-                               dispersive_rhs)
+from ebwave.dispersive import apply_stencil, build_operators, dispersive_rhs
 from ebwave.scenarios import (builtin_scenario, local_maxima, run_convergence,
-                              run_scenario, track_crest)
+                              run_scenario, strang_steps, track_crest)
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 from oracles import (cell_averages_of_sin, dense_conversion_matrix,
                      dense_dispersive_rhs)
@@ -120,7 +119,7 @@ def test_criterion_05_conservation_and_steady_states():
     # (b) constant surface at rest over 100 steps
     grid2 = build_grid(0.0, 10.0, 128)
     solver2 = StrangSolver(grid2, PhysParams.nondimensional(0.1))
-    run2 = RunState.initial(CellState(np.full(128, 0.25), np.zeros(128)), grid2.dx)
+    run2 = RunState.initial(State(np.full(128, 0.25), np.zeros(128)), grid2.dx)
     for _ in range(100):
         run2 = solver2.strang_step(run2, 0.02)
     steady_err = max(float(np.max(np.abs(run2.cells.zeta - 0.25))),
@@ -148,7 +147,7 @@ def test_criterion_06_dense_oracle_equivalence():
             alpha = 1.0 if variant is ModelVariant.FIFTH_ONLY_FACTORIZED else 1.0555
             params = PhysParams(epsilon=0.2, alpha=alpha, gravity=1.3, depth=1.0)
             ops = build_operators(grid, params, variant)
-            _, rate = dispersive_rhs(NodalState(zeta, v), ops)
+            _, rate = dispersive_rhs(State(zeta, v), ops)
             want = dense_dispersive_rhs(variant, zeta, v, grid, params)
             worst_rhs = max(worst_rhs, float(np.max(np.abs(rate - want))))
         worst_conv = max(
@@ -234,7 +233,7 @@ def test_criterion_10_discretization_orders():
         errs = []
         for n in (24, 48, 96):
             x = (np.arange(n) + 0.5) * length / n
-            got = apply_stencil(StencilOperator.centered(order), np.sin(x), length / n)
+            got = apply_stencil(order, np.sin(x), length / n)
             errs.append(np.max(np.abs(got - np.sin(x + order * np.pi / 2))))
         stencil_orders.append(min(np.log2(errs[i] / errs[i + 1]) for i in range(2)))
 
@@ -254,8 +253,10 @@ def test_criterion_10_discretization_orders():
 
     def run_fixed(dt):
         solver = StrangSolver(grid, params)
-        run = RunState.initial(CellState(z0.copy(), v0.copy()), grid.dx)
-        return solver.advance(run, 2.0, cfl=None, fixed_dt=dt)
+        run = RunState.initial(State(z0.copy(), v0.copy()), grid.dx)
+        for run in strang_steps(solver, run, 2.0, fixed_dt=dt):
+            pass
+        return run
 
     ref = run_fixed(0.003125)
     errs = [np.max(np.abs(run_fixed(dt).cells.v - ref.cells.v))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebwave.core import (CellState, ConfigurationError, ModelVariant, PhysParams,
+from ebwave.core import (ConfigurationError, ModelVariant, PhysParams, State,
                          build_grid, periodic_pad, relative_l2_error)
 
 
@@ -50,7 +50,7 @@ def test_param_constructors():
 
 
 def test_positivity_predicate_is_pure():
-    state = CellState(np.array([0.0, -0.5, 0.2]) , np.zeros(3))
+    state = State(np.array([0.0, -0.5, 0.2]) , np.zeros(3))
     params = PhysParams(epsilon=1.0)
     before = state.zeta.copy()
     assert state.is_hyperbolic(params)  # h = 1 - 0.5 > 0
@@ -60,7 +60,7 @@ def test_positivity_predicate_is_pure():
 
 def test_cell_state_shape_check():
     with pytest.raises(ConfigurationError):
-        CellState(np.zeros(4), np.zeros(5))
+        State(np.zeros(4), np.zeros(5))
 
 
 def test_model_variant_values():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ebwave.core import (BlowUpError, CellState, ConfigurationError, ModelVariant,
-                         NodalState, PhysParams, build_grid)
-from ebwave.dispersive import (CirculantSolver, DispersiveOperators, StencilOperator,
+from ebwave.core import (BlowUpError, ConfigurationError, ModelVariant, PhysParams,
+                         State, build_grid)
+from ebwave.dispersive import (_STENCILS, CirculantSolver, DispersiveOperators,
                                apply_stencil, build_operators, dispersive_rhs,
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.splitting import RunState, StrangSolver
@@ -15,8 +15,7 @@ ND = PhysParams.nondimensional
 
 def test_stencil_structure():
     for order in range(1, 6):
-        op = StencilOperator.centered(order)
-        coeffs = dict(zip(op.offsets, op.coefficients))
+        coeffs = _STENCILS[order]
         assert sum(coeffs.values()) == pytest.approx(0.0, abs=1e-13)
         for m, c in coeffs.items():
             mirror = coeffs.get(-m, 0.0)
@@ -24,6 +23,10 @@ def test_stencil_structure():
                 assert mirror == pytest.approx(c)
             else:
                 assert mirror == pytest.approx(-c)
+        width = max(coeffs) - min(coeffs) + 1
+        assert apply_stencil(order, np.zeros(width), 0.1).shape == (width,)
+        with pytest.raises(ConfigurationError, match=f"{width}-point"):
+            apply_stencil(order, np.zeros(width - 1), 0.1)
 
 
 def test_apply_stencil_constant_is_zero():
@@ -32,11 +35,11 @@ def test_apply_stencil_constant_is_zero():
     grid = build_grid(0.0, 1.0, 16)
     eps = np.finfo(float).eps
     for order in range(1, 6):
-        op = StencilOperator.centered(order)
-        out = apply_stencil(op, np.full(16, 2.5), grid.dx)
-        bound = 20 * eps * 2.5 * sum(abs(c) for c in op.coefficients) / grid.dx ** order
+        coeffs = _STENCILS[order].values()
+        out = apply_stencil(order, np.full(16, 2.5), grid.dx)
+        bound = 20 * eps * 2.5 * sum(abs(c) for c in coeffs) / grid.dx ** order
         assert np.max(np.abs(out)) <= bound
-        assert sum(op.coefficients) == pytest.approx(0.0, abs=1e-14)
+        assert sum(coeffs) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_apply_stencil_matches_dense_matrix():
@@ -44,7 +47,7 @@ def test_apply_stencil_matches_dense_matrix():
     n, dx = 24, 0.17
     u = rng.standard_normal(n)
     for order in range(1, 6):
-        got = apply_stencil(StencilOperator.centered(order), u, dx)
+        got = apply_stencil(order, u, dx)
         want = dense_matrix(order, n, dx) @ u
         assert np.allclose(got, want, rtol=1e-12, atol=1e-10)
 
@@ -58,7 +61,7 @@ def test_stencil_convergence_order(order):
         length = 2 * np.pi
         x = (np.arange(n) + 0.5) * length / n
         dx = length / n
-        got = apply_stencil(StencilOperator.centered(order), np.sin(x), dx)
+        got = apply_stencil(order, np.sin(x), dx)
         exact = np.sin(x + order * np.pi / 2)  # n-th derivative of sin
         errs.append(np.max(np.abs(got - exact)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -73,7 +76,7 @@ def test_fourth_derivative_discrete_symbol():
     for mode in [1, 5, 11]:
         theta = 2 * np.pi * mode / n
         u = np.cos(theta * i)
-        got = apply_stencil(StencilOperator.centered(4), u, dx)
+        got = apply_stencil(4, u, dx)
         sym = (-2 * np.cos(3 * theta) + 24 * np.cos(2 * theta)
                - 78 * np.cos(theta) + 56) / (6 * dx ** 4)
         assert np.allclose(got, sym * u, atol=1e-9 * max(1.0, sym))
@@ -146,7 +149,7 @@ def test_dispersive_rhs_matches_dense_oracle(variant):
     for _ in range(25):
         zeta = 0.3 * rng.standard_normal(32)
         v = 0.3 * rng.standard_normal(32)
-        rate_z, rate_v = dispersive_rhs(NodalState(zeta, v), ops)
+        rate_z, rate_v = dispersive_rhs(State(zeta, v), ops)
         assert np.all(rate_z == 0.0)
         want = dense_dispersive_rhs(variant, zeta, v, grid, params)
         assert np.allclose(rate_v, want, rtol=1e-12, atol=1e-12)
@@ -156,7 +159,7 @@ def test_rhs_zero_cases():
     grid = build_grid(0.0, 2.0, 24)
     params = ND(0.3)
     ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
-    _, rate_v = dispersive_rhs(NodalState(np.zeros(24), np.full(24, 0.8)), ops)
+    _, rate_v = dispersive_rhs(State(np.zeros(24), np.full(24, 0.8)), ops)
     assert np.allclose(rate_v, 0.0, atol=1e-14)
 
 
@@ -172,8 +175,7 @@ def test_linearized_rate_reproduces_dispersion_symbol():
     def stencil_symbol(order):
         impulse = np.zeros(n)
         impulse[0] = 1.0
-        return np.fft.fft(apply_stencil(StencilOperator.centered(order),
-                                        impulse, grid.dx))
+        return np.fft.fft(apply_stencil(order, impulse, grid.dx))
 
     s1, s2, s4 = stencil_symbol(1), stencil_symbol(2), stencil_symbol(4)
     sj = 1.0 - eps * alpha / 3.0 * s2 + eps ** 2 * alpha / 45.0 * s4
@@ -183,7 +185,7 @@ def test_linearized_rate_reproduces_dispersion_symbol():
     delta = 1e-8
     for mode in [1, 3, 9]:
         zeta = delta * np.cos(2 * np.pi * mode * np.arange(n) / n)
-        _, rate_v = dispersive_rhs(NodalState(zeta, np.zeros(n)), ops)
+        _, rate_v = dispersive_rhs(State(zeta, np.zeros(n)), ops)
         want = np.fft.ifft(mult * np.fft.fft(zeta)).real
         assert np.allclose(rate_v, want, atol=delta * 1e-10)
 
@@ -192,7 +194,7 @@ def test_rk4_fd_step_zeta_bitwise_invariant():
     grid = build_grid(0.0, 2.0, 32)
     ops = build_operators(grid, ND(0.4), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(12)
-    state = NodalState(0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32))
+    state = State(0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32))
     out = state
     for _ in range(10):
         out = rk4_fd_step(out, 0.01, ops)
@@ -203,7 +205,7 @@ def test_rk4_fd_step_velocity_invariant_at_zero_epsilon():
     grid = build_grid(0.0, 2.0, 32)
     ops = build_operators(grid, ND(0.0), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(13)
-    state = NodalState(0.5 * rng.standard_normal(32), 0.5 * rng.standard_normal(32))
+    state = State(0.5 * rng.standard_normal(32), 0.5 * rng.standard_normal(32))
     out = rk4_fd_step(state, 0.05, ops)
     assert np.array_equal(out.v, state.v)
 
@@ -214,7 +216,7 @@ def test_rk4_fd_step_preserves_parity():
     grid = build_grid(0.0, 2 * np.pi, n)
     ops = build_operators(grid, ND(0.3), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
-    state = NodalState(0.2 * np.cos(x - np.pi) + 0.1 * np.cos(3 * (x - np.pi)),
+    state = State(0.2 * np.cos(x - np.pi) + 0.1 * np.cos(3 * (x - np.pi)),
                        0.1 * np.sin(x - np.pi))
     out = state
     for _ in range(5):
@@ -227,15 +229,15 @@ def test_euler_and_rk4_time_orders():
     grid = build_grid(0.0, 2 * np.pi, 64)
     ops = build_operators(grid, ND(0.5), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
-    state0 = NodalState(0.3 * np.sin(x), 0.2 * np.cos(2 * x))
+    state0 = State(0.3 * np.sin(x), 0.2 * np.cos(2 * x))
 
     def euler_step(s, dt):
         source = zeta_source_term(ops, s.zeta)
-        return NodalState(s.zeta, s.v + dt * velocity_rate(ops, s.v, source))
+        return State(s.zeta, s.v + dt * velocity_rate(ops, s.v, source))
 
     def evolve(dt, t_end, euler):
         step = euler_step if euler else lambda s, dt: rk4_fd_step(s, dt, ops)
-        s = NodalState(state0.zeta.copy(), state0.v.copy())
+        s = State(state0.zeta.copy(), state0.v.copy())
         for _ in range(int(round(t_end / dt))):
             s = step(s, dt)
         return s.v
@@ -254,7 +256,7 @@ def test_blowup_detection_on_nonfinite():
     ops = build_operators(grid, ND(0.4), ModelVariant.FACTORIZED_ALL)
     v = np.zeros(32)
     v[5] = 1e200
-    state = NodalState(np.zeros(32), v)
+    state = State(np.zeros(32), v)
     with pytest.raises(BlowUpError):
         rk4_fd_step(state, 1.0, ops)
 
@@ -273,7 +275,7 @@ def test_high_frequency_instability_reproduction():
     histories = {}
     for variant in ModelVariant:
         solver = StrangSolver(grid, params, variant, blowup_threshold=1e6)
-        run = RunState.initial(CellState(z0.copy(), v0.copy()), grid.dx)
+        run = RunState.initial(State(z0.copy(), v0.copy()), grid.dx)
         hist = [v_init]
         while run.t < 2.0:
             run = solver.strang_step(run, 0.01)

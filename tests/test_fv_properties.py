@@ -8,7 +8,7 @@ cross strip boundaries and the periodic wrap.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ebwave.core import CellState, PhysParams
+from ebwave.core import PhysParams, State
 from ebwave.hyperbolic import FV_STRIP, FVWorkspace, hyperbolic_rhs
 
 EPS = np.finfo(float).eps
@@ -31,7 +31,7 @@ def wet_states(draw):
     zeta *= 0.9 / (epsilon * max(np.max(np.abs(zeta)), 1e-300))
     zeta[rng.integers(0, n, size=max(1, n // 50))] = 0.0
     v[n // 3:n // 3 + n // 5] = 0.25
-    return CellState(zeta, v), PhysParams.nondimensional(epsilon), draw(st.floats(1e-3, 1.0))
+    return State(zeta, v), PhysParams.nondimensional(epsilon), draw(st.floats(1e-3, 1.0))
 
 
 def rate(state, params, dx):
@@ -45,7 +45,7 @@ def rate(state, params, dx):
 def test_rate_commutes_with_translation_exactly(drawn, shift):
     state, params, dx = drawn
     shift %= state.zeta.size
-    rolled = CellState(np.roll(state.zeta, shift), np.roll(state.v, shift))
+    rolled = State(np.roll(state.zeta, shift), np.roll(state.v, shift))
     for got, want in zip(rate(rolled, params, dx), rate(state, params, dx)):
         assert got.tobytes() == np.roll(want, shift).tobytes()
 
@@ -56,7 +56,7 @@ def test_rate_commutes_with_reflection(drawn):
     # x -> -x maps cell i to cell N-1-i, keeps zeta and flips the sign of v
     state, params, dx = drawn
     rz, rv = rate(state, params, dx)
-    mz, mv = rate(CellState(state.zeta[::-1], -state.v[::-1]), params, dx)
+    mz, mv = rate(State(state.zeta[::-1], -state.v[::-1]), params, dx)
     scale = max(np.max(np.abs(rz)), np.max(np.abs(rv)))
     assert np.max(np.abs(mz - rz[::-1])) <= 1e-14 * scale
     assert np.max(np.abs(mv + rv[::-1])) <= 1e-14 * scale

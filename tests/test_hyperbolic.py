@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ebwave.core import CellState, ConfigurationError, HyperbolicityError, PhysParams
+from ebwave.core import ConfigurationError, HyperbolicityError, PhysParams, State
 from ebwave.hyperbolic import (FV_STRIP, FVWorkspace, hyperbolic_rhs, limiter,
                                max_signal_speed, numerical_flux, physical_flux,
                                reconstruct_interfaces, reconstruction_deltas,
@@ -109,7 +109,7 @@ def test_limiter_vectorized():
 
 
 def test_reconstruct_constant_field():
-    state = CellState(np.full(16, 0.3), np.full(16, -1.2))
+    state = State(np.full(16, 0.3), np.full(16, -1.2))
     zr, zl, vr, vl = reconstruct_interfaces(state)
     for arr, val in [(zr, 0.3), (zl, 0.3), (vr, -1.2), (vl, -1.2)]:
         assert np.allclose(arr, val, atol=1e-15)
@@ -141,7 +141,7 @@ def test_limited_faces_match_unlimited_away_from_extrema():
     n = 64
     avg = cell_averages(lambda s: -np.cos(s), n, length)
     dp, _ = reconstruction_deltas(avg)
-    state = CellState(avg, np.zeros(n))
+    state = State(avg, np.zeros(n))
     zr, _, _, _ = reconstruct_interfaces(state)
     x = (np.arange(n) + 0.5) * length / n
     monotone = (np.abs(np.cos(x)) > 0.3)  # away from the two extrema
@@ -153,7 +153,7 @@ def test_limited_faces_bounded_by_neighbors_on_rough_data():
     for _ in range(100):
         u = rng.standard_normal(24)
         u[rng.integers(0, 24)] += rng.uniform(3, 10)  # jump
-        state = CellState(u, u[::-1].copy())
+        state = State(u, u[::-1].copy())
         zr, zl, _, _ = reconstruct_interfaces(state)
         up1 = np.roll(u, -1)
         um1 = np.roll(u, 1)
@@ -198,10 +198,10 @@ def test_numerical_flux_against_oracle():
 def test_rhs_constant_state_and_steady_state():
     params = ND(0.2)
     n = 32
-    rz, rv = hyperbolic_rhs(CellState(np.full(n, 0.4), np.full(n, 0.7)), params, 0.1)
+    rz, rv = hyperbolic_rhs(State(np.full(n, 0.4), np.full(n, 0.7)), params, 0.1)
     assert np.allclose(rz, 0.0, atol=1e-13) and np.allclose(rv, 0.0, atol=1e-13)
     # lake at rest: zeta = const, v = 0 is exactly steady
-    rz, rv = hyperbolic_rhs(CellState(np.full(n, 0.4), np.zeros(n)), params, 0.1)
+    rz, rv = hyperbolic_rhs(State(np.full(n, 0.4), np.zeros(n)), params, 0.1)
     assert np.max(np.abs(rz)) == 0.0
     assert np.max(np.abs(rv)) == 0.0
 
@@ -209,7 +209,7 @@ def test_rhs_constant_state_and_steady_state():
 def test_rhs_telescopes_to_zero_sum():
     params = ND(0.4)
     rng = np.random.default_rng(23)
-    state = CellState(0.3 * rng.standard_normal(64), 0.3 * rng.standard_normal(64))
+    state = State(0.3 * rng.standard_normal(64), 0.3 * rng.standard_normal(64))
     rz, rv = hyperbolic_rhs(state, params, 0.05)
     assert abs(np.sum(rz)) < 1e-12 / 0.05
     assert abs(np.sum(rv)) < 1e-12 / 0.05
@@ -220,8 +220,8 @@ def test_rhs_translation_equivariance():
     rng = np.random.default_rng(29)
     zeta = 0.2 * rng.standard_normal(48)
     v = 0.2 * rng.standard_normal(48)
-    rz, rv = hyperbolic_rhs(CellState(zeta, v), params, 0.1)
-    rz_s, rv_s = hyperbolic_rhs(CellState(np.roll(zeta, 5), np.roll(v, 5)), params, 0.1)
+    rz, rv = hyperbolic_rhs(State(zeta, v), params, 0.1)
+    rz_s, rv_s = hyperbolic_rhs(State(np.roll(zeta, 5), np.roll(v, 5)), params, 0.1)
     assert np.array_equal(np.roll(rz, 5), rz_s)
     assert np.array_equal(np.roll(rv, 5), rv_s)
 
@@ -245,13 +245,13 @@ def test_rk4_step_exactness_order():
 def test_rk4_fv_step_preserves_constant_state_and_mass():
     params = ND(0.3)
     n = 40
-    state = CellState(np.full(n, 0.2), np.zeros(n))
+    state = State(np.full(n, 0.2), np.zeros(n))
     out = rk4_fv_step(state, 0.01, params, 0.1)
     assert np.array_equal(out.zeta, state.zeta)
     assert np.allclose(out.v, 0.0, atol=1e-16)
 
     rng = np.random.default_rng(31)
-    state = CellState(0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(n))
+    state = State(0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(n))
     out = rk4_fv_step(state, 0.005, params, 0.1)
     assert np.sum(out.zeta) == pytest.approx(np.sum(state.zeta), abs=1e-13 * n)
     assert np.sum(out.v) == pytest.approx(np.sum(state.v), abs=1e-13 * n)
@@ -262,8 +262,8 @@ def test_rk4_fv_step_commutes_with_reflection():
     rng = np.random.default_rng(37)
     zeta = 0.2 * rng.standard_normal(50)
     v = 0.2 * rng.standard_normal(50)
-    out = rk4_fv_step(CellState(zeta, v), 0.01, params, 0.1)
-    mirrored = rk4_fv_step(CellState(zeta[::-1].copy(), -v[::-1].copy()),
+    out = rk4_fv_step(State(zeta, v), 0.01, params, 0.1)
+    mirrored = rk4_fv_step(State(zeta[::-1].copy(), -v[::-1].copy()),
                            0.01, params, 0.1)
     assert np.allclose(mirrored.zeta, out.zeta[::-1], atol=1e-12)
     assert np.allclose(mirrored.v, -out.v[::-1], atol=1e-12)
@@ -335,7 +335,7 @@ def test_rhs_matches_loop_oracle_exactly(n):
             zeta = 0.15 * rng.standard_normal(n)
             v = rng.standard_normal(n)
             zeta[rng.integers(0, n)] = 0.0     # a vanishing difference
-            got = hyperbolic_rhs(CellState(zeta, v), params, 0.05)
+            got = hyperbolic_rhs(State(zeta, v), params, 0.05)
             want = loop_rhs(zeta, v, params, 0.05)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -346,14 +346,14 @@ def test_rhs_matches_loop_oracle_exactly(n):
 def test_rhs_dry_cell_at_wrap_edge_raises(n, where):
     zeta = np.full(n, 0.1)
     zeta[where] = -1.5
-    state = CellState(zeta, np.zeros(n))
+    state = State(zeta, np.zeros(n))
     with pytest.raises(HyperbolicityError):
         hyperbolic_rhs(state, ND(1.0), 0.1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_grid_narrower_than_stencil_rejected(n):
-    state = CellState(np.zeros(n), np.zeros(n))
+    state = State(np.zeros(n), np.zeros(n))
     with pytest.raises(ConfigurationError):
         hyperbolic_rhs(state, ND(0.5), 0.1)
     with pytest.raises(ConfigurationError):
@@ -373,7 +373,7 @@ def wet_state(rng, n):
     v = rng.standard_normal(n)
     zeta[rng.integers(0, n, size=max(1, n // 50))] = 0.0
     v[n // 3:n // 3 + n // 5] = 0.25
-    return CellState(zeta, v)
+    return State(zeta, v)
 
 
 def assert_same_bits(got, want):
@@ -420,9 +420,9 @@ def test_dry_cell_in_last_strip_raises():
     zeta = np.full(n, 0.1)
     zeta[n - 3] = -1.5
     with pytest.raises(HyperbolicityError):
-        hyperbolic_rhs(CellState(zeta, np.zeros(n)), ND(1.0), 0.1, workspace=ws)
+        hyperbolic_rhs(State(zeta, np.zeros(n)), ND(1.0), 0.1, workspace=ws)
     with pytest.raises(HyperbolicityError):
-        rk4_fv_step(CellState(zeta, np.zeros(n)), 0.01, ND(1.0), 0.1, workspace=ws)
+        rk4_fv_step(State(zeta, np.zeros(n)), 0.01, ND(1.0), 0.1, workspace=ws)
     # the workspace stays usable after the error
     state = wet_state(np.random.default_rng(3), n)
     got = rk4_fv_step(state, 0.01, ND(0.4), 0.05, workspace=ws)
@@ -432,7 +432,7 @@ def test_dry_cell_in_last_strip_raises():
 
 def test_workspace_size_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        hyperbolic_rhs(CellState.rest(16), ND(0.4), 0.1, workspace=FVWorkspace(17))
+        hyperbolic_rhs(State.rest(16), ND(0.4), 0.1, workspace=FVWorkspace(17))
 
 
 def workspace_buffers(ws):
@@ -458,7 +458,7 @@ def test_rk4_fv_step_allocates_only_its_result():
     n = 65536
     ws = FVWorkspace(n)
     x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    state = CellState(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
+    state = State(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
     rk4_fv_step(state, 1e-3, ND(0.3), 0.01, workspace=ws)     # warm up
     tracemalloc.start()
     try:

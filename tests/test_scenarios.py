@@ -4,13 +4,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ebwave.core import ConfigurationError
+from ebwave.core import BlowUpError, ConfigurationError
 from ebwave.scenarios import (CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult, Snapshot,
-                              builtin_names, builtin_scenario,
+                              builtin_names, builtin_scenario, choose_dt,
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
                               run_dispersion_report, run_scenario, track_crest,
                               write_config, write_snapshots_csv)
+from ebwave.splitting import RunState, StrangSolver
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -120,6 +121,10 @@ def test_config_validation():
         small_config(units="imperial")
     with pytest.raises(ValueError):
         small_config(variant="spectral")
+    # text the config file would not read back as written
+    for name in ("a#b", " padded ", "x\ny", "tab\t"):
+        with pytest.raises(ConfigurationError, match="name must have no"):
+            small_config(name=name)
 
 
 FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
@@ -190,6 +195,24 @@ def test_run_scenario_records_expected_blowup():
     result = run_scenario(config)
     assert result.blew_up
     assert result.blowup_time < 3.0
+
+    # the same run as a plain loop: the result keeps the last finite state,
+    # not the initial one, and the time of the step that blew up
+    grid = config.grid()
+    solver = StrangSolver(grid, config.params(), config.model_variant(),
+                          n_disp=config.n_disp, blowup_threshold=config.blowup_threshold)
+    run = RunState.initial(initial_state(config), grid.dx)
+    snapshots = []
+    with pytest.raises(BlowUpError) as blowup:
+        for t_target in config.output_times:
+            while run.t < t_target - 1e-12 * max(1.0, t_target):
+                dt = choose_dt(run.cells, solver.params, grid.dx, config.cfl)
+                run = solver.strang_step(run, min(dt, t_target - run.t))
+            snapshots.append((run.t, run.cells.zeta.tobytes(), run.cells.v.tobytes()))
+    assert result.steps == run.step_count > 0
+    assert result.mass_final == run.mass
+    assert result.blowup_time == blowup.value.time
+    assert [(s.t, s.zeta.tobytes(), s.v.tobytes()) for s in result.snapshots] == snapshots
 
 
 def test_run_convergence_small_ladder():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ebwave.analytic import SolitaryWaveSpec, corrected_solution
-from ebwave.core import (BlowUpError, CellState, HyperbolicityError, ModelVariant,
-                         NodalState, PhysParams, build_grid)
+from ebwave.core import (BlowUpError, HyperbolicityError, ModelVariant, PhysParams,
+                         State, build_grid)
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
+from ebwave.scenarios import strang_steps
 from ebwave.splitting import (ConversionOperator, RunState, StrangSolver,
                               cell_to_nodal, choose_dt, nodal_to_cell)
 
@@ -59,9 +60,9 @@ def test_conversion_accuracy_order():
 def test_conversion_states():
     conv = ConversionOperator(16)
     rng = np.random.default_rng(2)
-    cells = CellState(rng.standard_normal(16), rng.standard_normal(16))
+    cells = State(rng.standard_normal(16), rng.standard_normal(16))
     nodal = cell_to_nodal(cells, conv)
-    assert isinstance(nodal, NodalState)
+    assert isinstance(nodal, State)
     back = nodal_to_cell(nodal, conv)
     assert np.allclose(back.zeta, cells.zeta, atol=1e-12)
     assert np.allclose(back.v, cells.v, atol=1e-12)
@@ -69,15 +70,15 @@ def test_conversion_states():
 
 def test_choose_dt_examples():
     params = ND(0.5)
-    rest = CellState(np.zeros(8), np.zeros(8))
+    rest = State(np.zeros(8), np.zeros(8))
     assert choose_dt(rest, params, 0.25, cfl=0.4) == pytest.approx(0.1)
     assert choose_dt(rest, params, 0.125, cfl=0.4) == pytest.approx(0.05)
     # faster signals shrink the step
-    moving = CellState(np.full(8, 0.5), np.full(8, 2.0))
+    moving = State(np.full(8, 0.5), np.full(8, 2.0))
     assert choose_dt(moving, params, 0.25, cfl=0.4) < 0.1
     with pytest.raises(ValueError):
         choose_dt(rest, params, 0.25, cfl=0.0)
-    dry = CellState(np.full(8, -3.0), np.zeros(8))
+    dry = State(np.full(8, -3.0), np.zeros(8))
     with pytest.raises(HyperbolicityError):
         choose_dt(dry, PhysParams(epsilon=1.0), 0.25)
 
@@ -85,7 +86,7 @@ def test_choose_dt_examples():
 def test_steady_state_preserved_through_strang_steps():
     grid = build_grid(0.0, 10.0, 64)
     solver = StrangSolver(grid, ND(0.1))
-    run = RunState.initial(CellState(np.full(64, 0.3), np.zeros(64)), grid.dx)
+    run = RunState.initial(State(np.full(64, 0.3), np.zeros(64)), grid.dx)
     for _ in range(100):
         run = solver.strang_step(run, 0.05)
     assert np.max(np.abs(run.cells.zeta - 0.3)) < 1e-13
@@ -96,7 +97,7 @@ def test_mass_conserved_at_zero_epsilon():
     grid = build_grid(0.0, 10.0, 64)
     solver = StrangSolver(grid, ND(0.0))
     x = grid.centers
-    run = RunState.initial(CellState(0.3 * np.exp(-(x - 5) ** 2), np.zeros(64)), grid.dx)
+    run = RunState.initial(State(0.3 * np.exp(-(x - 5) ** 2), np.zeros(64)), grid.dx)
     mass0 = run.mass
     for _ in range(50):
         run = solver.strang_step(run, 0.02)
@@ -107,7 +108,7 @@ def test_mass_invariance_on_nonlinear_run():
     grid = build_grid(-2.0, 2.0, 128)
     solver = StrangSolver(grid, ND(0.5))
     x = grid.centers
-    run = RunState.initial(CellState(0.7 * np.exp(-0.4 * x * x), np.zeros(128)), grid.dx)
+    run = RunState.initial(State(0.7 * np.exp(-0.4 * x * x), np.zeros(128)), grid.dx)
     mass0 = run.mass
     for _ in range(100):
         run = solver.strang_step(run, choose_dt(run.cells, solver.params, grid.dx))
@@ -122,7 +123,7 @@ def test_reflection_symmetry_through_strang_steps():
     x = grid.centers
     zeta = 0.4 * np.exp(-x * x) + 0.1 * np.exp(-3 * x * x)
     v = 0.2 * x * np.exp(-x * x)
-    run = RunState.initial(CellState(zeta, v), grid.dx)
+    run = RunState.initial(State(zeta, v), grid.dx)
     for _ in range(20):
         run = solver.strang_step(run, choose_dt(run.cells, solver.params, grid.dx))
     assert np.max(np.abs(run.cells.zeta - run.cells.zeta[::-1])) < 1e-8
@@ -137,8 +138,10 @@ def test_strang_temporal_order_on_solitary_wave():
 
     def run_fixed(dt):
         solver = StrangSolver(grid, params)
-        run = RunState.initial(CellState(z0.copy(), v0.copy()), grid.dx)
-        return solver.advance(run, 2.0, cfl=None, fixed_dt=dt)
+        run = RunState.initial(State(z0.copy(), v0.copy()), grid.dx)
+        for run in strang_steps(solver, run, 2.0, fixed_dt=dt):
+            pass
+        return run
 
     ref = run_fixed(0.003125)
     errs = []
@@ -162,9 +165,10 @@ def test_linear_mode_frequency_matches_dispersion_relation():
     w_true = np.sqrt(omega_squared(dim_model, np.sqrt(eps) * kmode) / eps)
 
     solver = StrangSolver(grid, ND(eps))
-    run = RunState.initial(CellState(delta * np.cos(kmode * x), np.zeros(n)), grid.dx)
+    run = RunState.initial(State(delta * np.cos(kmode * x), np.zeros(n)), grid.dx)
     t_end = 1.0
-    run = solver.advance(run, t_end, cfl=None, fixed_dt=0.01)
+    for run in strang_steps(solver, run, t_end, fixed_dt=0.01):
+        pass
     amplitude = 2.0 / n * np.sum(run.cells.zeta * np.cos(kmode * x))
     w_num = np.arccos(np.clip(amplitude / delta, -1.0, 1.0)) / t_end
     assert w_num == pytest.approx(w_true, rel=1e-4)
@@ -174,14 +178,14 @@ def test_blowup_threshold_raises():
     grid = build_grid(0.0, 10.0, 64)
     solver = StrangSolver(grid, ND(0.1), blowup_threshold=0.2)
     x = grid.centers
-    run = RunState.initial(CellState(0.5 * np.exp(-(x - 5) ** 2), np.zeros(64)), grid.dx)
+    run = RunState.initial(State(0.5 * np.exp(-(x - 5) ** 2), np.zeros(64)), grid.dx)
     with pytest.raises(BlowUpError):
         solver.strang_step(run, 0.01)
 
 
 def test_run_state_diagnostics():
     grid = build_grid(0.0, 1.0, 8)
-    run = RunState.initial(CellState(np.full(8, 2.0), np.full(8, -3.0)), grid.dx)
+    run = RunState.initial(State(np.full(8, 2.0), np.full(8, -3.0)), grid.dx)
     assert run.mass == pytest.approx(2.0)
     assert run.max_amplitude == pytest.approx(3.0)
 
@@ -191,7 +195,7 @@ def test_subcycled_dispersive_step_consistency():
     # truncation level
     grid = build_grid(-4.0, 4.0, 128)
     x = grid.centers
-    state = CellState(0.4 * np.exp(-x * x), np.zeros(128))
+    state = State(0.4 * np.exp(-x * x), np.zeros(128))
     outs = []
     for n_disp in (1, 4):
         solver = StrangSolver(grid, ND(0.5), n_disp=n_disp)

@@ -47,6 +47,8 @@ def test_traced_head_on_records_every_step_path_span():
     for span in STEP_PATH_SPANS:
         assert tracer.calls[span] > 0, span
     assert tracer.calls["splitting.strang_step"] == result.steps
+    # one CFL step per step: the loop looks choose_dt up where the trace wraps it
+    assert tracer.calls["splitting.choose_dt"] == result.steps
     assert tracer.calls["hyperbolic.hyperbolic_rhs"] == 8 * result.steps
     assert tracer.calls["hyperbolic.rk4_fv_step"] == 2 * result.steps
     # one P and one J solve for the zeta-only source, one K solve per stage
