@@ -102,8 +102,7 @@ class Grid:
         if self.x_max <= self.x_min:
             raise ConfigurationError("x_max must exceed x_min")
         if self.n_cells < 8:
-            raise ConfigurationError(
-                f"n_cells = {self.n_cells} is below the widest stencil (9 points)")
+            raise ConfigurationError(f"n_cells = {self.n_cells} is below the minimum of 8")
 
     @property
     def dx(self) -> float:

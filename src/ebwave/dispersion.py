@@ -119,11 +119,6 @@ def omega_squared(model: DispersionModel, k):
     return g * h * k2 * num / den
 
 
-def is_stable(model: DispersionModel, k) -> bool:
-    """True when the (possibly shifted) squared frequency is nonnegative."""
-    return bool(np.all(omega_squared(model, k) >= 0.0))
-
-
 def omega(model: DispersionModel, k):
     """Frequency of the right-moving branch, odd in k.
 

@@ -18,8 +18,9 @@ through D3/D5 stencils, or a mix that factorizes the fifth derivative only
 demonstration case).
 
 Operators. Every constant-coefficient operator is built once per grid,
-parameters and variant (``build_operators``) and applied in one of two
-forms:
+parameters and variant (``build_operators``), the map between cell
+averages and point values (``ConversionOperator``) included, and applied
+in one of two forms:
 
 * a ``PairStencil``: the stencil in pair form, total u_i + sum_m c_m
   ((u_{i+m} - u_i) + (u_{i-m} - u_i)) when symmetric (total being the
@@ -38,10 +39,14 @@ forms:
   rfft of b is multiplied by. The symbols are evaluated in closed form,
   sum_m c_m e^{i m theta_k}, from one table of 1 - cos and sin of
   m theta_k (``fourier_harmonics``, kept for the last grid size so that
-  the operators of a grid share it), so set-up takes no FFT. Written with
-  1 - cos m theta, the same differences as the stencils, a symbol keeps
-  its relative accuracy at low frequencies, where J's terms of order
-  dx^-4 cancel.
+  the operators of a grid share it, and dropped by ``build_operators``
+  once they are built), so set-up takes no FFT. Written with 1 - cos m
+  theta, the same differences as the stencils, a symbol keeps its relative
+  accuracy at low frequencies, where J's terms of order dx^-4 cancel.
+
+J, P, K and the conversion are all ``CirculantSolver``s: the conversion
+is the subclass whose ``forward`` applies its stencil in pair form and
+whose ``inverse`` is the inherited ``solve``.
 
 The nonlinear velocity term 2/3 eps^2 J^{-1} D1 (D1 v)^2 folds the outer
 D1 into the J solve: circulants commute, so K = 2/3 eps^2 J^{-1} D1 is one
@@ -49,18 +54,22 @@ multiplier and the rate is zeta_source - K (D1 v)^2, one stencil and one
 FFT pair per stage. K goes through ``CirculantSolver.solve`` like P and J,
 so a step makes six solves (one P and one J for the zeta-only source, one
 K per Runge-Kutta stage): the benchmark's trace wraps ``solve`` and counts
-every one, as it did before the fold.
+every one, as it did before the fold. The conversion's ``inverse`` is
+counted on its own span, not as a seventh solve.
 
 Workspace. Every buffer of one RK4 step lives in an ``FDWorkspace`` built
 once per grid (``StrangSolver`` keeps one): the ghost-filled field, the
 stencil scratch, the frozen zeta source, the RK4 stage, rate and running
-sum of v and one complex spectrum, which the FFTs write into through
-``out=``. A step allocates only its result, where the allocating kernel
-took a fresh N-sized array for almost every numpy operation. Its seven
-N-sized rows are 3.5 MiB at N = 65536, as much as the allocating kernel's
-peak of temporaries, so the solver carves them from the memory of its
-finite-volume workspace, which is idle during this half step: then the
-dispersive step adds no resident memory at all.
+sum of v, each a (1, n) block as the finite-volume ones are (2, n) blocks,
+so that ``rk4_in_place`` has one layout, and one complex spectrum, which
+the FFTs write into through ``out=``. The conversion and the allocating
+``apply_stencil`` take their scratch from the same workspace (a new one
+when none is passed). A step allocates only its result, where the
+allocating kernel took a fresh N-sized array for almost every numpy
+operation. Its seven N-sized rows are 3.5 MiB at N = 65536, as much as
+the allocating kernel's peak of temporaries, so the solver carves them
+from the memory of its finite-volume workspace, which is idle during this
+half step: then the dispersive step adds no resident memory at all.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ import numpy as np
 
 from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
                    State, periodic_pad)
-from .hyperbolic import rk4_in_place
+from .hyperbolic import rk4_in_place, workspace_for
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
 _D1 = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
@@ -181,9 +190,8 @@ def apply_stencil(order: int, field: np.ndarray, dx: float) -> np.ndarray:
         raise ConfigurationError(
             f"grid of {field.shape[0]} points is narrower than the "
             f"{width}-point stencil")
-    padded = periodic_pad(field, stencil.reach)
-    return stencil.apply(padded, np.empty_like(field), np.empty_like(field),
-                         np.empty(padded.shape[0] - 1))
+    ws = FDWorkspace(field.shape[0])
+    return stencil.apply(ws.pad(field), np.empty_like(field), ws.tmp, ws.diffs)
 
 
 def _checked_total(stencil: dict[int, float], total: float | None) -> float:
@@ -322,9 +330,10 @@ class FDWorkspace:
     ``padded`` holds one field with FD_GHOSTS periodic ghost cells per side
     and ``tmp`` and ``diffs`` are the scratch of the stencils; ``source``
     keeps the zeta-only source for the whole step; ``stage``, ``rate`` and
-    ``acc`` are the RK4 stage, rate and running sum of v (one-field tuples,
-    see ``rk4_in_place``), which the zeta-only source borrows as scratch
-    before the stages start; ``spectrum`` is the complex scratch of the
+    ``acc`` are the RK4 stage, rate and running sum of v, each a (1, n)
+    block like the (2, n) ones of the ``FVWorkspace`` (see
+    ``rk4_in_place``), which the zeta-only source borrows as scratch before
+    the stages start; ``spectrum`` is the complex scratch of the
     FFTs. ``diffs`` and ``spectrum`` share their memory, because a stencil
     and a solve never run at the same time.
 
@@ -351,7 +360,7 @@ class FDWorkspace:
         self.padded = memory[padded_size:2 * padded_size]
         rows = memory[2 * padded_size:size].reshape(5, n)
         self.source, self.tmp = rows[:2]
-        self.stage, self.rate, self.acc = ((row,) for row in rows[2:])
+        self.stage, self.rate, self.acc = rows[2:].reshape(3, 1, n)
 
     @staticmethod
     def size(n: int) -> int:
@@ -363,14 +372,58 @@ class FDWorkspace:
         return periodic_pad(u, FD_GHOSTS, out=self.padded)
 
 
-def fd_workspace(n: int, workspace: FDWorkspace | None) -> FDWorkspace:
-    """``workspace`` checked against a grid of n points, or a new one."""
-    if workspace is None:
-        return FDWorkspace(n)
-    if workspace.n != n:
-        raise ConfigurationError(
-            f"workspace for {workspace.n} points used on a grid of {n}")
-    return workspace
+# cell averages -> point values at the cell centers (deconvolution of the
+# sliding mean), symmetric five-point map exact through sixth order
+_CONVERSION = {-2: 27 / 5760, -1: -348 / 5760, 0: 6402 / 5760,
+               1: -348 / 5760, 2: 27 / 5760}
+_CONVERSION_PAIRS = PairStencil.of(_CONVERSION, total=1.0)
+
+
+class ConversionOperator(CirculantSolver):
+    """Switch between cell-averaged and nodal (point value) representations.
+
+    Nodal unknowns live at the cell centers, so the forward map is the
+    symmetric deconvolution of the sliding cell average,
+
+        U_i = (27 Ub_{i-2} - 348 Ub_{i-1} + 6402 Ub_i
+               - 348 Ub_{i+1} + 27 Ub_{i+2}) / 5760,
+
+    whose Fourier symbol increases monotonically from 1 to 149/120 over
+    the resolved band, hence never vanishes: the map is invertible on any
+    grid and the inverse is the precomputed circulant factorization, making
+    the round trip the identity to round-off. The symmetry of the stencil
+    is what lets reflection-symmetric states stay symmetric through the
+    split scheme; a staggered (interface-based) switch cannot be both
+    invertible and reflection-equivariant, because any stencil symmetric
+    about a half-integer point annihilates the Nyquist mode.
+
+    ``forward`` applies the map in pair form with the scratch of an
+    ``FDWorkspace`` (a new one when none is passed); ``inverse`` is the
+    inherited ``solve``, whose complex scratch is passed as ``spectrum``.
+    Given their scratch, both allocate only their result.
+    """
+
+    def __init__(self, n_cells: int):
+        if n_cells < 5:
+            raise ValueError("conversion stencil needs at least 5 cells")
+        super().__init__(_CONVERSION, n_cells, "cell-to-nodal map", total=1.0)
+
+    def forward(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
+        ws = workspace_for(FDWorkspace, self.n, workspace)
+        return _CONVERSION_PAIRS.apply(ws.pad(field), np.empty(self.n), ws.tmp, ws.diffs)
+
+    inverse = CirculantSolver.solve
+
+
+def cell_to_nodal(state: State, conv: ConversionOperator,
+                  workspace: FDWorkspace | None = None) -> State:
+    """Point values of both components at the cell centers."""
+    return State(conv.forward(state.zeta, workspace), conv.forward(state.v, workspace))
+
+
+def nodal_to_cell(state: State, conv: ConversionOperator) -> State:
+    """Exact inverse of :func:`cell_to_nodal` through the factorized map."""
+    return State(conv.inverse(state.zeta), conv.inverse(state.v))
 
 
 # what a bracket term is multiplied by, pointwise: nothing, zeta or the gradient
@@ -387,7 +440,8 @@ class DispersiveOperators:
     gradient plus three stencil terms, each with its prefactor folded in and
     optionally multiplied by zeta or by the gradient: ``zeta_terms`` act on
     zeta, ``u_terms`` on u = P^{-1} gradient. ``k_solver`` applies
-    K = 2/3 eps^2 J^{-1} D1.
+    K = 2/3 eps^2 J^{-1} D1 and ``conversion`` switches between cell
+    averages and point values.
     """
 
     grid: Grid
@@ -400,6 +454,7 @@ class DispersiveOperators:
     j_solver: CirculantSolver
     p_solver: CirculantSolver
     k_solver: CirculantSolver
+    conversion: ConversionOperator
 
 
 def _combine(parts: list[tuple[float, dict[int, float]]]) -> dict[int, float]:
@@ -412,7 +467,9 @@ def _combine(parts: list[tuple[float, dict[int, float]]]) -> dict[int, float]:
 
 def build_operators(grid: Grid, params: PhysParams,
                     variant: ModelVariant) -> DispersiveOperators:
-    """Assemble the stencils and factorize J, P and K once for the whole run.
+    """Assemble the stencils and factorize J, P, K and the cell-to-nodal map
+    once for the whole run, then drop the ``fourier_harmonics`` table that
+    their symbols shared.
 
     J = I - (eps alpha/3) D2 + (eps^2 alpha/45) D4 and
     P = I - (eps alpha/3) D2. Both symbols are >= 1 for eps, alpha >= 0
@@ -471,14 +528,18 @@ def build_operators(grid: Grid, params: PhysParams,
 
     j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
     k_numerator = {m: 2.0 / 3.0 * eps ** 2 * c / dx for m, c in _D1.items()}
-    return DispersiveOperators(
+    ops = DispersiveOperators(
         grid=grid, params=params, variant=variant,
         d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
         zeta_terms=zeta_terms, u_terms=u_terms,
         j_solver=CirculantSolver(j_stencil, n, j_name, total=1.0),
         p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2", total=1.0),
         k_solver=CirculantSolver(j_stencil, n, j_name, total=1.0, numerator=k_numerator),
+        conversion=ConversionOperator(n),
     )
+    # kept, the table would add 0.75 MiB to the resident memory at N = 65536
+    fourier_harmonics.cache_clear()
+    return ops
 
 
 def _add_terms(bracket, terms, padded, factors, term, ws) -> None:
@@ -504,7 +565,7 @@ def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
     into ``workspace.source`` and returned as that array; without a
     workspace a fresh one is built, so the returned array is the caller's.
     """
-    ws = fd_workspace(ops.grid.n_cells, workspace)
+    ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
     # the gradient becomes the source in place; the RK4 rows are free here
     gradient, bracket, term = ws.source, ws.stage[0], ws.rate[0]
     factors = (None, zeta, gradient)
@@ -525,7 +586,7 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarr
 
     The rate is written into ``workspace.rate[0]`` and returned as that
     array; without a workspace a fresh one is built."""
-    ws = fd_workspace(ops.grid.n_cells, workspace)
+    ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
     rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.tmp, ws.diffs)
     rate *= rate
     nonlinear = ops.k_solver.solve(rate, out=rate, spectrum=ws.spectrum)
@@ -551,7 +612,7 @@ def rk4_fd_step(state: State, dt: float, ops: DispersiveOperators,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = fd_workspace(ops.grid.n_cells, workspace)
+    ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
     source = zeta_source_term(ops, state.zeta, workspace=ws)
     (v_new,) = rk4_in_place(
         (state.v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace=ws), ws)

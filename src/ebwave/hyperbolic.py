@@ -18,7 +18,8 @@ write every result through ``out=``, so a step allocates only its two
 result arrays. Without the workspace a step at N = 65536 allocated about a
 hundred 512 KiB temporaries per rate evaluation, and the page faults of
 handing them back to the OS and taking them again cost more than the
-arithmetic.
+arithmetic. The allocating ``reconstruction_deltas`` and
+``reconstruct_interfaces`` run the same strips on a workspace of their own.
 
 Flat strip block. ``hyperbolic_rhs`` walks the grid in strips of at most
 ``FV_STRIP`` cells. For each strip one ``np.concatenate`` copies the
@@ -74,8 +75,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (ConfigurationError, HyperbolicityError, PhysParams, State,
-                   periodic_pad)
+from .core import ConfigurationError, HyperbolicityError, PhysParams, State
 
 
 def physical_flux(zeta, v, params: PhysParams):
@@ -97,25 +97,6 @@ def max_signal_speed(zeta, v, params: PhysParams):
 STENCIL_WIDTH = 5      # cells i-2 .. i+2 feed the faces of cell i
 GHOSTS = 3             # ghost cells per side: enough for the faces of cells -1 .. N
 FV_STRIP = 8192        # cells per strip of the rate kernel (see module docstring)
-
-
-def _check_width(n: int) -> None:
-    if n < STENCIL_WIDTH:
-        raise ConfigurationError(
-            f"grid of {n} points is narrower than the "
-            f"{STENCIL_WIDTH}-point reconstruction stencil")
-
-
-def _scratch(width: int):
-    """Kernel temporaries for windows of up to ``width`` entries: five float
-    arrays (rows of one block) and a boolean mask."""
-    return tuple(np.empty((5, width))), np.empty(width, dtype=bool)
-
-
-def _strips(n: int):
-    """(first, end) cell indices of the strips covering a grid of n cells."""
-    for start in range(0, n, FV_STRIP):
-        yield start, min(start + FV_STRIP, n)
 
 
 def _window(n: int, start: int, end: int) -> tuple[slice, ...]:
@@ -250,7 +231,10 @@ class FVWorkspace:
     """
 
     def __init__(self, n: int, memory_size: int = 0):
-        _check_width(n)
+        if n < STENCIL_WIDTH:
+            raise ConfigurationError(
+                f"grid of {n} points is narrower than the "
+                f"{STENCIL_WIDTH}-point reconstruction stencil")
         self.n = n
         row = 2 * (min(n, FV_STRIP) + 2 * GHOSTS)     # both windows of the widest strip
         rk4_size = 6 * n
@@ -261,7 +245,8 @@ class FVWorkspace:
         self.mask = np.empty(row // 2, dtype=bool)
         kernels: dict[int, _StripKernel] = {}
         strips = []
-        for start, end in _strips(n):
+        for start in range(0, n, FV_STRIP):
+            end = min(start + FV_STRIP, n)
             width = end - start
             if width not in kernels:
                 kernels[width] = _StripKernel(width, self.block, self.faces,
@@ -270,33 +255,41 @@ class FVWorkspace:
         self.strips = tuple(strips)
 
 
-def _workspace(n: int, workspace: FVWorkspace | None) -> FVWorkspace:
+def workspace_for(kind, n: int, workspace):
+    """``workspace`` checked against a grid of n points, or a new ``kind``
+    (``FVWorkspace`` or ``FDWorkspace``) for it."""
     if workspace is None:
-        return FVWorkspace(n)
+        return kind(n)
     if workspace.n != n:
         raise ConfigurationError(
-            f"workspace for {workspace.n} cells used on a grid of {n}")
+            f"workspace for {workspace.n} points used on a grid of {n}")
     return workspace
 
 
-def _on_field(u, kernel) -> tuple[np.ndarray, np.ndarray]:
+def _face_outputs(fields, kernel) -> tuple[np.ndarray, ...]:
     """The right and left outputs of ``kernel`` (a ``_FaceKernel`` method)
-    for every cell of one periodic field, strip by strip."""
-    u = np.asarray(u)
-    n = u.shape[0]
-    _check_width(n)
-    p = periodic_pad(u, GHOSTS)
-    right, left = np.empty(n), np.empty(n)
-    tmp, _ = _scratch(min(n, FV_STRIP) + 2 * GHOSTS)
-    for start, end in _strips(n):
-        kernel(_FaceKernel(p[start + 1:end + 5], right[start:end], left[start:end], tmp))
-    return right, left
+    for every cell of the two periodic ``fields``, as (right, left) of the
+    first then of the second, run on the strips of an ``FVWorkspace`` as
+    ``hyperbolic_rhs`` runs them."""
+    fields = [np.asarray(u, dtype=float) for u in fields]
+    ws = FVWorkspace(fields[0].shape[0])
+    outputs = tuple(np.empty(ws.n) for _ in range(4))
+    for pieces, start, end, strip in ws.strips:
+        np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
+        kernel(strip.kernel)
+        # the faces of cell i of a field are at i - start + 1 of its window
+        m = end - start + 2 * GHOSTS
+        for i, out in enumerate(outputs):
+            first = (i // 2) * m + 1
+            faces = strip.kernel.left if i % 2 else strip.kernel.right
+            out[start:end] = faces[first:first + end - start]
+    return outputs
 
 
 def reconstruction_deltas(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upwind/downwind high-order variations on the periodic 5-point stencil
     (see ``_FaceKernel.variations``)."""
-    return _on_field(u, _FaceKernel.variations)
+    return _face_outputs((u, u), _FaceKernel.variations)[:2]
 
 
 def _agreement(sign_u, sign_v, out) -> None:
@@ -347,8 +340,7 @@ def reconstruct_interfaces(state: State):
     value at the right face x_{i+1/2} seen from cell i and *_left the value
     at the left face x_{i-1/2} seen from cell i.
     """
-    return (*_on_field(state.zeta, _FaceKernel.faces),
-            *_on_field(state.v, _FaceKernel.faces))
+    return _face_outputs((state.zeta, state.v), _FaceKernel.faces)
 
 
 def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp, mask):
@@ -408,8 +400,8 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
     """
     sides = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                   for a in (zeta_l, v_l, zeta_r, v_r)))
-    shape = sides[0].shape
-    tmp, mask = _scratch(sides[0].size)
+    shape, size = sides[0].shape, sides[0].size
+    tmp, mask = tuple(np.empty((5, size))), np.empty(size, dtype=bool)
     fluxes = _rusanov(*(a.ravel() for a in sides), params, tmp, mask)
     return tuple(f.reshape(shape)[()] for f in fluxes)
 
@@ -429,7 +421,7 @@ def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
     without a workspace a fresh one is built, so the returned block is the
     caller's own.
     """
-    ws = _workspace(state.zeta.shape[0], workspace)
+    ws = workspace_for(FVWorkspace, state.zeta.shape[0], workspace)
     fields = (state.zeta, state.v)
     for pieces, start, end, strip in ws.strips:
         np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
@@ -442,33 +434,25 @@ def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
     return ws.rate
 
 
-def _whole(fields):
-    """The arrays one ufunc call each covers ``fields`` with: a (fields, n)
-    block as a whole, which runs as one flat pass, else field by field."""
-    return (fields,) if isinstance(fields, np.ndarray) else fields
-
-
 def _set_stage(stage, y, c: float, k) -> None:
     """stage <- y + c k: the scaling over the whole block, y per field."""
-    for out, b in zip(_whole(stage), _whole(k)):
-        np.multiply(b, c, out=out)
+    np.multiply(k, c, out=stage)
     for out, a in zip(stage, y):
         out += a
 
 
 def _accumulate(acc, k, weight: float) -> None:
     """acc += weight k over the whole block; scales k in place."""
-    for total, b in zip(_whole(acc), _whole(k)):
-        if weight != 1.0:
-            b *= weight
-        total += b
+    if weight != 1.0:
+        k *= weight
+    acc += k
 
 
 def rk4_in_place(y: tuple, dt: float, rhs, ws) -> tuple:
     """One classical RK4 step for dy/dt = rhs(y) on a tuple of fields.
 
-    ``ws`` holds ``stage``, ``rate`` and ``acc``, each either one
-    (fields, n) block or a tuple of field arrays shaped like y; rhs(stage)
+    ``ws`` holds ``stage``, ``rate`` and ``acc``, each one contiguous
+    (fields, n) block whose arithmetic runs as one flat pass; rhs(stage)
     writes its rate into ``ws.rate`` (read at call time), which is what
     the step reads back. The first rate becomes the running sum by swapping
     ``rate`` and ``acc`` instead of being copied, and 2 k2, 2 k3 and k4 are
@@ -488,8 +472,7 @@ def rk4_in_place(y: tuple, dt: float, rhs, ws) -> tuple:
     _accumulate(ws.acc, ws.rate, 2.0)
     rhs(ws.stage)
     _accumulate(ws.acc, ws.rate, 1.0)
-    for total in _whole(ws.acc):
-        total *= dt / 6.0
+    ws.acc *= dt / 6.0
     return tuple(a + total for a, total in zip(y, ws.acc))
 
 
@@ -504,7 +487,7 @@ def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = _workspace(state.zeta.shape[0], workspace)
+    ws = workspace_for(FVWorkspace, state.zeta.shape[0], workspace)
     return State(*rk4_in_place(
         (state.zeta, state.v), dt,
         lambda y: hyperbolic_rhs(State(*y), params, dx, workspace=ws), ws))

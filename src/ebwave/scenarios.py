@@ -100,18 +100,25 @@ class ScenarioConfig:
         return ModelVariant(self.variant)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    if isinstance(value, tuple):
-        return ",".join(FLOAT_FMT % v for v in value)
-    return str(value)
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ConfigurationError(f"expected true/false, got {value!r}")
+    return value.lower() == "true"
+
+
+# field annotation -> (parse, format) of its value in the config file
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, FLOAT_FMT.__mod__),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "tuple[float, ...]": (lambda text: tuple(float(v) for v in text.split(",")) if text else (),
+                          lambda value: ",".join(FLOAT_FMT % v for v in value)),
+}
 
 
 def write_config(config: ScenarioConfig, path) -> None:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
+    lines = [f"{f.name} = {_CODECS[f.type][1](getattr(config, f.name))}"
              for f in fields(ScenarioConfig)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -135,19 +142,10 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, value in raw.items():
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
-        ftype = known[key].type
-        if ftype == "float":
-            kwargs[key] = float(value)
-        elif ftype == "int":
-            kwargs[key] = int(value)
-        elif ftype == "bool":
-            if value.lower() not in ("true", "false"):
-                raise ConfigurationError(f"{key}: expected true/false, got {value!r}")
-            kwargs[key] = value.lower() == "true"
-        elif ftype.startswith("tuple"):
-            kwargs[key] = tuple(float(v) for v in value.split(",")) if value else ()
-        else:
-            kwargs[key] = value
+        try:
+            kwargs[key] = _CODECS[known[key].type][0](value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
     try:
         return ScenarioConfig(**kwargs)
     except TypeError as exc:

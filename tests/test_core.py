@@ -22,8 +22,9 @@ def test_grid_centers_and_interfaces():
 
 
 def test_grid_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="n_cells = 7 is below the minimum of 8"):
         build_grid(0.0, 1.0, 7)
+    assert build_grid(0.0, 1.0, 8).n_cells == 8
     with pytest.raises(ConfigurationError):
         build_grid(1.0, 0.0, 64)
 

@@ -23,13 +23,12 @@ import pytest
 
 from ebwave.core import (ConfigurationError, ModelVariant, PhysParams, State,
                          build_grid)
-from ebwave.dispersive import (FDWorkspace, apply_stencil, build_operators,
-                               circulant_symbol, fd_workspace,
-                               rk4_fd_step, velocity_rate, zeta_source_term)
+from ebwave.dispersive import (_CONVERSION, FDWorkspace, apply_stencil, build_operators,
+                               circulant_symbol, rk4_fd_step, velocity_rate,
+                               zeta_source_term)
 from ebwave.hyperbolic import FVWorkspace, rk4_fv_step
 from ebwave.scenarios import builtin_scenario, choose_dt, initial_state
-from ebwave.splitting import (_CONVERSION, ConversionOperator, RunState, StrangSolver,
-                              cell_to_nodal)
+from ebwave.splitting import ConversionOperator, RunState, StrangSolver, cell_to_nodal
 
 import oracles
 
@@ -260,7 +259,7 @@ def test_fd_workspace_size_and_memory_checked():
     with pytest.raises(ConfigurationError):
         FDWorkspace(16, memory=np.empty(FDWorkspace.size(16) - 1))
     memory = np.empty(FDWorkspace.size(16))
-    ws = fd_workspace(16, FDWorkspace(16, memory=memory))
+    ws = FDWorkspace(16, memory=memory)
     assert all(np.shares_memory(b, memory) for b in fd_buffers(ws))
 
 

@@ -231,7 +231,7 @@ def test_rk4_step_exactness_order():
     lam = -0.7
     errs = []
     for dt in [0.2, 0.1, 0.05]:
-        ws = SimpleNamespace(stage=(np.empty(1),), rate=(np.empty(1),), acc=(np.empty(1),))
+        ws = SimpleNamespace(stage=np.empty((1, 1)), rate=np.empty((1, 1)), acc=np.empty((1, 1)))
 
         def rhs(y):
             return (np.multiply(y[0], lam, out=ws.rate[0]),)

@@ -5,6 +5,7 @@ from ebwave.analytic import SolitaryWaveSpec, corrected_solution
 from ebwave.core import (BlowUpError, HyperbolicityError, ModelVariant, PhysParams,
                          State, build_grid)
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
+from ebwave.dispersive import CirculantSolver, fourier_harmonics
 from ebwave.scenarios import strang_steps
 from ebwave.splitting import (ConversionOperator, RunState, StrangSolver,
                               cell_to_nodal, choose_dt, nodal_to_cell)
@@ -66,6 +67,17 @@ def test_conversion_states():
     back = nodal_to_cell(nodal, conv)
     assert np.allclose(back.zeta, cells.zeta, atol=1e-12)
     assert np.allclose(back.v, cells.v, atol=1e-12)
+
+
+def test_conversion_is_built_with_the_dispersive_operators():
+    solver = StrangSolver(build_grid(0.0, 1.0, 32), ND(0.3))
+    # the symbols of J, P, K and the conversion share the harmonics table,
+    # which the build drops once they are all made
+    assert fourier_harmonics.cache_info().currsize == 0
+    conv = solver.operators.conversion
+    assert isinstance(conv, ConversionOperator) and isinstance(conv, CirculantSolver)
+    x = np.random.default_rng(4).standard_normal(32)
+    assert np.array_equal(conv.inverse(x), ConversionOperator(32).solve(x))
 
 
 def test_choose_dt_examples():

@@ -55,3 +55,6 @@ def test_traced_head_on_records_every_step_path_span():
     assert tracer.calls["dispersive.solve"] == 6 * result.steps
     assert tracer.calls["dispersive.velocity_rate"] == 4 * result.steps
     assert tracer.calls["dispersive.zeta_source_term"] == result.steps
+    # both fields go forward to point values, only v comes back
+    assert tracer.calls["splitting.conversion_forward"] == 2 * result.steps
+    assert tracer.calls["splitting.conversion_inverse"] == result.steps
