@@ -135,22 +135,26 @@ def omega(model: DispersionModel, k):
     return w
 
 
+def _group_velocity(model: DispersionModel, k: np.ndarray) -> np.ndarray:
+    """dw/dk by a fourth-order central difference with step max(1e-4, 1e-4*k);
+    the odd extension of w makes the stencil valid arbitrarily close to k = 0."""
+    h = np.maximum(1e-4, 1e-4 * k)
+    return (-omega(model, k + 2 * h) + 8.0 * omega(model, k + h)
+            - 8.0 * omega(model, k - h) + omega(model, k - 2 * h)) / (12.0 * h)
+
+
 def velocities(model: DispersionModel, k):
     """Phase and group velocity at wavenumber k > 0 (vectorized).
 
-    Phase is w/k on the right-moving branch. Group velocity is dw/dk by a
-    fourth-order central difference with step max(1e-4, 1e-4*k); the odd
-    extension of w makes the stencil valid arbitrarily close to k = 0.
-    Raises DispersionInstabilityError where no real branch exists.
+    Phase is w/k on the right-moving branch, group velocity dw/dk by a
+    fourth-order central difference (``_group_velocity``). Raises
+    DispersionInstabilityError where no real branch exists.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("wavenumbers must be positive")
-    h = np.maximum(1e-4, 1e-4 * k)
-    w = omega(model, k)
-    phase = w / k
-    group = (-omega(model, k + 2 * h) + 8.0 * omega(model, k + h)
-             - 8.0 * omega(model, k - h) + omega(model, k - 2 * h)) / (12.0 * h)
+    phase = omega(model, k) / k
+    group = _group_velocity(model, k)
     if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(group))):
         bad = k[~(np.isfinite(phase) & np.isfinite(group))]
         raise DispersionInstabilityError(
@@ -204,13 +208,9 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
     m = model.with_alpha(alpha)
     k = np.linspace(1e-6, K, panels + 1)
 
-    w = omega(m, k)
-    w_s = omega(stokes_reference(m), k)
-    h = np.maximum(1e-4, 1e-4 * k)
-    stencil = lambda f: (-f(k + 2 * h) + 8.0 * f(k + h)
-                         - 8.0 * f(k - h) + f(k - 2 * h)) / (12.0 * h)
-    cp, cg = w / k, stencil(lambda q: omega(m, q))
-    cp_s, cg_s = w_s / k, stencil(lambda q: omega(stokes_reference(m), q))
+    stokes = stokes_reference(m)
+    cp, cg = omega(m, k) / k, _group_velocity(m, k)
+    cp_s, cg_s = omega(stokes, k) / k, _group_velocity(stokes, k)
 
     integrand = ((cp - cp_s) / cp_s) ** 2 + ((cg - cg_s) / cg_s) ** 2
     if not np.all(np.isfinite(integrand)):

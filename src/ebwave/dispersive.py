@@ -36,13 +36,15 @@ in one of two forms:
   this is orders of magnitude less round-off than the offset-by-offset sum.
 * a Fourier multiplier (``CirculantSolver``): b -> A^{-1} b, or
   A^{-1} N b for a numerator stencil N, as one complex array that the
-  rfft of b is multiplied by. The symbols are evaluated in closed form,
-  sum_m c_m e^{i m theta_k}, from one table of 1 - cos and sin of
-  m theta_k (``fourier_harmonics``, kept for the last grid size so that
-  the operators of a grid share it, and dropped by ``build_operators``
-  once they are built), so set-up takes no FFT. Written with 1 - cos m
-  theta, the same differences as the stencils, a symbol keeps its relative
-  accuracy at low frequencies, where J's terms of order dx^-4 cancel.
+  rfft of b is multiplied by. A and N are ``PairStencil``s too (P is
+  ``IDENTITY`` plus a scaled D2, J is P plus a scaled D4), and their
+  symbols are evaluated in closed form, sum_m c_m e^{i m theta_k}
+  (``PairStencil.symbol``), from a table of 1 - cos and sin of m theta_k
+  (``fourier_harmonics``) that ``build_operators`` makes once and passes
+  to every operator it builds, so set-up takes no FFT. Written with
+  1 - cos m theta, the same differences as the stencils, a symbol keeps
+  its relative accuracy at low frequencies, where J's terms of order
+  dx^-4 cancel.
 
 J, P, K and the conversion are all ``CirculantSolver``s: the conversion
 is the subclass whose ``forward`` applies its stencil in pair form and
@@ -74,7 +76,6 @@ half step: then the dispersive step adds no resident memory at all.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -131,7 +132,9 @@ class PairStencil:
         if left != right:
             raise ConfigurationError(f"stencil {stencil} is neither symmetric "
                                      "nor antisymmetric")
-        return cls(total=_checked_total(stencil, total), antisymmetric=False,
+        if abs(math.fsum(stencil.values()) - total) > 1e-14 * sum(map(abs, stencil.values())):
+            raise ConfigurationError(f"stencil {stencil} does not sum to {total}")
+        return cls(total=total, antisymmetric=False,
                    pairs=tuple((k, math.fsum(right[k:])) for k in range(reach)))
 
     @property
@@ -142,6 +145,31 @@ class PairStencil:
         """This stencil times ``factor``."""
         return PairStencil(total=factor * self.total, antisymmetric=self.antisymmetric,
                            pairs=tuple((m, factor * c) for m, c in self.pairs))
+
+    def __add__(self, other: "PairStencil") -> "PairStencil":
+        """The sum of two stencils of the same symmetry."""
+        if other.antisymmetric != self.antisymmetric:
+            raise ConfigurationError("cannot add a symmetric and an antisymmetric stencil")
+        pairs = dict(self.pairs)
+        for m, c in other.pairs:
+            pairs[m] = pairs.get(m, 0.0) + c
+        return PairStencil(total=self.total + other.total, pairs=tuple(sorted(pairs.items())),
+                           antisymmetric=self.antisymmetric)
+
+    def symbol(self, harmonics: np.ndarray) -> np.ndarray:
+        """Eigenvalues on the Fourier modes that rfft keeps, in closed form
+        from a ``fourier_harmonics`` table of reach >= ``reach``: the real
+        total - sum_m 2 c_m (1 - cos m theta) when symmetric, else
+        i sum_m 2 c_m sin m theta. Since 1 - cos m theta is small at low
+        frequencies, the rounding of large coefficients (J's are of order
+        dx^-4) only enters where the symbol is large as well."""
+        versine, sine = harmonics[:, :self.reach]
+        coeffs = [c for _, c in self.pairs]
+        if self.antisymmetric:
+            return 1j * np.dot([2.0 * c for c in coeffs], sine)
+        # c_m = a_{m-1} - a_m, with a_r = 0
+        symbol = np.dot([2.0 * (a - b) for a, b in zip(coeffs, coeffs[1:] + [0.0])], versine)
+        return np.subtract(self.total, symbol, out=symbol)
 
     def apply(self, padded: np.ndarray, out: np.ndarray, tmp: np.ndarray,
               diffs: np.ndarray) -> np.ndarray:
@@ -180,6 +208,10 @@ class PairStencil:
         return out
 
 
+_PAIRS = {order: PairStencil.of(table) for order, table in _STENCILS.items()}
+IDENTITY = PairStencil(total=1.0, pairs=(), antisymmetric=False)
+
+
 def apply_stencil(order: int, field: np.ndarray, dx: float) -> np.ndarray:
     """Apply the fourth-order centered difference of the given derivative
     order (1 to 5) to a periodic field, scaled by dx^-order."""
@@ -194,18 +226,6 @@ def apply_stencil(order: int, field: np.ndarray, dx: float) -> np.ndarray:
     return stencil.apply(ws.pad(field), np.empty_like(field), ws.tmp, ws.diffs)
 
 
-def _checked_total(stencil: dict[int, float], total: float | None) -> float:
-    """``total``, the exact sum of the coefficients of ``stencil``, checked
-    against their float sum; that float sum when ``total`` is None."""
-    rounded = math.fsum(stencil.values())
-    if total is None:
-        return rounded
-    if abs(rounded - total) > 1e-14 * sum(abs(c) for c in stencil.values()):
-        raise ConfigurationError(f"stencil {stencil} does not sum to {total}")
-    return total
-
-
-@functools.lru_cache(maxsize=1)
 def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:
     """1 - cos(m theta_k) and sin(m theta_k) for m = 1 .. reach at the
     frequencies theta_k = 2 pi k / n that rfft keeps, as rows m - 1 of the
@@ -217,9 +237,8 @@ def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:
     recurrence x_{m+1} = 2 cos(theta) x_m - x_{m-1}, which for
     w_m = 1 - cos(m theta) reads w_{m+1} = 2 (w_1 + w_m - w_1 w_m) - w_{m-1}
     and is about five times cheaper than the trigonometric functions of
-    m theta at N = 65536. The last table is kept, so the operators of one
-    grid share it; ``fourier_harmonics.cache_clear()`` drops it once they
-    are built.
+    m theta at N = 65536. ``build_operators`` makes one table and passes it
+    to every operator of its grid.
     """
     theta = (2.0 * np.pi / n) * np.arange(n // 2 + 1)
     table = np.empty((2, reach, theta.shape[0]))
@@ -242,75 +261,48 @@ def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:
     return table
 
 
-def circulant_symbol(stencil: dict[int, float], n: int,
-                     total: float | None = None) -> np.ndarray:
-    """Eigenvalues sum_m c_m e^{2 pi i m k / n} of the periodic convolution
-    sum_m c_m u_{i+m} on the discrete Fourier modes used by rfft (length
-    n//2 + 1), in closed form,
-
-        total - sum_{m > 0} (c_m + c_{-m}) (1 - cos m theta)
-              + i sum_{m > 0} (c_m - c_{-m}) sin m theta,
-
-    from the ``fourier_harmonics`` table (the shared one of reach 3 unless
-    the stencil reaches further). ``total``, the symbol at the zero
-    frequency, is the exact sum of the coefficients when it is known (1 for
-    J, P and the cell-to-nodal map), else their float sum. Since
-    1 - cos m theta is small at low frequencies, the rounding of large
-    coefficients (J's are of order dx^-4) only enters where the symbol is
-    large as well. Real, as a float array, when the stencil is symmetric."""
-    reach = max(abs(m) for m in stencil)
-    versine, sine = fourier_harmonics(n, max(reach, 3))
-    pairs = [(stencil.get(m, 0.0), stencil.get(-m, 0.0)) for m in range(1, reach + 1)]
-    even = [right + left for right, left in pairs]
-    odd = [right - left for right, left in pairs]
-    total = _checked_total(stencil, total)
-    if any(odd) and not (total or any(even)):      # antisymmetric: imaginary
-        return 1j * np.dot(odd, sine[:reach])
-    symbol = np.dot(even, versine[:reach])
-    np.subtract(total, symbol, out=symbol)
-    if any(odd):
-        symbol = symbol + 1j * np.dot(odd, sine[:reach])
-    return symbol
-
-
 class CirculantSolver:
     """Precomputed Fourier factorization of a periodic constant-stencil map.
 
     ``solve(b)`` returns A^{-1} b for the map A given by ``stencil``, or
     A^{-1} N b when a ``numerator`` stencil N is given: one rfft, one
     product with the precomputed multiplier sigma_N / sigma_A (1 / sigma_A
-    without a numerator) and one irfft. ``total`` is the exact coefficient
-    sum of A, when known (see ``circulant_symbol``). Multipliers are stored
-    complex even where they are real, because numpy multiplies a complex
-    array by a complex one several times faster than by a real one. The
-    symbol sigma_A is checked at construction; a (near) zero eigenvalue at
-    any discrete frequency makes A singular on this grid.
+    without a numerator) and one irfft. The symbols are read from
+    ``harmonics``, a ``fourier_harmonics`` table for n points that reaches
+    as far as both stencils (a new one of reach 3 or more when None).
+    Multipliers are stored complex even where they are real, because numpy
+    multiplies a complex array by a complex one several times faster than
+    by a real one. The symbol sigma_A is checked at construction; a (near)
+    zero eigenvalue at any discrete frequency makes A singular on this grid.
     """
 
-    def __init__(self, stencil: dict[int, float], n: int, name: str = "operator", *,
-                 total: float | None = None, numerator: dict[int, float] | None = None):
+    def __init__(self, stencil: PairStencil, n: int, name: str = "operator", *,
+                 numerator: PairStencil | None = None,
+                 harmonics: np.ndarray | None = None):
         self.n = n
         self.stencil = stencil
-        self.total = total
-        symbol = self.symbol
+        if harmonics is None:
+            reach = max(3, stencil.reach, numerator.reach if numerator else 0)
+            harmonics = fourier_harmonics(n, reach)
+        symbol = stencil.symbol(harmonics)
         magnitude = np.abs(symbol)
         if magnitude.min() < 1e-12:
             mode = int(np.argmax(magnitude < 1e-12))
             raise ConfigurationError(
                 f"{name} is singular on N = {n}: symbol vanishes at "
                 f"Fourier mode {mode}")
-        self._identity = stencil == {0: 1.0} and numerator is None
+        self._identity = stencil == IDENTITY and numerator is None
         multiplier = 1.0 / symbol
         if numerator is not None:
-            multiplier = circulant_symbol(numerator, n) * multiplier
+            multiplier = numerator.symbol(harmonics) * multiplier
         self.multiplier = multiplier.astype(complex)
 
     @property
     def symbol(self) -> np.ndarray:
         """Eigenvalues sigma_A of the factorized map A (see
-        ``circulant_symbol``); ``multiplier`` holds those of the map that
+        ``PairStencil.symbol``); ``multiplier`` holds those of the map that
         ``solve`` applies."""
-        return circulant_symbol(self.stencil, self.n, self.total)
+        return self.stencil.symbol(fourier_harmonics(self.n, max(3, self.stencil.reach)))
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None,
               spectrum: np.ndarray | None = None) -> np.ndarray:
@@ -400,17 +392,19 @@ class ConversionOperator(CirculantSolver):
     ``forward`` applies the map in pair form with the scratch of an
     ``FDWorkspace`` (a new one when none is passed); ``inverse`` is the
     inherited ``solve``, whose complex scratch is passed as ``spectrum``.
-    Given their scratch, both allocate only their result.
+    Given their scratch, both allocate only their result. ``harmonics`` is
+    the table of the symbol, as for ``CirculantSolver``.
     """
 
-    def __init__(self, n_cells: int):
+    def __init__(self, n_cells: int, *, harmonics: np.ndarray | None = None):
         if n_cells < 5:
             raise ValueError("conversion stencil needs at least 5 cells")
-        super().__init__(_CONVERSION, n_cells, "cell-to-nodal map", total=1.0)
+        super().__init__(_CONVERSION_PAIRS, n_cells, "cell-to-nodal map",
+                         harmonics=harmonics)
 
     def forward(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
         ws = workspace_for(FDWorkspace, self.n, workspace)
-        return _CONVERSION_PAIRS.apply(ws.pad(field), np.empty(self.n), ws.tmp, ws.diffs)
+        return self.stencil.apply(ws.pad(field), np.empty(self.n), ws.tmp, ws.diffs)
 
     inverse = CirculantSolver.solve
 
@@ -428,8 +422,6 @@ def nodal_to_cell(state: State, conv: ConversionOperator) -> State:
 
 # what a bracket term is multiplied by, pointwise: nothing, zeta or the gradient
 _PLAIN, _TIMES_ZETA, _TIMES_GRADIENT = range(3)
-
-_PAIRS = {order: PairStencil.of(table) for order, table in _STENCILS.items()}
 
 
 @dataclass(frozen=True)
@@ -457,19 +449,11 @@ class DispersiveOperators:
     conversion: ConversionOperator
 
 
-def _combine(parts: list[tuple[float, dict[int, float]]]) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for scale, stencil in parts:
-        for m, c in stencil.items():
-            out[m] = out.get(m, 0.0) + scale * c
-    return out
-
-
 def build_operators(grid: Grid, params: PhysParams,
                     variant: ModelVariant) -> DispersiveOperators:
     """Assemble the stencils and factorize J, P, K and the cell-to-nodal map
-    once for the whole run, then drop the ``fourier_harmonics`` table that
-    their symbols shared.
+    once for the whole run, all from one ``fourier_harmonics`` table, which
+    is freed when the build returns.
 
     J = I - (eps alpha/3) D2 + (eps^2 alpha/45) D4 and
     P = I - (eps alpha/3) D2. Both symbols are >= 1 for eps, alpha >= 0
@@ -501,17 +485,14 @@ def build_operators(grid: Grid, params: PhysParams,
 
     g, eps, alpha = params.gravity, params.epsilon, params.alpha
     dx = grid.dx
-    j_stencil = _combine([(1.0, {0: 1.0}),
-                          (-eps * alpha / (3.0 * dx ** 2), _D2),
-                          (eps ** 2 * alpha / (45.0 * dx ** 4), _D4)])
-    p_stencil = _combine([(1.0, {0: 1.0}),
-                          (-eps * alpha / (3.0 * dx ** 2), _D2)])
-    if eps == 0.0:
-        j_stencil = {0: 1.0}
-        p_stencil = {0: 1.0}
 
     def stencil(order: int, scale: float) -> PairStencil:
         return _PAIRS[order].scaled(scale / dx ** order)
+
+    p_stencil = j_stencil = IDENTITY
+    if eps != 0.0:
+        p_stencil = IDENTITY + stencil(2, -eps * alpha / 3.0)
+        j_stencil = p_stencil + stencil(4, eps ** 2 * alpha / 45.0)
 
     if variant is ModelVariant.UNFACTORIZED:
         zeta_terms = ((stencil(5, 2.0 / 45.0 * eps ** 2 * g), _PLAIN),)
@@ -527,19 +508,18 @@ def build_operators(grid: Grid, params: PhysParams,
                        (stencil(2, eps ** 2 * alpha), _TIMES_GRADIENT))
 
     j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
-    k_numerator = {m: 2.0 / 3.0 * eps ** 2 * c / dx for m, c in _D1.items()}
-    ops = DispersiveOperators(
+    harmonics = fourier_harmonics(n)
+    return DispersiveOperators(
         grid=grid, params=params, variant=variant,
         d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
         zeta_terms=zeta_terms, u_terms=u_terms,
-        j_solver=CirculantSolver(j_stencil, n, j_name, total=1.0),
-        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2", total=1.0),
-        k_solver=CirculantSolver(j_stencil, n, j_name, total=1.0, numerator=k_numerator),
-        conversion=ConversionOperator(n),
+        j_solver=CirculantSolver(j_stencil, n, j_name, harmonics=harmonics),
+        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2",
+                                 harmonics=harmonics),
+        k_solver=CirculantSolver(j_stencil, n, j_name, harmonics=harmonics,
+                                 numerator=stencil(1, 2.0 / 3.0 * eps ** 2)),
+        conversion=ConversionOperator(n, harmonics=harmonics),
     )
-    # kept, the table would add 0.75 MiB to the resident memory at N = 65536
-    fourier_harmonics.cache_clear()
-    return ops
 
 
 def _add_terms(bracket, terms, padded, factors, term, ws) -> None:

@@ -22,6 +22,7 @@ here rather than in ``splitting`` because the benchmark's trace wraps the
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -70,6 +71,12 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            kind = _CODECS[f.type][2]
+            items = value if f.type.startswith("tuple") else (value,)
+            if not isinstance(items, tuple) or not all(
+                    isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
+                    for x in items):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
             # the config file could not hold these: '#' starts a comment, a
             # line break ends the entry and the parser strips outer whitespace
             if isinstance(value, str) and ("#" in value or value != value.strip()
@@ -77,8 +84,7 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{f.name} must have no '#', line break or leading or trailing "
                     f"whitespace, got {value!r}")
-            items = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+            if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.units not in ("nondimensional", "si"):
             raise ConfigurationError(f"unknown units {self.units!r}")
@@ -106,14 +112,16 @@ def _parse_bool(value: str) -> bool:
     return value.lower() == "true"
 
 
-# field annotation -> (parse, format) of its value in the config file
+# field annotation -> (parse, format) of its value in the config file and
+# the type the constructor takes for it, or for each entry of a tuple (a
+# bool only where the field is one)
 _CODECS = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (float, FLOAT_FMT.__mod__),
-    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "str": (str, str, str),
+    "int": (int, str, numbers.Integral),
+    "float": (float, FLOAT_FMT.__mod__, numbers.Real),
+    "bool": (_parse_bool, lambda value: "true" if value else "false", bool),
     "tuple[float, ...]": (lambda text: tuple(float(v) for v in text.split(",")) if text else (),
-                          lambda value: ",".join(FLOAT_FMT % v for v in value)),
+                          lambda value: ",".join(FLOAT_FMT % v for v in value), numbers.Real),
 }
 
 
@@ -339,12 +347,8 @@ def run_convergence(base: ScenarioConfig, n_list, t_final: float) -> Convergence
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["n,err_zeta,err_v"]
-    for n, ez, ev in zip(report.n_cells, report.err_zeta, report.err_v):
-        lines.append(f"{n},{FLOAT_FMT % ez},{FLOAT_FMT % ev}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_table(path, "n,err_zeta,err_v",
+                 np.column_stack([report.n_cells, report.err_zeta, report.err_v]))
 
 
 _MODEL_KINDS = {
@@ -390,7 +394,6 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
 
     if outdir is not None:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         _write_table(outdir / f"dispersion_{kind_name}_alpha{alpha:g}.csv",
                      "k,Cp_model,Cg_model,Cp_stokes,Cg_stokes,ratio_p,ratio_g", curves)
         _write_table(outdir / f"alpha_scan_{kind_name}_K{k_max:g}.csv",
@@ -399,10 +402,13 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
 
 
 def _write_table(path, header: str, rows: np.ndarray) -> None:
+    """A CSV of ``rows`` under ``header``, in a directory made when missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [header]
     for row in rows:
         lines.append(",".join(FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def track_crest(x: np.ndarray, zeta: np.ndarray, lo: float | None = None,

@@ -60,8 +60,9 @@ class RunState:
 
     def update_diagnostics(self, dx: float):
         self.mass = float(np.sum(self.cells.zeta) * dx)
-        self.max_amplitude = float(max(np.max(np.abs(self.cells.zeta)),
-                                       np.max(np.abs(self.cells.v))))
+        # np.maximum, unlike max, keeps a NaN in either field
+        self.max_amplitude = float(np.maximum(np.max(np.abs(self.cells.zeta)),
+                                              np.max(np.abs(self.cells.v))))
 
 
 class StrangSolver:

@@ -4,7 +4,7 @@ import pytest
 from ebwave.core import (BlowUpError, ConfigurationError, ModelVariant, PhysParams,
                          State, build_grid)
 from ebwave.dispersive import (_STENCILS, CirculantSolver, DispersiveOperators,
-                               apply_stencil, build_operators, dispersive_rhs,
+                               PairStencil, apply_stencil, build_operators, dispersive_rhs,
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.splitting import RunState, StrangSolver
 
@@ -128,7 +128,7 @@ def test_screened_symbols_exceed_one():
 
 def test_singular_circulant_reports_mode():
     with pytest.raises(ConfigurationError, match="mode 0"):
-        CirculantSolver({0: 1.0, 1: -1.0}, 16, "forward difference")
+        CirculantSolver(PairStencil.of({-1: -0.5, 1: 0.5}), 16, "central difference")
 
 
 def test_operator_size_preconditions():

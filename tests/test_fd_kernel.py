@@ -23,9 +23,9 @@ import pytest
 
 from ebwave.core import (ConfigurationError, ModelVariant, PhysParams, State,
                          build_grid)
-from ebwave.dispersive import (_CONVERSION, FDWorkspace, apply_stencil, build_operators,
-                               circulant_symbol, rk4_fd_step, velocity_rate,
-                               zeta_source_term)
+from ebwave.dispersive import (_CONVERSION, FDWorkspace, PairStencil, apply_stencil,
+                               build_operators, fourier_harmonics, rk4_fd_step,
+                               velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import FVWorkspace, rk4_fv_step
 from ebwave.scenarios import builtin_scenario, choose_dt, initial_state
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, cell_to_nodal
@@ -197,10 +197,11 @@ def test_public_stencils_and_symbols_match_allocating_kernel():
         for order in range(1, 6):
             op = oracles.StencilOperator.centered(order)
             assert_close(apply_stencil(order, u, 0.3), oracles.apply_stencil(op, u, 0.3), 1e-12)
-        # symmetric, antisymmetric and neither
-        for stencil in (*oracles._STENCILS.values(), _CONVERSION,
-                        {0: 1.0, 1: -1.0}, {-3: 0.3, 0: 1.0, 2: 0.7}):
-            got = circulant_symbol(stencil, n)
+        # symmetric and antisymmetric
+        harmonics = fourier_harmonics(n, 4)
+        for stencil in (*oracles._STENCILS.values(), _CONVERSION):
+            total = 1.0 if stencil is _CONVERSION else 0.0
+            got = PairStencil.of(stencil, total).symbol(harmonics)
             assert_close(np.asarray(got, dtype=complex),
                          oracles.circulant_symbol(stencil, n), 1e-14)
 

@@ -127,6 +127,24 @@ def test_config_validation():
             small_config(name=name)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("n_cells", 64.5), ("n_cells", "64"), ("n_cells", True), ("n_disp", np.float64(2.0)),
+    ("epsilon", "0.1"), ("epsilon", None), ("epsilon", False),
+    ("output_times", [0.0, 0.1]), ("amplitudes", (0.1, "0.2")), ("amplitudes", (True,)),
+    ("name", 3), ("expect_blowup", 1), ("expect_blowup", np.bool_(True))])
+def test_config_rejects_mistyped_fields(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be "):
+        replace(builtin_scenario("head_on"), **{name: value})
+
+
+def test_config_accepts_integers_and_reals_of_any_kind():
+    config = small_config(n_cells=np.int64(64), n_disp=np.int32(1), epsilon=1,
+                          alpha=np.float32(1.0), output_times=(0, np.float64(0.1), 0.2))
+    assert run_scenario(config).steps > 0
+    with pytest.raises(ConfigurationError, match="epsilon must be finite"):
+        small_config(epsilon=np.float32("nan"))
+
+
 FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
 TUPLE_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type.startswith("tuple")]
 

@@ -5,7 +5,7 @@ from ebwave.analytic import SolitaryWaveSpec, corrected_solution
 from ebwave.core import (BlowUpError, HyperbolicityError, ModelVariant, PhysParams,
                          State, build_grid)
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
-from ebwave.dispersive import CirculantSolver, fourier_harmonics
+from ebwave.dispersive import CirculantSolver
 from ebwave.scenarios import strang_steps
 from ebwave.splitting import (ConversionOperator, RunState, StrangSolver,
                               cell_to_nodal, choose_dt, nodal_to_cell)
@@ -71,9 +71,6 @@ def test_conversion_states():
 
 def test_conversion_is_built_with_the_dispersive_operators():
     solver = StrangSolver(build_grid(0.0, 1.0, 32), ND(0.3))
-    # the symbols of J, P, K and the conversion share the harmonics table,
-    # which the build drops once they are all made
-    assert fourier_harmonics.cache_info().currsize == 0
     conv = solver.operators.conversion
     assert isinstance(conv, ConversionOperator) and isinstance(conv, CirculantSolver)
     x = np.random.default_rng(4).standard_normal(32)
@@ -200,6 +197,15 @@ def test_run_state_diagnostics():
     run = RunState.initial(State(np.full(8, 2.0), np.full(8, -3.0)), grid.dx)
     assert run.mass == pytest.approx(2.0)
     assert run.max_amplitude == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("field", ["zeta", "v"])
+def test_run_state_diagnostics_keep_nan(field):
+    grid = build_grid(0.0, 1.0, 64)
+    state = State(np.zeros(64), np.zeros(64))
+    getattr(state, field)[0] = np.nan
+    run = RunState.initial(state, grid.dx)
+    assert np.isnan(run.max_amplitude)
 
 
 def test_subcycled_dispersive_step_consistency():
