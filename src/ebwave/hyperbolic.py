@@ -50,7 +50,7 @@ interleaved rounds on 2 vCPUs); building the views costs ~12 us per strip
 width.
 
 Strips. The scratch is sized to one strip, so at 8192 cells its eight
-float rows of 128 KiB (plus a mask) stay in a 2 MiB L2 cache, while each
+float rows of 128 KiB stay in a 2 MiB L2 cache, while each
 strip still holds enough work to hide the fixed cost of its ~80 numpy
 calls. One ``rk4_fv_step`` at N = 65536 took 25.9 ms with strips of 4096
 cells, 23.1 ms with 8192 and 22.7 ms with 16384 (medians of 9 interleaved
@@ -197,10 +197,9 @@ class _FaceKernel:
 
 class _StripKernel:
     """The views of the rate kernel for strips of ``width`` cells, on the
-    scratch of a workspace (``block``, the two face rows, ``tmp`` and
-    ``mask``)."""
+    scratch of a workspace (``block``, the two face rows and ``tmp``)."""
 
-    def __init__(self, width: int, block, faces, tmp, mask):
+    def __init__(self, width: int, block, faces, tmp):
         m = width + 2 * GHOSTS              # window entries per field
         c = width + 2                       # cells start-1 .. end of a field
         k = c - 1                           # interfaces start-1/2 .. end-1/2
@@ -210,7 +209,7 @@ class _StripKernel:
         # interface i+1/2 pairs the right face of cell i with the left face
         # of cell i+1; the faces of v start at offset m
         self.sides = right[:k], right[m:m + k], left[1:c], left[m + 1:m + c]
-        self.flux_tmp, self.mask = tuple(t[:k] for t in tmp), mask[:k]
+        self.flux_tmp = tuple(t[:k] for t in tmp)
         # _rusanov leaves the zeta and v fluxes in the first two rows
         self.flux_pairs = tuple((f[1:], f[:-1]) for f in self.flux_tmp[:2])
 
@@ -221,13 +220,12 @@ class FVWorkspace:
     ``stage``, ``rate`` and ``acc`` are the RK4 stage state, the current
     rate and the running sum, each a (2, n) block of zeta and v rows.
     ``block`` (both windows of a strip end to end), ``faces`` (right and
-    left faces of the block), ``tmp`` and ``mask`` are the scratch of one
-    strip. All but the mask are carved from one flat array, ``memory``,
-    with at least ``memory_size`` entries so that the solver's dispersive
-    workspace fits in it too; built with ``np.empty``, it touches no page
-    before the kernels write it. ``strips`` lists, per strip, the input
-    slices of its window, its first and end cell and the kernel views of
-    its width.
+    left faces of the block) and ``tmp`` are the scratch of one strip.
+    All are carved from one flat array, ``memory``, with at least
+    ``memory_size`` entries so that the solver's dispersive workspace fits
+    in it too; built with ``np.empty``, it touches no page before the
+    kernels write it. ``strips`` lists, per strip, the input slices of its
+    window, its first and end cell and the kernel views of its width.
     """
 
     def __init__(self, n: int, memory_size: int = 0):
@@ -242,15 +240,13 @@ class FVWorkspace:
         self.stage, self.rate, self.acc = self.memory[:rk4_size].reshape(3, 2, n)
         scratch = self.memory[rk4_size:rk4_size + 8 * row].reshape(8, row)
         self.block, self.faces, self.tmp = scratch[0], tuple(scratch[1:3]), tuple(scratch[3:])
-        self.mask = np.empty(row // 2, dtype=bool)
         kernels: dict[int, _StripKernel] = {}
         strips = []
         for start in range(0, n, FV_STRIP):
             end = min(start + FV_STRIP, n)
             width = end - start
             if width not in kernels:
-                kernels[width] = _StripKernel(width, self.block, self.faces,
-                                              self.tmp, self.mask)
+                kernels[width] = _StripKernel(width, self.block, self.faces, self.tmp)
             strips.append((_window(n, start, end), start, end, kernels[width]))
         self.strips = tuple(strips)
 
@@ -343,9 +339,9 @@ def reconstruct_interfaces(state: State):
     return _face_outputs((state.zeta, state.v), _FaceKernel.faces)
 
 
-def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp, mask):
+def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp):
     """Rusanov flux of len(zeta_l) interfaces (see ``numerical_flux``), with
-    five scratch rows ``tmp`` and a ``mask`` of exactly that length.
+    five scratch rows ``tmp`` of exactly that length.
 
     Returns (flux_zeta, flux_v) as tmp[0] and tmp[1].
     """
@@ -355,7 +351,9 @@ def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp, mask):
         np.multiply(zeta, eps, out=h)
         h += params.depth
     for h in (h_l, h_r):
-        if np.less_equal(h, 0.0, out=mask).any():
+        # fmin skips NaN as the comparison h <= 0 does, where min would not;
+        # starting from +inf keeps an empty flux valid
+        if np.fmin.reduce(h, initial=np.inf) <= 0.0:
             raise HyperbolicityError("nonpositive water column in flux evaluation")
     # s/2, with s = max(|eps v_L| + sqrt(g h_L), |eps v_R| + sqrt(g h_R))
     for speed, h, v in ((s, h_l, v_l), (a, h_r, v_r)):
@@ -401,8 +399,7 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
     sides = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                   for a in (zeta_l, v_l, zeta_r, v_r)))
     shape, size = sides[0].shape, sides[0].size
-    tmp, mask = tuple(np.empty((5, size))), np.empty(size, dtype=bool)
-    fluxes = _rusanov(*(a.ravel() for a in sides), params, tmp, mask)
+    fluxes = _rusanov(*(a.ravel() for a in sides), params, tuple(np.empty((5, size))))
     return tuple(f.reshape(shape)[()] for f in fluxes)
 
 
@@ -426,7 +423,7 @@ def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
     for pieces, start, end, strip in ws.strips:
         np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
         strip.kernel.faces()
-        _rusanov(*strip.sides, params, strip.flux_tmp, strip.mask)
+        _rusanov(*strip.sides, params, strip.flux_tmp)
         for (after, before), rate in zip(strip.flux_pairs, ws.rate):
             out = rate[start:end]
             np.subtract(after, before, out=out)

@@ -41,10 +41,14 @@ FLOAT_FMT = "%.17g"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run.
+
+    Every run takes the CFL step that ``cfl`` sets. ``n_disp``, the number
+    of dispersive substeps per step, is a class attribute rather than a
+    field: no config key sets it.
+    """
 
     name: str
-    units: str                      # "nondimensional" or "si"
     x_min: float
     x_max: float
     n_cells: int
@@ -57,16 +61,14 @@ class ScenarioConfig:
     t_end: float
     output_times: tuple[float, ...]
     cfl: float = 0.4
-    fixed_dt: float = 0.0           # 0 disables fixed-dt mode
-    n_disp: int = 1
     blowup_threshold: float = 100.0
     expect_blowup: bool = False
     amplitudes: tuple[float, ...] = ()
     centers: tuple[float, ...] = ()
     directions: tuple[float, ...] = ()
-    corr_center: str = "wave"       # "wave" or a number: corrector profile center
     ic_scale: float = 1.0
     dam_amplitude: float = 0.2091
+    n_disp = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -86,14 +88,14 @@ class ScenarioConfig:
                     f"whitespace, got {value!r}")
             if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
-        if self.units not in ("nondimensional", "si"):
-            raise ConfigurationError(f"unknown units {self.units!r}")
         if sorted(self.output_times) != list(self.output_times):
             raise ConfigurationError("output_times must be sorted")
         if self.output_times and not (0.0 <= self.output_times[0]
                                       and self.output_times[-1] <= self.t_end):
             raise ConfigurationError("output_times must lie in [0, t_end]")
-        ModelVariant(self.variant)
+        variants = [v.value for v in ModelVariant]
+        if self.variant not in variants:
+            raise ConfigurationError(f"variant must be one of {variants}, got {self.variant!r}")
 
     def params(self) -> PhysParams:
         return PhysParams(epsilon=self.epsilon, alpha=self.alpha,
@@ -132,8 +134,9 @@ def write_config(config: ScenarioConfig, path) -> None:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse the flat key/value scenario format; unknown keys are errors."""
-    raw: dict[str, str] = {}
+    """Parse the flat key/value scenario format; unknown keys are errors,
+    and an error in one entry names its line and key."""
+    raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -143,17 +146,17 @@ def parse_config(text: str) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in raw:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = lineno, value
 
     kwargs = {}
-    known = {f.name: f for f in fields(ScenarioConfig)}
-    for key, value in raw.items():
+    known = {f.name: f.type for f in fields(ScenarioConfig)}
+    for key, (lineno, value) in raw.items():
         if key not in known:
-            raise ConfigurationError(f"unknown config key {key!r}")
+            raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
         try:
-            kwargs[key] = _CODECS[known[key].type][0](value)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{key}: {exc}") from None
+            kwargs[key] = _CODECS[known[key]][0](value)
+        except ValueError as exc:   # a ConfigurationError too
+            raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
     try:
         return ScenarioConfig(**kwargs)
     except TypeError as exc:
@@ -164,20 +167,23 @@ def read_config(path) -> ScenarioConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _solitary_waves(config: ScenarioConfig) -> list[SolitaryWaveSpec]:
+    """One wave per entry of the config's amplitudes, centers and directions."""
+    if not (len(config.amplitudes) == len(config.centers) == len(config.directions)):
+        raise ConfigurationError(
+            "solitary initial data needs matching amplitudes/centers/directions")
+    return [SolitaryWaveSpec(amplitude=a, epsilon=config.epsilon, x0=x0, direction=int(d))
+            for a, x0, d in zip(config.amplitudes, config.centers, config.directions)]
+
+
 def initial_state(config: ScenarioConfig) -> State:
     """Evaluate the configured initial condition at the cell centers."""
     x = config.grid().centers
     if config.initial == "solitary":
-        if not (len(config.amplitudes) == len(config.centers) == len(config.directions)):
-            raise ConfigurationError(
-                "solitary initial data needs matching amplitudes/centers/directions")
         zeta = np.zeros_like(x)
         v = np.zeros_like(x)
-        center = None if config.corr_center == "wave" else float(config.corr_center)
-        for a, x0, direction in zip(config.amplitudes, config.centers, config.directions):
-            spec = SolitaryWaveSpec(amplitude=a, epsilon=config.epsilon,
-                                    x0=x0, direction=int(direction))
-            zi, vi = corrected_solution(spec, 0.0, x, corrector_center=center)
+        for spec in _solitary_waves(config):
+            zi, vi = corrected_solution(spec, 0.0, x)
             zeta += zi
             v += vi
         return State(zeta, v)
@@ -216,10 +222,13 @@ def strang_steps(solver: StrangSolver, run: RunState, t_target: float,
     """Step ``run`` to ``t_target``, yielding the state after every step.
 
     dt is ``fixed_dt`` when it is positive and the CFL step of the current
-    state otherwise; the last step is clipped to land on ``t_target``. A
+    state when it is 0; a negative or NaN ``fixed_dt`` raises ValueError at
+    the first step. The last step is clipped to land on ``t_target``. A
     BlowUpError from a step propagates, and the caller's loop variable still
     holds the last state yielded before it.
     """
+    if not fixed_dt >= 0.0:
+        raise ValueError(f"fixed_dt must be >= 0 (0 selects the CFL step), got {fixed_dt}")
     dx = solver.grid.dx
     while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
         dt = fixed_dt if fixed_dt > 0.0 else choose_dt(run.cells, solver.params, dx, cfl)
@@ -258,7 +267,7 @@ def run_scenario(config: ScenarioConfig, outdir=None,
         targets.append(config.t_end)
     try:
         for t_target in targets:
-            for run in strang_steps(solver, run, t_target, config.cfl, config.fixed_dt):
+            for run in strang_steps(solver, run, t_target, config.cfl):
                 pass
             if t_target in config.output_times or not config.output_times:
                 emit(run)
@@ -318,10 +327,8 @@ def run_convergence(base: ScenarioConfig, n_list, t_final: float) -> Convergence
     if len(n_list) < 2:
         raise ConfigurationError(
             f"a convergence slope needs at least two distinct cell counts, got {n_list}")
+    (spec,) = _solitary_waves(base)
     errs_z, errs_v = [], []
-    spec = SolitaryWaveSpec(amplitude=base.amplitudes[0], epsilon=base.epsilon,
-                            x0=base.centers[0], direction=int(base.directions[0]))
-    center = None if base.corr_center == "wave" else float(base.corr_center)
     for n in n_list:
         config = replace(base, n_cells=n, t_end=t_final, output_times=(t_final,),
                          name=f"{base.name}_n{n}")
@@ -330,8 +337,7 @@ def run_convergence(base: ScenarioConfig, n_list, t_final: float) -> Convergence
             raise BlowUpError(f"convergence member N={n} blew up",
                               time=result.blowup_time)
         snap = result.snapshots[-1]
-        zeta_ref, v_ref = corrected_solution(spec, t_final, snap.x,
-                                             corrector_center=center)
+        zeta_ref, v_ref = corrected_solution(spec, t_final, snap.x)
         errs_z.append(relative_l2_error(snap.zeta, zeta_ref))
         errs_v.append(relative_l2_error(snap.v, v_ref))
 
@@ -451,8 +457,7 @@ def local_maxima(zeta: np.ndarray, threshold: float = -np.inf,
 
 def _solitary() -> ScenarioConfig:
     return ScenarioConfig(
-        name="solitary", units="nondimensional",
-        x_min=0.0, x_max=100.0, n_cells=1600,
+        name="solitary", x_min=0.0, x_max=100.0, n_cells=1600,
         epsilon=0.01, alpha=1.0, gravity=1.0, depth=1.0,
         variant="factorized_all", initial="solitary",
         t_end=70.0, output_times=(0.0, 10.0, 30.0, 50.0, 70.0),
@@ -461,8 +466,7 @@ def _solitary() -> ScenarioConfig:
 
 def _head_on() -> ScenarioConfig:
     return ScenarioConfig(
-        name="head_on", units="nondimensional",
-        x_min=-100.0, x_max=100.0, n_cells=1200,
+        name="head_on", x_min=-100.0, x_max=100.0, n_cells=1200,
         epsilon=0.1, alpha=1.0, gravity=1.0, depth=1.0,
         variant="factorized_all", initial="solitary",
         t_end=70.0, output_times=(0.0, 43.0, 46.0, 49.0, 53.0, 55.0, 58.0, 60.0, 70.0),
@@ -471,8 +475,7 @@ def _head_on() -> ScenarioConfig:
 
 def _heap_hf(alpha: float, suffix: str = "") -> ScenarioConfig:
     return ScenarioConfig(
-        name="heap_hf" + suffix, units="nondimensional",
-        x_min=-2.0, x_max=2.0, n_cells=512,
+        name="heap_hf" + suffix, x_min=-2.0, x_max=2.0, n_cells=512,
         epsilon=0.1, alpha=alpha, gravity=1.0, depth=1.0,
         variant="factorized_all", initial="heap_high_freq",
         t_end=3.0, output_times=(0.0, 3.0))
@@ -480,8 +483,7 @@ def _heap_hf(alpha: float, suffix: str = "") -> ScenarioConfig:
 
 def _heap_lf() -> ScenarioConfig:
     return ScenarioConfig(
-        name="heap_lf", units="nondimensional",
-        x_min=-2.0, x_max=2.0, n_cells=512,
+        name="heap_lf", x_min=-2.0, x_max=2.0, n_cells=512,
         epsilon=0.5, alpha=1.0, gravity=1.0, depth=1.0,
         variant="factorized_all", initial="heap_low_freq",
         t_end=3.0, output_times=(0.0, 3.0))
@@ -491,8 +493,7 @@ def _dam_break() -> ScenarioConfig:
     # gravity and depth are not part of the published setup; g = 9.81 m/s^2
     # and h0 = 1 m are the documented assumptions.
     return ScenarioConfig(
-        name="dam_break", units="si",
-        x_min=-700.0, x_max=700.0, n_cells=2800,
+        name="dam_break", x_min=-700.0, x_max=700.0, n_cells=2800,
         epsilon=1.0, alpha=1.0, gravity=9.81, depth=1.0,
         variant="factorized_all", initial="dam_break",
         t_end=65.0, output_times=(0.0, 20.0, 30.0, 65.0),
@@ -505,8 +506,7 @@ def _stability(variant: ModelVariant) -> ScenarioConfig:
     # ~0.2 bound of the fifth-only variant, below the ~0.63 bound of the
     # unfactorized one.
     return ScenarioConfig(
-        name=f"stability_{variant.value}", units="nondimensional",
-        x_min=-2.0, x_max=2.0, n_cells=512,
+        name=f"stability_{variant.value}", x_min=-2.0, x_max=2.0, n_cells=512,
         epsilon=1.0, alpha=1.0, gravity=1.0, depth=1.0,
         variant=variant.value, initial="heap_high_freq",
         t_end=3.0, output_times=(0.0, 1.0, 2.0, 3.0),

@@ -8,7 +8,7 @@ from ebwave.scenarios import ScenarioConfig, builtin_scenario, write_config
 
 def mini_config(tmp_path, **overrides):
     base = dict(
-        name="mini", units="nondimensional",
+        name="mini",
         x_min=-2.0, x_max=2.0, n_cells=64,
         epsilon=0.5, alpha=1.0, gravity=1.0, depth=1.0,
         variant="factorized_all", initial="heap_low_freq",
@@ -36,6 +36,21 @@ def test_simulate_bad_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("name = broken\nunits = imperial\n")
     assert main(["simulate", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_cells", "64.5"), ("cfl", "abc"), ("units", "si"), ("corr_center", "abc"),
+    ("fixed_dt", "0.01"), ("n_disp", "2")])
+def test_simulate_bad_entry_names_key_and_line(tmp_path, capsys, key, value):
+    path = mini_config(tmp_path)
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key} ")]
+    lines.append(f"{key} = {value}")
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}: " in err and key in err
+    assert not (tmp_path / "mini.csv").exists()
 
 
 def test_simulate_unexpected_blowup_exit_code(tmp_path):
@@ -72,6 +87,23 @@ def test_simulate_non_finite_config_value(tmp_path, capsys):
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
     assert "dam_amplitude must be finite" in capsys.readouterr().err
     assert not (tmp_path / "mini.csv").exists()
+
+
+def test_simulate_unknown_variant(tmp_path, capsys):
+    path = mini_config(tmp_path)
+    path.write_text(path.read_text().replace("variant = factorized_all", "variant = spectral"))
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    assert "variant must be one of" in capsys.readouterr().err
+
+
+def test_converge_mismatched_solitary_lists_exit_code(tmp_path, capsys):
+    config = replace(builtin_scenario("solitary"), name="nocenter", centers=())
+    path = tmp_path / "nocenter.cfg"
+    write_config(config, path)
+    code = main(["converge", str(path), "--n", "64,128", "--t-final", "0.1",
+                 "--outdir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "matching amplitudes/centers/directions" in capsys.readouterr().err
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):

@@ -414,6 +414,17 @@ def test_public_kernels_match_allocating_kernel_exactly(n):
                          oracles.numerical_flux(*sides, params))
 
 
+@pytest.mark.parametrize("nan_at,dry_at", [(3, 10), (10, 3)])
+def test_dry_face_beside_a_nan_in_one_strip_raises(nan_at, dry_at):
+    # the dry check must see a nonpositive h past a NaN, which np.min would
+    # return instead of the negative entry
+    zeta = np.full(16, 0.1)
+    zeta[nan_at], zeta[dry_at] = np.nan, -1.5
+    for workspace in (None, FVWorkspace(16)):
+        with pytest.raises(HyperbolicityError):
+            hyperbolic_rhs(State(zeta, np.zeros(16)), ND(1.0), 0.1, workspace=workspace)
+
+
 def test_dry_cell_in_last_strip_raises():
     n = 2 * FV_STRIP + 7
     ws = FVWorkspace(n)
@@ -436,7 +447,7 @@ def test_workspace_size_mismatch_rejected():
 
 
 def workspace_buffers(ws):
-    return [ws.memory, *ws.stage, *ws.rate, *ws.acc, ws.block, *ws.faces, *ws.tmp, ws.mask]
+    return [ws.memory, *ws.stage, *ws.rate, *ws.acc, ws.block, *ws.faces, *ws.tmp]
 
 
 def test_rk4_fv_step_results_own_their_memory():

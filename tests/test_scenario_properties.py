@@ -3,7 +3,8 @@
 The loop runs random wet states, built from a few Fourier modes on grids
 of 16 to 256 cells, to a random target time, with the CFL step or with a
 fixed step below it. The config draws cover every field of
-``ScenarioConfig`` with any value the constructor accepts.
+``ScenarioConfig`` with any value the constructor accepts, and the reader
+draws edit a valid config file with arbitrary value text.
 """
 
 from dataclasses import fields
@@ -12,8 +13,8 @@ import numpy as np
 from hypothesis import given, reject, settings, strategies as st
 
 from ebwave.core import ConfigurationError, ModelVariant, PhysParams, State, build_grid
-from ebwave.scenarios import (ScenarioConfig, choose_dt, read_config, strang_steps,
-                              write_config)
+from ebwave.scenarios import (ScenarioConfig, builtin_scenario, choose_dt, parse_config,
+                              read_config, strang_steps, write_config)
 from ebwave.splitting import RunState, StrangSolver
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -63,7 +64,6 @@ def configs(draw):
     kwargs = {f.name: draw(kinds[f.type]) if f.type in kinds
               else tuple(draw(st.lists(FINITE, max_size=3)))
               for f in fields(ScenarioConfig)}
-    kwargs["units"] = draw(st.sampled_from(["nondimensional", "si"]))
     kwargs["variant"] = draw(st.sampled_from([v.value for v in ModelVariant]))
     kwargs["t_end"] = draw(st.floats(0.0, 1e300))
     kwargs["output_times"] = tuple(sorted(draw(
@@ -80,3 +80,28 @@ def test_config_file_round_trip(tmp_path_factory, config):
     path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
     write_config(config, path)
     assert read_config(path) == config
+
+
+KEYS = [f.name for f in fields(ScenarioConfig)]
+VALUE_TEXT = st.one_of(st.text(max_size=12), st.integers(-10**6, 10**6).map(str),
+                       st.floats().map(repr), st.sampled_from(["true", "false", "1,2", ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(KEYS), VALUE_TEXT, max_size=4),
+       dropped=st.sets(st.sampled_from(KEYS), max_size=2),
+       extra=st.lists(st.tuples(st.sampled_from(KEYS), VALUE_TEXT), max_size=2))
+def test_config_reader_raises_only_configuration_errors(tmp_path_factory, edits, dropped,
+                                                        extra):
+    """``key = value`` lines over the known keys, starting from a valid file:
+    the reader returns a config or raises ConfigurationError, nothing else."""
+    path = tmp_path_factory.getbasetemp() / "reader.cfg"
+    write_config(builtin_scenario("head_on"), path)
+    entries = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+    entries.update(edits)
+    lines = [(key, value) for key, value in entries.items() if key not in dropped] + extra
+    try:
+        config = parse_config("".join(f"{key} = {value}\n" for key, value in lines))
+    except ConfigurationError:
+        return
+    assert isinstance(config, ScenarioConfig)

@@ -9,14 +9,14 @@ from ebwave.scenarios import (CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult, Sn
                               builtin_names, builtin_scenario, choose_dt,
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
-                              run_dispersion_report, run_scenario, track_crest,
-                              write_config, write_snapshots_csv)
+                              run_dispersion_report, run_scenario, strang_steps,
+                              track_crest, write_config, write_snapshots_csv)
 from ebwave.splitting import RunState, StrangSolver
 
 
 def small_config(**overrides) -> ScenarioConfig:
     base = dict(
-        name="mini", units="nondimensional",
+        name="mini",
         x_min=-2.0, x_max=2.0, n_cells=64,
         epsilon=0.5, alpha=1.0, gravity=1.0, depth=1.0,
         variant="factorized_all", initial="heap_low_freq",
@@ -112,13 +112,44 @@ def test_parse_config_errors():
         parse_config("name = x")
 
 
+def test_parse_config_errors_name_the_line_and_key():
+    with pytest.raises(ConfigurationError, match=r"^line 2: n_cells: invalid literal"):
+        parse_config("name = x\nn_cells = 64.5")
+    with pytest.raises(ConfigurationError, match=r"^line 3: x_min: could not convert"):
+        parse_config("name = x\n# a comment\nx_min = abc")
+    with pytest.raises(ConfigurationError, match=r"^line 2: expect_blowup: expected true"):
+        parse_config("name = x\nexpect_blowup = 1")
+    for key in ("bogus_key", "units", "corr_center", "fixed_dt", "n_disp"):
+        with pytest.raises(ConfigurationError, match=rf"^line 2: unknown config key '{key}'"):
+            parse_config(f"name = x\n{key} = 1")
+
+
+def test_config_fields():
+    names = {f.name for f in fields(ScenarioConfig)}
+    assert len(names) == 20
+    assert not names & {"units", "corr_center", "fixed_dt", "n_disp"}
+    assert ScenarioConfig.n_disp == 1 and builtin_scenario("head_on").n_disp == 1
+
+
+def test_unknown_variant_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="variant must be one of .*'spectral'"):
+        small_config(variant="spectral")
+
+
+@pytest.mark.parametrize("fixed_dt", [-0.01, np.nan])
+def test_strang_steps_rejects_negative_fixed_dt(fixed_dt):
+    config = small_config()
+    grid = config.grid()
+    run = RunState.initial(initial_state(config), grid.dx)
+    with pytest.raises(ValueError, match="fixed_dt must be >= 0"):
+        next(strang_steps(StrangSolver(grid, config.params()), run, 0.1, fixed_dt=fixed_dt))
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         small_config(output_times=(0.2, 0.1))
     with pytest.raises(ConfigurationError):
         small_config(output_times=(0.0, 5.0))
-    with pytest.raises(ConfigurationError):
-        small_config(units="imperial")
     with pytest.raises(ValueError):
         small_config(variant="spectral")
     # text the config file would not read back as written
@@ -128,7 +159,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name,value", [
-    ("n_cells", 64.5), ("n_cells", "64"), ("n_cells", True), ("n_disp", np.float64(2.0)),
+    ("n_cells", 64.5), ("n_cells", "64"), ("n_cells", True), ("n_cells", np.float64(64.0)),
     ("epsilon", "0.1"), ("epsilon", None), ("epsilon", False),
     ("output_times", [0.0, 0.1]), ("amplitudes", (0.1, "0.2")), ("amplitudes", (True,)),
     ("name", 3), ("expect_blowup", 1), ("expect_blowup", np.bool_(True))])
@@ -138,7 +169,7 @@ def test_config_rejects_mistyped_fields(name, value):
 
 
 def test_config_accepts_integers_and_reals_of_any_kind():
-    config = small_config(n_cells=np.int64(64), n_disp=np.int32(1), epsilon=1,
+    config = small_config(n_cells=np.int64(64), epsilon=1,
                           alpha=np.float32(1.0), output_times=(0, np.float64(0.1), 0.2))
     assert run_scenario(config).steps > 0
     with pytest.raises(ConfigurationError, match="epsilon must be finite"):
