@@ -15,10 +15,8 @@ from .dispersion import (DispersionInstabilityError, DispersionKind,
                          weighted_error)
 from .analytic import (SolitaryWaveSpec, base_wave, corrected_solution,
                        corrector_source, dam_break_profile, heap_profile)
-from .splitting import (ConversionOperator, RunState, StrangSolver,
-                        cell_to_nodal, choose_dt, nodal_to_cell)
-from .dispersive import (DispersiveOperators, apply_stencil, build_operators,
-                         dispersive_rhs, rk4_fd_step)
+from .splitting import ConversionOperator, RunState, StrangSolver, choose_dt
+from .dispersive import DispersiveOperators, apply_stencil, build_operators, rk4_fd_step
 from .hyperbolic import (hyperbolic_rhs, limiter, numerical_flux, physical_flux,
                          reconstruct_interfaces, reconstruction_deltas,
                          rk4_fv_step)

@@ -129,11 +129,9 @@ def build_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
 
 @dataclass
 class State:
-    """Surface deformation and velocity on a periodic grid.
-
-    The same container serves both halves of the split scheme: it holds cell
-    averages in the finite-volume step and point values at the cell centers
-    in the finite-difference step.
+    """Cell averages of the surface deformation and velocity on a periodic
+    grid: the unknowns of the finite-volume step and of a run. The
+    finite-difference step takes its point values as bare arrays.
     """
 
     zeta: np.ndarray

@@ -48,7 +48,10 @@ in one of two forms:
 
 J, P, K and the conversion are all ``CirculantSolver``s: the conversion
 is the subclass whose ``forward`` applies its stencil in pair form and
-whose ``inverse`` is the inherited ``solve``.
+whose ``inverse`` is the inherited ``solve``. ``StrangSolver.strang_step``
+converts zeta and v to point values one field at a time, steps v alone
+over the frozen zeta with ``rk4_fd_step``, which takes and returns bare
+arrays, and converts only v back.
 
 The nonlinear velocity term 2/3 eps^2 J^{-1} D1 (D1 v)^2 folds the outer
 D1 into the J solve: circulants commute, so K = 2/3 eps^2 J^{-1} D1 is one
@@ -66,7 +69,7 @@ sum of v, each a (1, n) block as the finite-volume ones are (2, n) blocks,
 so that ``rk4_in_place`` has one layout, and one complex spectrum, which
 the FFTs write into through ``out=``. The conversion and the allocating
 ``apply_stencil`` take their scratch from the same workspace (a new one
-when none is passed). A step allocates only its result, where the
+when none is passed). A step allocates only the new v, where the
 allocating kernel took a fresh N-sized array for almost every numpy
 operation. Its seven N-sized rows are 3.5 MiB at N = 65536, as much as
 the allocating kernel's peak of temporaries, so the solver carves them
@@ -81,8 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
-                   State, periodic_pad)
+from .core import BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams, periodic_pad
 from .hyperbolic import rk4_in_place, workspace_for
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
@@ -409,17 +411,6 @@ class ConversionOperator(CirculantSolver):
     inverse = CirculantSolver.solve
 
 
-def cell_to_nodal(state: State, conv: ConversionOperator,
-                  workspace: FDWorkspace | None = None) -> State:
-    """Point values of both components at the cell centers."""
-    return State(conv.forward(state.zeta, workspace), conv.forward(state.v, workspace))
-
-
-def nodal_to_cell(state: State, conv: ConversionOperator) -> State:
-    """Exact inverse of :func:`cell_to_nodal` through the factorized map."""
-    return State(conv.inverse(state.zeta), conv.inverse(state.v))
-
-
 # what a bracket term is multiplied by, pointwise: nothing, zeta or the gradient
 _PLAIN, _TIMES_ZETA, _TIMES_GRADIENT = range(3)
 
@@ -573,30 +564,23 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarr
     return np.subtract(zeta_source, nonlinear, out=rate)
 
 
-def dispersive_rhs(state: State, ops: DispersiveOperators):
-    """Full rate of the dispersive part: (d zeta/dt, dv/dt) with
-    d zeta/dt identically zero."""
-    source = zeta_source_term(ops, state.zeta)
-    return np.zeros_like(state.zeta), velocity_rate(ops, state.v, source)
+def rk4_fd_step(zeta: np.ndarray, v: np.ndarray, dt: float, ops: DispersiveOperators,
+                workspace: FDWorkspace | None = None) -> np.ndarray:
+    """Advance the nodal velocity ``v`` by one RK4 step of the dispersive
+    part over the frozen nodal surface ``zeta``; returns the new v.
 
-
-def rk4_fd_step(state: State, dt: float, ops: DispersiveOperators,
-                workspace: FDWorkspace | None = None) -> State:
-    """Advance the nodal velocity by one RK4 step of the dispersive part.
-
-    zeta is returned bit-identical to the input (as a copy). The zeta-only
-    part of the rate is evaluated once and shared by the four stages, which
-    is exact because zeta does not move during this half step. The stages
-    live in ``workspace`` (built here when None); only the two returned
-    arrays are allocated.
+    The zeta-only part of the rate is evaluated once and shared by the four
+    stages, which is exact because zeta does not move during this half
+    step. Neither input is written to. The stages live in ``workspace``
+    (built here when None); only the returned array is allocated.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
-    source = zeta_source_term(ops, state.zeta, workspace=ws)
+    source = zeta_source_term(ops, zeta, workspace=ws)
     (v_new,) = rk4_in_place(
-        (state.v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace=ws), ws)
+        (v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace=ws), ws)
     # min and max propagate NaN and reach any infinity, without a mask array
     if not (np.isfinite(v_new.min()) and np.isfinite(v_new.max())):
         raise BlowUpError("non-finite velocity after dispersive step")
-    return State(state.zeta.copy(), v_new)
+    return v_new

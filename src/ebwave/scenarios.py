@@ -88,6 +88,11 @@ class ScenarioConfig:
                     f"whitespace, got {value!r}")
             if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ConfigurationError(f"cfl must be in (0, 1], got {self.cfl}")
+        if self.blowup_threshold <= 0.0:
+            raise ConfigurationError(
+                f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if sorted(self.output_times) != list(self.output_times):
             raise ConfigurationError("output_times must be sorted")
         if self.output_times and not (0.0 <= self.output_times[0]
@@ -177,7 +182,9 @@ def _solitary_waves(config: ScenarioConfig) -> list[SolitaryWaveSpec]:
 
 
 def initial_state(config: ScenarioConfig) -> State:
-    """Evaluate the configured initial condition at the cell centers."""
+    """Evaluate the configured initial condition at the cell centers; a
+    water column h0 + eps*zeta that is not positive everywhere (a dry bed at
+    t = 0) is a ConfigurationError."""
     x = config.grid().centers
     if config.initial == "solitary":
         zeta = np.zeros_like(x)
@@ -186,13 +193,20 @@ def initial_state(config: ScenarioConfig) -> State:
             zi, vi = corrected_solution(spec, 0.0, x)
             zeta += zi
             v += vi
-        return State(zeta, v)
-    if config.initial in ("heap_high_freq", "heap_low_freq"):
+        state = State(zeta, v)
+    elif config.initial in ("heap_high_freq", "heap_low_freq"):
         kind = config.initial.removeprefix("heap_")
-        return State(config.ic_scale * heap_profile(kind, x), np.zeros_like(x))
-    if config.initial == "dam_break":
-        return State(dam_break_profile(config.dam_amplitude, x), np.zeros_like(x))
-    raise ConfigurationError(f"unknown initial condition {config.initial!r}")
+        state = State(config.ic_scale * heap_profile(kind, x), np.zeros_like(x))
+    elif config.initial == "dam_break":
+        state = State(dam_break_profile(config.dam_amplitude, x), np.zeros_like(x))
+    else:
+        raise ConfigurationError(f"unknown initial condition {config.initial!r}")
+    params = config.params()
+    if not state.is_hyperbolic(params):
+        raise ConfigurationError(
+            "dry bed at t = 0: the water column h0 + eps*zeta falls to "
+            f"{np.min(state.water_column(params)):g}")
+    return state
 
 
 @dataclass
@@ -253,10 +267,11 @@ def run_scenario(config: ScenarioConfig, outdir=None,
     mass_initial = run.mass
 
     snapshots: list[Snapshot] = []
+    x = grid.centers                # shared, read-only, by every snapshot
+    x.flags.writeable = False
 
     def emit(state: RunState):
-        snap = Snapshot(state.t, grid.centers.copy(),
-                        state.cells.zeta.copy(), state.cells.v.copy())
+        snap = Snapshot(state.t, x, state.cells.zeta.copy(), state.cells.v.copy())
         snapshots.append(snap)
         if on_snapshot is not None:
             on_snapshot(snap.t, snap.x, snap.zeta, snap.v)
@@ -357,19 +372,14 @@ def write_convergence_csv(report: ConvergenceReport, path) -> None:
                  np.column_stack([report.n_cells, report.err_zeta, report.err_v]))
 
 
-_MODEL_KINDS = {
-    "eb_unfactorized": DispersionKind.EB_UNFACTORIZED,
-    "eb_factorized": DispersionKind.EB_FACTORIZED,
-}
+_MODEL_KINDS = ("eb_unfactorized", "eb_factorized")     # DispersionKind values
 
 
-def dispersion_model(kind_name: str, alpha: float = 1.0,
-                     gravity: float = 1.0, depth: float = 1.0) -> DispersionModel:
+def dispersion_model(kind_name: str, alpha: float = 1.0) -> DispersionModel:
     if kind_name not in _MODEL_KINDS:
         raise ConfigurationError(
             f"model must be one of {sorted(_MODEL_KINDS)}, got {kind_name!r}")
-    params = PhysParams(epsilon=1.0, alpha=alpha, gravity=gravity, depth=depth)
-    return DispersionModel(_MODEL_KINDS[kind_name], params)
+    return DispersionModel(DispersionKind(kind_name), PhysParams(epsilon=1.0, alpha=alpha))
 
 
 def run_dispersion_report(kind_name: str, alpha: float, k_max: float,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from ebwave import scenarios
 from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
+from ebwave.core import HyperbolicityError
 from ebwave.scenarios import ScenarioConfig, builtin_scenario, write_config
 
 
@@ -70,12 +72,37 @@ def test_simulate_expected_blowup_is_success(tmp_path):
 
 
 def test_simulate_dry_bed_exit_code(tmp_path, capsys):
+    # dry at t = 0: the initial state is rejected as a configuration error
     config = replace(builtin_scenario("dam_break"), name="dry", dam_amplitude=-0.6)
     path = tmp_path / "dry.cfg"
     write_config(config, path)
-    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_BLOWUP
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: dry bed at t = 0")
+    assert not (tmp_path / "dry.csv").exists()
+
+
+def test_simulate_dry_bed_during_the_run_exit_code(tmp_path, capsys, monkeypatch):
+    def dries_up(config, outdir=None):
+        raise HyperbolicityError("water column 0 at face 3")
+
+    monkeypatch.setattr(scenarios, "run_scenario", dries_up)
+    assert main(["simulate", "heap_lf", "--outdir", str(tmp_path)]) == EXIT_BLOWUP
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("dry bed")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("cfl", "2", "cfl must be in (0, 1], got 2.0"),
+    ("blowup_threshold", "-1", "blowup_threshold must be positive, got -1.0")])
+def test_simulate_out_of_range_value_exit_code(tmp_path, capsys, key, value, message):
+    path = mini_config(tmp_path)
+    path.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} ") else line
+                            for line in path.read_text().splitlines(keepends=True)))
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: {message}"]
+    assert not (tmp_path / "mini.csv").exists()
 
 
 def test_simulate_non_finite_config_value(tmp_path, capsys):

@@ -4,13 +4,18 @@ import pytest
 from ebwave.core import (BlowUpError, ConfigurationError, ModelVariant, PhysParams,
                          State, build_grid)
 from ebwave.dispersive import (_STENCILS, CirculantSolver, DispersiveOperators,
-                               PairStencil, apply_stencil, build_operators, dispersive_rhs,
+                               FDWorkspace, PairStencil, apply_stencil, build_operators,
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.splitting import RunState, StrangSolver
 
 from oracles import dense_dispersive_rhs, dense_j_p, dense_matrix
 
 ND = PhysParams.nondimensional
+
+
+def dispersive_rate(ops, zeta, v):
+    """dv/dt of the dispersive part at the point values (zeta, v)."""
+    return velocity_rate(ops, v, zeta_source_term(ops, zeta))
 
 
 def test_stencil_structure():
@@ -149,8 +154,7 @@ def test_dispersive_rhs_matches_dense_oracle(variant):
     for _ in range(25):
         zeta = 0.3 * rng.standard_normal(32)
         v = 0.3 * rng.standard_normal(32)
-        rate_z, rate_v = dispersive_rhs(State(zeta, v), ops)
-        assert np.all(rate_z == 0.0)
+        rate_v = dispersive_rate(ops, zeta, v)
         want = dense_dispersive_rhs(variant, zeta, v, grid, params)
         assert np.allclose(rate_v, want, rtol=1e-12, atol=1e-12)
 
@@ -159,7 +163,7 @@ def test_rhs_zero_cases():
     grid = build_grid(0.0, 2.0, 24)
     params = ND(0.3)
     ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
-    _, rate_v = dispersive_rhs(State(np.zeros(24), np.full(24, 0.8)), ops)
+    rate_v = dispersive_rate(ops, np.zeros(24), np.full(24, 0.8))
     assert np.allclose(rate_v, 0.0, atol=1e-14)
 
 
@@ -185,29 +189,33 @@ def test_linearized_rate_reproduces_dispersion_symbol():
     delta = 1e-8
     for mode in [1, 3, 9]:
         zeta = delta * np.cos(2 * np.pi * mode * np.arange(n) / n)
-        _, rate_v = dispersive_rhs(State(zeta, np.zeros(n)), ops)
+        rate_v = dispersive_rate(ops, zeta, np.zeros(n))
         want = np.fft.ifft(mult * np.fft.fft(zeta)).real
         assert np.allclose(rate_v, want, atol=delta * 1e-10)
 
 
-def test_rk4_fd_step_zeta_bitwise_invariant():
+def test_rk4_fd_step_leaves_its_inputs_unchanged():
     grid = build_grid(0.0, 2.0, 32)
     ops = build_operators(grid, ND(0.4), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(12)
-    state = State(0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32))
-    out = state
-    for _ in range(10):
-        out = rk4_fd_step(out, 0.01, ops)
-    assert np.array_equal(out.zeta, state.zeta)
+    zeta, v = 0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32)
+    saved = zeta.copy(), v.copy()
+    zeta.flags.writeable = v.flags.writeable = False    # a write would raise
+    for ws in (None, FDWorkspace(32)):
+        out = v
+        for _ in range(10):
+            out = rk4_fd_step(zeta, out, 0.01, ops, workspace=ws)
+        assert np.array_equal(zeta, saved[0]) and np.array_equal(v, saved[1])
+        assert not np.array_equal(out, v)
+        assert not np.shares_memory(out, zeta) and not np.shares_memory(out, v)
 
 
 def test_rk4_fd_step_velocity_invariant_at_zero_epsilon():
     grid = build_grid(0.0, 2.0, 32)
     ops = build_operators(grid, ND(0.0), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(13)
-    state = State(0.5 * rng.standard_normal(32), 0.5 * rng.standard_normal(32))
-    out = rk4_fd_step(state, 0.05, ops)
-    assert np.array_equal(out.v, state.v)
+    zeta, v = 0.5 * rng.standard_normal(32), 0.5 * rng.standard_normal(32)
+    assert np.array_equal(rk4_fd_step(zeta, v, 0.05, ops), v)
 
 
 def test_rk4_fd_step_preserves_parity():
@@ -216,31 +224,29 @@ def test_rk4_fd_step_preserves_parity():
     grid = build_grid(0.0, 2 * np.pi, n)
     ops = build_operators(grid, ND(0.3), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
-    state = State(0.2 * np.cos(x - np.pi) + 0.1 * np.cos(3 * (x - np.pi)),
-                       0.1 * np.sin(x - np.pi))
-    out = state
+    zeta = 0.2 * np.cos(x - np.pi) + 0.1 * np.cos(3 * (x - np.pi))
+    v = 0.1 * np.sin(x - np.pi)
     for _ in range(5):
-        out = rk4_fd_step(out, 0.02, ops)
-    assert np.max(np.abs(out.zeta - out.zeta[::-1])) < 1e-12
-    assert np.max(np.abs(out.v + out.v[::-1])) < 1e-12
+        v = rk4_fd_step(zeta, v, 0.02, ops)
+    assert np.max(np.abs(zeta - zeta[::-1])) < 1e-12
+    assert np.max(np.abs(v + v[::-1])) < 1e-12
 
 
 def test_euler_and_rk4_time_orders():
     grid = build_grid(0.0, 2 * np.pi, 64)
     ops = build_operators(grid, ND(0.5), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
-    state0 = State(0.3 * np.sin(x), 0.2 * np.cos(2 * x))
+    zeta, v0 = 0.3 * np.sin(x), 0.2 * np.cos(2 * x)
 
-    def euler_step(s, dt):
-        source = zeta_source_term(ops, s.zeta)
-        return State(s.zeta, s.v + dt * velocity_rate(ops, s.v, source))
+    def euler_step(v, dt):
+        return v + dt * dispersive_rate(ops, zeta, v)
 
     def evolve(dt, t_end, euler):
-        step = euler_step if euler else lambda s, dt: rk4_fd_step(s, dt, ops)
-        s = State(state0.zeta.copy(), state0.v.copy())
+        step = euler_step if euler else lambda v, dt: rk4_fd_step(zeta, v, dt, ops)
+        v = v0
         for _ in range(int(round(t_end / dt))):
-            s = step(s, dt)
-        return s.v
+            v = step(v, dt)
+        return v
 
     ref = evolve(1 / 2048, 0.5, euler=False)
     for euler, lo, hi in [(True, 0.85, 1.2), (False, 3.5, 4.5)]:
@@ -256,9 +262,8 @@ def test_blowup_detection_on_nonfinite():
     ops = build_operators(grid, ND(0.4), ModelVariant.FACTORIZED_ALL)
     v = np.zeros(32)
     v[5] = 1e200
-    state = State(np.zeros(32), v)
     with pytest.raises(BlowUpError):
-        rk4_fd_step(state, 1.0, ops)
+        rk4_fd_step(np.zeros(32), v, 1.0, ops)
 
 
 def test_high_frequency_instability_reproduction():

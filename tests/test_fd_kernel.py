@@ -28,7 +28,7 @@ from ebwave.dispersive import (_CONVERSION, FDWorkspace, PairStencil, apply_sten
                                velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import FVWorkspace, rk4_fv_step
 from ebwave.scenarios import builtin_scenario, choose_dt, initial_state
-from ebwave.splitting import ConversionOperator, RunState, StrangSolver, cell_to_nodal
+from ebwave.splitting import ConversionOperator, RunState, StrangSolver
 
 import oracles
 
@@ -66,9 +66,8 @@ def test_fd_kernel_matches_allocating_kernel(variant, n):
         for ws in (None, FDWorkspace(n), reused):
             assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, 1e-12)
             assert_close(velocity_rate(ops, state.v, source, workspace=ws), rate, 1e-12)
-            got = rk4_fd_step(state, 0.05, ops, workspace=ws)
-            assert np.array_equal(got.zeta, state.zeta)
-            assert_close(got.v, want.v, 1e-12)
+            got = rk4_fd_step(state.zeta, state.v, 0.05, ops, workspace=ws)
+            assert_close(got, want.v, 1e-12)
 
 
 def dam_break_64k():
@@ -78,7 +77,8 @@ def dam_break_64k():
                      output_times=(0.0, 0.1))
     grid, params = config.grid(), config.params()
     cells = initial_state(config)
-    state = cell_to_nodal(cells, ConversionOperator(grid.n_cells))
+    conv = ConversionOperator(grid.n_cells)
+    state = State(conv.forward(cells.zeta), conv.forward(cells.v))
     return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
 
 
@@ -118,7 +118,7 @@ def test_fd_kernel_on_fine_grid_matches_long_double_reference(variant):
                                                     grid, params, dt=1e-4)
         for ws in (None, reused):
             assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, rel)
-            assert_close(rk4_fd_step(state, 1e-4, ops, workspace=ws).v, v, rel)
+            assert_close(rk4_fd_step(state.zeta, state.v, 1e-4, ops, workspace=ws), v, rel)
 
 
 def dam_break_64k():
@@ -128,7 +128,8 @@ def dam_break_64k():
                      output_times=(0.0, 0.1))
     grid, params = config.grid(), config.params()
     cells = initial_state(config)
-    state = cell_to_nodal(cells, ConversionOperator(grid.n_cells))
+    conv = ConversionOperator(grid.n_cells)
+    state = State(conv.forward(cells.zeta), conv.forward(cells.v))
     return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
 
 
@@ -142,10 +143,10 @@ def test_fd_kernel_matches_on_dam_break_64k_initial_state(variant):
     want_source = oracles.zeta_source_term(want_ops, state.zeta)
     want_v = oracles.rk4_fd_step(state, dt, want_ops).v
     reused = FDWorkspace(grid.n_cells)
-    rk4_fd_step(state, dt, ops, workspace=reused)
+    rk4_fd_step(state.zeta, state.v, dt, ops, workspace=reused)
     for ws in (None, reused):
         got_source = zeta_source_term(ops, state.zeta, workspace=ws)
-        got_v = rk4_fd_step(state, dt, ops, workspace=ws).v
+        got_v = rk4_fd_step(state.zeta, state.v, dt, ops, workspace=ws)
         assert_close(got_source, source, 1e-9)
         assert_close(got_v, v, 1e-9)
         if variant is ModelVariant.UNFACTORIZED:
@@ -224,10 +225,10 @@ def test_fd_results_own_their_memory():
     ws = FDWorkspace(n)
     state = random_state(np.random.default_rng(5), n)
     saved = state.copy()
-    first = rk4_fd_step(state, 1e-3, ops, workspace=ws)
-    second = rk4_fd_step(first, 1e-3, ops, workspace=ws)
+    first = rk4_fd_step(state.zeta, state.v, 1e-3, ops, workspace=ws)
+    second = rk4_fd_step(state.zeta, first, 1e-3, ops, workspace=ws)
     assert np.array_equal(state.zeta, saved.zeta) and np.array_equal(state.v, saved.v)
-    outputs = [first.zeta, first.v, second.zeta, second.v]
+    outputs = [first, second]
     for i, a in enumerate(outputs):
         assert not any(np.shares_memory(a, b) for b in fd_buffers(ws))
         assert not any(np.shares_memory(a, b) for b in outputs[i + 1:])
@@ -241,15 +242,15 @@ def test_rk4_fd_step_allocates_only_its_result():
     ws = FDWorkspace(n)
     x = grid.centers
     state = State(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
-    rk4_fd_step(state, 1e-3, ops, workspace=ws)      # warm up
+    rk4_fd_step(state.zeta, state.v, 1e-3, ops, workspace=ws)      # warm up
     tracemalloc.start()
     try:
-        out = rk4_fd_step(state, 1e-3, ops, workspace=ws)
+        out = rk4_fd_step(state.zeta, state.v, 1e-3, ops, workspace=ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.zeta.nbytes + out.v.nbytes == 1 << 20
-    assert peak < 1.5 * (1 << 20)
+    assert out.nbytes == 1 << 19
+    assert peak < 1.5 * (1 << 19)
 
 
 def test_fd_workspace_size_and_memory_checked():
@@ -279,10 +280,10 @@ def test_strang_step_on_shared_workspace_memory(variant):
     for _ in range(3):
         dt = 0.02
         cells = rk4_fv_step(run.cells, 0.5 * dt, params, grid.dx, workspace=FVWorkspace(n))
-        nodal = cell_to_nodal(cells, conv)
+        zeta, v = conv.forward(cells.zeta), conv.forward(cells.v)
         for _ in range(2):
-            nodal = rk4_fd_step(nodal, 0.5 * dt, solver.operators, workspace=FDWorkspace(n))
-        cells = State(cells.zeta, conv.inverse(nodal.v))
+            v = rk4_fd_step(zeta, v, 0.5 * dt, solver.operators, workspace=FDWorkspace(n))
+        cells = State(cells.zeta, conv.inverse(v))
         want = rk4_fv_step(cells, 0.5 * dt, params, grid.dx)
         run = solver.strang_step(run, dt)
         assert np.array_equal(run.cells.zeta, want.zeta)

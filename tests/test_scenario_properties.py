@@ -66,6 +66,8 @@ def configs(draw):
               for f in fields(ScenarioConfig)}
     kwargs["variant"] = draw(st.sampled_from([v.value for v in ModelVariant]))
     kwargs["t_end"] = draw(st.floats(0.0, 1e300))
+    kwargs["cfl"] = draw(st.floats(0.0, 1.0, exclude_min=True))
+    kwargs["blowup_threshold"] = draw(st.floats(0.0, 1e300, exclude_min=True))
     kwargs["output_times"] = tuple(sorted(draw(
         st.lists(st.floats(0.0, kwargs["t_end"]), max_size=4))))
     try:

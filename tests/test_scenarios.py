@@ -4,7 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ebwave.core import BlowUpError, ConfigurationError
+from ebwave.core import BlowUpError, ConfigurationError, PhysParams
+from ebwave.dispersion import DispersionKind
 from ebwave.scenarios import (CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult, Snapshot,
                               builtin_names, builtin_scenario, choose_dt,
                               dispersion_model, initial_state, local_maxima,
@@ -168,6 +169,22 @@ def test_config_rejects_mistyped_fields(name, value):
         replace(builtin_scenario("head_on"), **{name: value})
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("cfl", 0.0, r"cfl must be in \(0, 1\], got 0.0"),
+    ("cfl", -0.4, r"cfl must be in \(0, 1\], got -0.4"),
+    ("cfl", 1.5, r"cfl must be in \(0, 1\], got 1.5"),
+    ("blowup_threshold", 0.0, "blowup_threshold must be positive, got 0.0"),
+    ("blowup_threshold", -1.0, "blowup_threshold must be positive, got -1.0")])
+def test_config_rejects_out_of_range_cfl_and_blowup_threshold(name, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        small_config(**{name: value})
+
+
+def test_config_accepts_the_ends_of_the_ranges():
+    assert small_config(cfl=1.0).cfl == 1.0
+    assert small_config(cfl=1e-3, blowup_threshold=1e-300).blowup_threshold == 1e-300
+
+
 def test_config_accepts_integers_and_reals_of_any_kind():
     config = small_config(n_cells=np.int64(64), epsilon=1,
                           alpha=np.float32(1.0), output_times=(0, np.float64(0.1), 0.2))
@@ -210,6 +227,19 @@ def test_initial_state_selectors():
         initial_state(small_config(initial="solitary", amplitudes=(0.2,)))
 
 
+def test_initial_state_rejects_a_dry_bed():
+    dam = dict(initial="dam_break", x_min=-700.0, x_max=700.0, n_cells=128, epsilon=1.0)
+    heap = dict(initial="heap_high_freq", epsilon=0.1)
+    for config in (small_config(dam_amplitude=-0.6, **dam),
+                   small_config(ic_scale=-50.0, **heap)):
+        with pytest.raises(ConfigurationError, match="dry bed at t = 0"):
+            initial_state(config)
+        with pytest.raises(ConfigurationError, match="dry bed at t = 0"):
+            run_scenario(config)
+    # wet everywhere, however little: accepted
+    assert initial_state(small_config(dam_amplitude=-0.49, **dam)).zeta.min() > -1.0
+
+
 def test_initial_state_scaling():
     from ebwave.analytic import heap_profile
     config = small_config(initial="heap_high_freq", ic_scale=0.5)
@@ -228,6 +258,15 @@ def test_run_scenario_snapshots_and_csv(tmp_path):
     csv = (tmp_path / "mini.csv").read_text().splitlines()
     assert csv[0] == "t,x,zeta,v"
     assert len(csv) == 1 + 3 * 64
+
+
+def test_snapshots_share_one_read_only_x():
+    config = small_config()
+    result = run_scenario(config)
+    x = result.snapshots[0].x
+    assert all(snap.x is x for snap in result.snapshots)
+    assert not x.flags.writeable
+    assert np.array_equal(x, config.grid().centers)
 
 
 def test_run_scenario_deterministic_output(tmp_path):
@@ -300,6 +339,15 @@ def test_dispersion_report(tmp_path):
 def test_dispersion_model_rejects_unknown():
     with pytest.raises(ConfigurationError):
         dispersion_model("shallow_water")
+
+
+def test_dispersion_model_kinds():
+    for kind in (DispersionKind.EB_UNFACTORIZED, DispersionKind.EB_FACTORIZED):
+        model = dispersion_model(kind.value, 1.2)
+        assert model.kind is kind and model.params == PhysParams(epsilon=1.0, alpha=1.2)
+    with pytest.raises(ConfigurationError,
+                       match=r"\['eb_factorized', 'eb_unfactorized'\], got 'full_euler'"):
+        dispersion_model("full_euler")
 
 
 def test_track_crest_quadratic_exactness():
