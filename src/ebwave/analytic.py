@@ -157,8 +157,6 @@ def gaussian_corrector_profile(x, center: float = 0.0):
 
 
 def corrected_solution(spec: SolitaryWaveSpec, t: float, x,
-                       corrector_center: float | None = None,
-                       corrector_profiles=None,
                        substep: float | None = None):
     """Solitary wave with second-order correctors at time t >= 0.
 
@@ -167,24 +165,19 @@ def corrected_solution(spec: SolitaryWaveSpec, t: float, x,
     v    = v1    + eps^2/2 [ (z2+v2)(x-t) - (z2-v2)(x+t)
                              + int_0^t f(s, x-t+s) ds + int_0^t f(s, x+t-s) ds ]
 
-    The corrector profiles z2, v2 default to a Gaussian centered on the
-    wave launch point (``corrector_center``, default spec.x0) so the
-    correction travels with the wave; pass ``corrector_profiles=(z2, v2)``
-    to override. The characteristic integrals are composite Simpson with
-    substep min(0.05, t/10) unless ``substep`` overrides it.
+    The corrector profiles z2 = v2 are the Gaussian
+    ``gaussian_corrector_profile`` centered on the wave launch point
+    spec.x0, so (z2-v2)(x+t) vanishes and the correction travels with the
+    wave. The characteristic integrals are composite Simpson with substep
+    min(0.05, t/10); ``substep`` overrides it, to check that the quadrature
+    has converged.
     """
     x = np.asarray(x, dtype=float)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    center = spec.x0 if corrector_center is None else corrector_center
-    if corrector_profiles is None:
-        z2 = v2 = lambda y: gaussian_corrector_profile(y, center)
-    else:
-        z2, v2 = corrector_profiles
 
     zeta1, v1 = base_wave(spec, t, x)
-    zsum = z2(x - t) + v2(x - t)
-    zdiff = z2(x + t) - v2(x + t)
+    zsum = 2.0 * gaussian_corrector_profile(x - t, spec.x0)
 
     if t > 0.0:
         tau = min(0.05, t / 10.0) if substep is None else substep
@@ -204,8 +197,8 @@ def corrected_solution(spec: SolitaryWaveSpec, t: float, x,
         int_minus = int_plus = np.zeros_like(x)
 
     half = 0.5 * spec.epsilon ** 2
-    zeta = zeta1 + half * (zsum + zdiff + int_minus - int_plus)
-    v = v1 + half * (zsum - zdiff + int_minus + int_plus)
+    zeta = zeta1 + half * (zsum + int_minus - int_plus)
+    v = v1 + half * (zsum + int_minus + int_plus)
     return zeta, v
 
 

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error (including non-finite
-config values), 3 unexpected numerical blow-up (including a member of a
-``converge`` refinement study that blew up) or a dry bed (the water column
-h0 + eps*zeta reached zero), 4 self-test failure. The output
-directory defaults to the EBWAVE_OUTDIR environment variable, then to the
-current directory.
+config values, and ``dispersion`` parameters whose model has no real
+frequency branch up to ``--kmax``), 3 unexpected numerical blow-up
+(including a member of a ``converge`` refinement study that blew up) or a
+dry bed (the water column h0 + eps*zeta reached zero), 4 self-test
+failure. The output directory defaults to the EBWAVE_OUTDIR environment
+variable, then to the current directory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .core import (BlowUpError, ConfigurationError, HyperbolicityError, ModelVariant,
                    PhysParams)
-from .dispersion import optimize_alpha, stability_bound
+from .dispersion import (DispersionInstabilityError, QuadratureError, optimize_alpha,
+                         stability_bound)
 from . import scenarios
 
 EXIT_OK = 0
@@ -109,7 +111,7 @@ def _cmd_stability_demo(args) -> int:
 
 
 def _cmd_self_test(args) -> int:
-    from .core import State, build_grid
+    from .core import Grid, State
     from .splitting import ConversionOperator, RunState, StrangSolver
 
     failures = []
@@ -128,8 +130,8 @@ def _cmd_self_test(args) -> int:
     x = rng.standard_normal(128)
     check("conversion round trip", np.max(np.abs(conv.inverse(conv.forward(x)) - x)) < 1e-12)
 
-    grid = build_grid(0.0, 10.0, 64)
-    solver = StrangSolver(grid, PhysParams.nondimensional(0.1))
+    grid = Grid(0.0, 10.0, 64)
+    solver = StrangSolver(grid, PhysParams(0.1))
     run = RunState.initial(State(0.25 * np.ones(64), np.zeros(64)), grid.dx)
     for _ in range(20):
         run = solver.strang_step(run, 0.05)
@@ -205,6 +207,9 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except (DispersionInstabilityError, QuadratureError) as exc:
+        print(f"dispersion error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

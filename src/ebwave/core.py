@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Invalid parameter, grid or scenario setup."""
+    """Invalid parameter, grid or scenario setup; ``key`` names the config
+    field at fault, where there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class HyperbolicityError(FloatingPointError):
@@ -34,9 +39,10 @@ class PhysParams:
 
     Two conventions share the same code paths:
 
-    * nondimensional runs: ``gravity = depth = 1`` and ``epsilon`` is the
-      nonlinearity parameter of the regime,
-    * dimensional runs: ``epsilon = 1`` and ``gravity``, ``depth`` carry units.
+    * nondimensional runs, ``PhysParams(epsilon, alpha)``: ``gravity =
+      depth = 1`` and ``epsilon`` is the nonlinearity parameter of the regime,
+    * dimensional runs, ``PhysParams.dimensional``: ``epsilon = 1`` and
+      ``gravity``, ``depth`` carry units.
 
     ``alpha`` is the dispersion correction parameter; it does not change the
     formal accuracy of the model, only its linear dispersion.
@@ -56,10 +62,6 @@ class PhysParams:
             raise ConfigurationError(f"gravity must be positive, got {self.gravity}")
         if self.depth <= 0.0:
             raise ConfigurationError(f"depth must be positive, got {self.depth}")
-
-    @classmethod
-    def nondimensional(cls, epsilon: float, alpha: float = 1.0) -> "PhysParams":
-        return cls(epsilon=epsilon, alpha=alpha, gravity=1.0, depth=1.0)
 
     @classmethod
     def dimensional(cls, gravity: float = 9.81, depth: float = 1.0,
@@ -86,12 +88,11 @@ class ModelVariant(enum.Enum):
 class Grid:
     """Uniform periodic grid on [x_min, x_max).
 
-    Cell i covers [x_min + i*dx, x_min + (i+1)*dx] with center
-    x_min + (i+1/2)*dx. Finite-volume unknowns are cell averages;
-    finite-difference (nodal) unknowns are point values at the same cell
-    centers, so both representations share one index set. The right
-    interfaces x_{i+1/2} are exposed for flux bookkeeping; under
-    periodicity interface N-1 coincides with x_min.
+    Built as ``Grid(x_min, x_max, n_cells)``. Cell i covers
+    [x_min + i*dx, x_min + (i+1)*dx] with center x_min + (i+1/2)*dx.
+    Finite-volume unknowns are cell averages; finite-difference (nodal)
+    unknowns are point values at the same cell centers, so both
+    representations share one index set.
     """
 
     x_min: float
@@ -115,16 +116,6 @@ class Grid:
     @property
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    @property
-    def interfaces(self) -> np.ndarray:
-        """Right interfaces x_{i+1/2}, one per cell."""
-        return self.x_min + (np.arange(self.n_cells) + 1.0) * self.dx
-
-
-def build_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
-    """Build a uniform periodic grid with n_cells cells."""
-    return Grid(x_min=x_min, x_max=x_max, n_cells=n_cells)
 
 
 @dataclass

@@ -32,20 +32,24 @@ import numpy as np
 from .analytic import (SolitaryWaveSpec, corrected_solution, dam_break_profile,
                        heap_profile)
 from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
-                   State, build_grid, relative_l2_error)
+                   State, relative_l2_error)
 from .dispersion import DispersionKind, DispersionModel, stokes_reference, velocities, weighted_error
 from .splitting import RunState, StrangSolver, choose_dt
 
 FLOAT_FMT = "%.17g"
+
+# the ``initial`` selectors that ``initial_state`` dispatches on
+INITIAL_CONDITIONS = ("solitary", "heap_high_freq", "heap_low_freq", "dam_break")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run.
 
-    Every run takes the CFL step that ``cfl`` sets. ``n_disp``, the number
-    of dispersive substeps per step, is a class attribute rather than a
-    field: no config key sets it.
+    Every run takes the CFL step that ``cfl`` sets; ``ic_scale`` scales the
+    heap or dam profile that ``initial`` selects. ``n_disp``, the number of
+    dispersive substeps per step, is a class attribute rather than a field:
+    no config key sets it. A ConfigurationError's ``key`` names a rejected field.
     """
 
     name: str
@@ -67,7 +71,6 @@ class ScenarioConfig:
     centers: tuple[float, ...] = ()
     directions: tuple[float, ...] = ()
     ic_scale: float = 1.0
-    dam_amplitude: float = 0.2091
     n_disp = 1
 
     def __post_init__(self):
@@ -78,36 +81,41 @@ class ScenarioConfig:
             if not isinstance(items, tuple) or not all(
                     isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
                     for x in items):
-                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}",
+                                         key=f.name)
             # the config file could not hold these: '#' starts a comment, a
             # line break ends the entry and the parser strips outer whitespace
             if isinstance(value, str) and ("#" in value or value != value.strip()
                                            or "".join(value.splitlines()) != value):
                 raise ConfigurationError(
                     f"{f.name} must have no '#', line break or leading or trailing "
-                    f"whitespace, got {value!r}")
+                    f"whitespace, got {value!r}", key=f.name)
             if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in items):
-                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}", key=f.name)
         if not 0.0 < self.cfl <= 1.0:
-            raise ConfigurationError(f"cfl must be in (0, 1], got {self.cfl}")
+            raise ConfigurationError(f"cfl must be in (0, 1], got {self.cfl}", key="cfl")
         if self.blowup_threshold <= 0.0:
             raise ConfigurationError(
-                f"blowup_threshold must be positive, got {self.blowup_threshold}")
+                f"blowup_threshold must be positive, got {self.blowup_threshold}",
+                key="blowup_threshold")
         if sorted(self.output_times) != list(self.output_times):
-            raise ConfigurationError("output_times must be sorted")
+            raise ConfigurationError("output_times must be sorted", key="output_times")
         if self.output_times and not (0.0 <= self.output_times[0]
                                       and self.output_times[-1] <= self.t_end):
-            raise ConfigurationError("output_times must lie in [0, t_end]")
-        variants = [v.value for v in ModelVariant]
-        if self.variant not in variants:
-            raise ConfigurationError(f"variant must be one of {variants}, got {self.variant!r}")
+            raise ConfigurationError("output_times must lie in [0, t_end]",
+                                     key="output_times")
+        for key, allowed in (("variant", [v.value for v in ModelVariant]),
+                             ("initial", list(INITIAL_CONDITIONS))):
+            if getattr(self, key) not in allowed:
+                raise ConfigurationError(
+                    f"{key} must be one of {allowed}, got {getattr(self, key)!r}", key=key)
 
     def params(self) -> PhysParams:
         return PhysParams(epsilon=self.epsilon, alpha=self.alpha,
                           gravity=self.gravity, depth=self.depth)
 
     def grid(self) -> Grid:
-        return build_grid(self.x_min, self.x_max, self.n_cells)
+        return Grid(self.x_min, self.x_max, self.n_cells)
 
     def model_variant(self) -> ModelVariant:
         return ModelVariant(self.variant)
@@ -140,7 +148,8 @@ def write_config(config: ScenarioConfig, path) -> None:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse the flat key/value scenario format; unknown keys are errors,
-    and an error in one entry names its line and key."""
+    and an error in one entry, from its value's parser or from the
+    ScenarioConfig constructor, names its line and key."""
     raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -166,6 +175,8 @@ def parse_config(text: str) -> ScenarioConfig:
         return ScenarioConfig(**kwargs)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from None
+    except ConfigurationError as exc:   # its message starts with the key
+        raise ConfigurationError(f"line {raw[exc.key][0]}: {exc}") from None
 
 
 def read_config(path) -> ScenarioConfig:
@@ -194,13 +205,11 @@ def initial_state(config: ScenarioConfig) -> State:
             zeta += zi
             v += vi
         state = State(zeta, v)
-    elif config.initial in ("heap_high_freq", "heap_low_freq"):
+    elif config.initial == "dam_break":
+        state = State(dam_break_profile(config.ic_scale, x), np.zeros_like(x))
+    else:                           # heap_high_freq or heap_low_freq
         kind = config.initial.removeprefix("heap_")
         state = State(config.ic_scale * heap_profile(kind, x), np.zeros_like(x))
-    elif config.initial == "dam_break":
-        state = State(dam_break_profile(config.dam_amplitude, x), np.zeros_like(x))
-    else:
-        raise ConfigurationError(f"unknown initial condition {config.initial!r}")
     params = config.params()
     if not state.is_hyperbolic(params):
         raise ConfigurationError(
@@ -232,20 +241,18 @@ class ScenarioResult:
 
 
 def strang_steps(solver: StrangSolver, run: RunState, t_target: float,
-                 cfl: float = 0.4, fixed_dt: float = 0.0) -> Iterator[RunState]:
+                 cfl: float = 0.4) -> Iterator[RunState]:
     """Step ``run`` to ``t_target``, yielding the state after every step.
 
-    dt is ``fixed_dt`` when it is positive and the CFL step of the current
-    state when it is 0; a negative or NaN ``fixed_dt`` raises ValueError at
-    the first step. The last step is clipped to land on ``t_target``. A
-    BlowUpError from a step propagates, and the caller's loop variable still
-    holds the last state yielded before it.
+    dt is the CFL step of the current state (``choose_dt``), and the last
+    step is clipped to land on ``t_target``. A study at a fixed dt calls
+    ``solver.strang_step(run, dt)`` directly. A BlowUpError from a step
+    propagates, and the caller's loop variable still holds the last state
+    yielded before it.
     """
-    if not fixed_dt >= 0.0:
-        raise ValueError(f"fixed_dt must be >= 0 (0 selects the CFL step), got {fixed_dt}")
     dx = solver.grid.dx
     while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
-        dt = fixed_dt if fixed_dt > 0.0 else choose_dt(run.cells, solver.params, dx, cfl)
+        dt = choose_dt(run.cells, solver.params, dx, cfl)
         run = solver.strang_step(run, min(dt, t_target - run.t))
         yield run
 
@@ -382,13 +389,17 @@ def dispersion_model(kind_name: str, alpha: float = 1.0) -> DispersionModel:
     return DispersionModel(DispersionKind(kind_name), PhysParams(epsilon=1.0, alpha=alpha))
 
 
+# the alphas of the error scan in ``run_dispersion_report``
+ALPHA_SCAN = np.linspace(0.5, 1.5, 101)
+
+
 def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
-                          samples: int = 400, alpha_grid=None, outdir=None):
+                          samples: int = 400, outdir=None):
     """Velocity curves against the Stokes reference plus an error-vs-alpha scan.
 
     Returns (curves, scan) where curves has columns k, Cp_model, Cg_model,
-    Cp_stokes, Cg_stokes, ratio_p, ratio_g and scan has columns alpha, error
-    (NaN where the model loses its real branch).
+    Cp_stokes, Cg_stokes, ratio_p, ratio_g and scan has columns alpha (the
+    ALPHA_SCAN grid), error (NaN where the model loses its real branch).
     """
     if samples < 1:
         raise ConfigurationError(f"need at least one sample, got {samples}")
@@ -398,15 +409,13 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
     cp_s, cg_s = velocities(stokes_reference(model), k)
     curves = np.column_stack([k, cp, cg, cp_s, cg_s, cp / cp_s, cg / cg_s])
 
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.5, 1.5, 101)
     scan_err = []
-    for a in np.asarray(alpha_grid, dtype=float):
+    for a in ALPHA_SCAN:
         try:
             scan_err.append(weighted_error(model, float(a), k_max))
         except ArithmeticError:
             scan_err.append(np.nan)
-    scan = np.column_stack([alpha_grid, scan_err])
+    scan = np.column_stack([ALPHA_SCAN, scan_err])
 
     if outdir is not None:
         outdir = Path(outdir)
@@ -507,7 +516,7 @@ def _dam_break() -> ScenarioConfig:
         epsilon=1.0, alpha=1.0, gravity=9.81, depth=1.0,
         variant="factorized_all", initial="dam_break",
         t_end=65.0, output_times=(0.0, 20.0, 30.0, 65.0),
-        dam_amplitude=0.2091)
+        ic_scale=0.2091)
 
 
 def _stability(variant: ModelVariant) -> ScenarioConfig:

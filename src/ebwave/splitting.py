@@ -70,9 +70,9 @@ class StrangSolver:
     """Owns the operators of one simulation and advances it step by step.
 
     ``n_disp`` splits the dispersive step into that many equal explicit
-    substeps. Scenario runs take one (``ScenarioConfig.n_disp``), which is
-    enough at their CFL step; nothing derives the count from dt yet, so a
-    library caller stepping with a larger dt may ask for more.
+    substeps. Runs through ``scenarios.strang_steps`` take the CFL step and
+    one substep (``ScenarioConfig.n_disp``); nothing derives the count from
+    dt yet, so a caller of ``strang_step`` with a larger dt may ask for more.
     ``blowup_threshold`` terminates the run with a BlowUpError as soon as
     max(|zeta|, |v|) exceeds it, which is the expected outcome of the
     high frequency instability demonstrations.

@@ -10,14 +10,14 @@ import pytest
 from dataclasses import replace
 
 from ebwave.analytic import SolitaryWaveSpec, corrected_solution
-from ebwave.core import (ModelVariant, PhysParams, State, build_grid,
+from ebwave.core import (Grid, ModelVariant, PhysParams, State,
                          relative_l2_error)
 from ebwave.dispersion import (DispersionKind, DispersionModel, omega_squared,
                                optimize_alpha, stability_bound, taylor_coefficients)
 from ebwave.dispersive import (apply_stencil, build_operators, velocity_rate,
                                zeta_source_term)
 from ebwave.scenarios import (builtin_scenario, local_maxima, run_convergence,
-                              run_scenario, strang_steps, track_crest)
+                              run_scenario, track_crest)
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 from oracles import (cell_averages_of_sin, dense_conversion_matrix,
                      dense_dispersive_rhs)
@@ -118,8 +118,8 @@ def test_criterion_05_conservation_and_steady_states():
     drift = abs(run.mass - mass0) / abs(mass0)
 
     # (b) constant surface at rest over 100 steps
-    grid2 = build_grid(0.0, 10.0, 128)
-    solver2 = StrangSolver(grid2, PhysParams.nondimensional(0.1))
+    grid2 = Grid(0.0, 10.0, 128)
+    solver2 = StrangSolver(grid2, PhysParams(0.1))
     run2 = RunState.initial(State(np.full(128, 0.25), np.zeros(128)), grid2.dx)
     for _ in range(100):
         run2 = solver2.strang_step(run2, 0.02)
@@ -134,7 +134,7 @@ def test_criterion_05_conservation_and_steady_states():
 
 def test_criterion_06_dense_oracle_equivalence():
     n = 32
-    grid = build_grid(0.0, 3.0, n)
+    grid = Grid(0.0, 3.0, n)
     rng = np.random.default_rng(2024)
     conv = ConversionOperator(n)
     conv_mat = dense_conversion_matrix(n)
@@ -247,16 +247,16 @@ def test_criterion_10_discretization_orders():
     conv_order = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
 
     # (c) temporal order of the split stepping on the solitary wave
-    grid = build_grid(0.0, 100.0, 400)
-    params = PhysParams.nondimensional(0.01)
+    grid = Grid(0.0, 100.0, 400)
+    params = PhysParams(0.01)
     spec = SolitaryWaveSpec(amplitude=0.2, epsilon=0.01, x0=20.0)
     z0, v0 = corrected_solution(spec, 0.0, grid.centers)
 
     def run_fixed(dt):
         solver = StrangSolver(grid, params)
         run = RunState.initial(State(z0.copy(), v0.copy()), grid.dx)
-        for run in strang_steps(solver, run, 2.0, fixed_dt=dt):
-            pass
+        for _ in range(round(2.0 / dt)):
+            run = solver.strang_step(run, dt)
         return run
 
     ref = run_fixed(0.003125)

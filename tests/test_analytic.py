@@ -152,19 +152,6 @@ def test_corrected_solution_quadrature_refinement():
     assert np.max(np.abs(coarse - fine)) < 1e-8
 
 
-def test_corrected_solution_custom_center_and_profiles():
-    spec = SolitaryWaveSpec(0.2, 0.1, x0=20.0)
-    x = np.linspace(0.0, 40.0, 41)
-    zeta0, _ = corrected_solution(spec, 0.0, x, corrector_center=0.0)
-    g0 = gaussian_corrector_profile(x, 0.0)
-    z1, _ = base_wave(spec, 0.0, x)
-    assert np.allclose(zeta0, z1 + 0.01 * g0, atol=1e-14)
-
-    flat = lambda y: np.zeros_like(np.asarray(y, dtype=float))
-    zeta_n, v_n = corrected_solution(spec, 0.0, x, corrector_profiles=(flat, flat))
-    assert np.allclose(zeta_n, z1, atol=1e-15)
-
-
 def test_heap_profiles():
     x = np.array([0.0, 0.5, 30.0])
     hf = heap_profile("high_freq", x)

@@ -42,7 +42,7 @@ def test_simulate_bad_config_file(tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("n_cells", "64.5"), ("cfl", "abc"), ("units", "si"), ("corr_center", "abc"),
-    ("fixed_dt", "0.01"), ("n_disp", "2")])
+    ("fixed_dt", "0.01"), ("n_disp", "2"), ("dam_amplitude", "0.2")])
 def test_simulate_bad_entry_names_key_and_line(tmp_path, capsys, key, value):
     path = mini_config(tmp_path)
     lines = [line for line in path.read_text().splitlines()
@@ -73,7 +73,7 @@ def test_simulate_expected_blowup_is_success(tmp_path):
 
 def test_simulate_dry_bed_exit_code(tmp_path, capsys):
     # dry at t = 0: the initial state is rejected as a configuration error
-    config = replace(builtin_scenario("dam_break"), name="dry", dam_amplitude=-0.6)
+    config = replace(builtin_scenario("dam_break"), name="dry", ic_scale=-0.6)
     path = tmp_path / "dry.cfg"
     write_config(config, path)
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -94,25 +94,31 @@ def test_simulate_dry_bed_during_the_run_exit_code(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("key,value,message", [
     ("cfl", "2", "cfl must be in (0, 1], got 2.0"),
-    ("blowup_threshold", "-1", "blowup_threshold must be positive, got -1.0")])
+    ("blowup_threshold", "-1", "blowup_threshold must be positive, got -1.0"),
+    ("output_times", "0.2,0.1", "output_times must be sorted"),
+    ("output_times", "0,5", "output_times must lie in [0, t_end]"),
+    ("initial", "vortex", "initial must be one of ['solitary', 'heap_high_freq', "
+                          "'heap_low_freq', 'dam_break'], got 'vortex'")])
 def test_simulate_out_of_range_value_exit_code(tmp_path, capsys, key, value, message):
     path = mini_config(tmp_path)
-    path.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} ") else line
-                            for line in path.read_text().splitlines(keepends=True)))
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} "))
+    lines[lineno - 1] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"configuration error: {message}"]
+    assert err == [f"configuration error: line {lineno}: {message}"]
     assert not (tmp_path / "mini.csv").exists()
 
 
 def test_simulate_non_finite_config_value(tmp_path, capsys):
     path = mini_config(tmp_path)
     text = path.read_text().splitlines()
-    text = [("dam_amplitude = nan" if line.startswith("dam_amplitude") else line)
+    text = [("ic_scale = nan" if line.startswith("ic_scale") else line)
             for line in text]
     path.write_text("\n".join(text) + "\n")
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
-    assert "dam_amplitude must be finite" in capsys.readouterr().err
+    assert "ic_scale must be finite" in capsys.readouterr().err
     assert not (tmp_path / "mini.csv").exists()
 
 
@@ -180,6 +186,15 @@ def test_dispersion_rejects_zero_samples(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "sample" in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+def test_dispersion_without_a_real_branch_exit_code(tmp_path, capsys):
+    code = main(["dispersion", "--model", "eb_factorized", "--alpha", "0.5",
+                 "--kmax", "100", "--outdir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["dispersion error: complex frequency (instability) near k = 3.25"]
     assert not any(tmp_path.iterdir())
 
 

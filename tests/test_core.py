@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from ebwave.core import (ConfigurationError, ModelVariant, PhysParams, State,
-                         build_grid, periodic_pad, relative_l2_error)
+from ebwave.core import (ConfigurationError, Grid, ModelVariant, PhysParams, State,
+                         periodic_pad, relative_l2_error)
 
 
 def test_grid_spacing_examples():
-    assert build_grid(-2.0, 2.0, 512).dx == pytest.approx(4.0 / 512)
-    assert build_grid(-2.0, 2.0, 512).dx == pytest.approx(0.0078125)
-    assert build_grid(-700.0, 700.0, 2800).dx == pytest.approx(0.5)
+    assert Grid(-2.0, 2.0, 512).dx == pytest.approx(4.0 / 512)
+    assert Grid(-2.0, 2.0, 512).dx == pytest.approx(0.0078125)
+    assert Grid(-700.0, 700.0, 2800).dx == pytest.approx(0.5)
 
 
 def test_grid_centers_and_interfaces():
-    grid = build_grid(0.0, 1.0, 8)
+    grid = Grid(0.0, 1.0, 8)
     assert grid.n_cells == 8
     assert grid.centers[0] == pytest.approx(0.0625)
-    assert grid.interfaces[0] == pytest.approx(0.125)
+    assert grid.centers[0] + 0.5 * grid.dx == pytest.approx(0.125)   # right interface
     assert grid.centers.shape == (8,)
     # uniform spacing
     assert np.allclose(np.diff(grid.centers), grid.dx)
@@ -23,10 +23,10 @@ def test_grid_centers_and_interfaces():
 
 def test_grid_validation():
     with pytest.raises(ConfigurationError, match="n_cells = 7 is below the minimum of 8"):
-        build_grid(0.0, 1.0, 7)
-    assert build_grid(0.0, 1.0, 8).n_cells == 8
+        Grid(0.0, 1.0, 7)
+    assert Grid(0.0, 1.0, 8).n_cells == 8
     with pytest.raises(ConfigurationError):
-        build_grid(1.0, 0.0, 64)
+        Grid(1.0, 0.0, 64)
 
 
 def test_phys_params_validation():
@@ -44,7 +44,7 @@ def test_phys_params_validation():
 
 
 def test_param_constructors():
-    nd = PhysParams.nondimensional(0.1, alpha=1.0555)
+    nd = PhysParams(0.1, alpha=1.0555)
     assert (nd.gravity, nd.depth) == (1.0, 1.0)
     si = PhysParams.dimensional(gravity=9.81, depth=1.0)
     assert si.epsilon == 1.0

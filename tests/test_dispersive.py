@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from ebwave.core import (BlowUpError, ConfigurationError, ModelVariant, PhysParams,
-                         State, build_grid)
+from ebwave.core import (BlowUpError, ConfigurationError, Grid, ModelVariant,
+                         PhysParams, State)
 from ebwave.dispersive import (_STENCILS, CirculantSolver, DispersiveOperators,
                                FDWorkspace, PairStencil, apply_stencil, build_operators,
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.splitting import RunState, StrangSolver
 
 from oracles import dense_dispersive_rhs, dense_j_p, dense_matrix
-
-ND = PhysParams.nondimensional
 
 
 def dispersive_rate(ops, zeta, v):
@@ -37,7 +35,7 @@ def test_stencil_structure():
 def test_apply_stencil_constant_is_zero():
     # coefficients sum to zero; in floats the residual is round-off on the
     # coefficient magnitudes amplified by the dx^-order scaling
-    grid = build_grid(0.0, 1.0, 16)
+    grid = Grid(0.0, 1.0, 16)
     eps = np.finfo(float).eps
     for order in range(1, 6):
         coeffs = _STENCILS[order].values()
@@ -88,16 +86,16 @@ def test_fourth_derivative_discrete_symbol():
 
 
 def test_build_operators_identity_at_zero_epsilon():
-    grid = build_grid(0.0, 1.0, 32)
-    ops = build_operators(grid, ND(0.0), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 1.0, 32)
+    ops = build_operators(grid, PhysParams(0.0), ModelVariant.FACTORIZED_ALL)
     b = np.random.default_rng(4).standard_normal(32)
     assert ops.j_solver.solve(b) is b
     assert ops.p_solver.solve(b) is b
 
 
 def test_j_solve_matches_dense_lu():
-    grid = build_grid(0.0, 1.0, 32)
-    params = ND(0.1)
+    grid = Grid(0.0, 1.0, 32)
+    params = PhysParams(0.1)
     ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
     j, p = dense_j_p(grid, params)
     rng = np.random.default_rng(8)
@@ -110,8 +108,8 @@ def test_j_solve_matches_dense_lu():
 
 
 def test_j_solve_residual():
-    grid = build_grid(0.0, 4.0, 50)
-    params = ND(0.5, alpha=1.0555)
+    grid = Grid(0.0, 4.0, 50)
+    params = PhysParams(0.5, alpha=1.0555)
     ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
     j, _ = dense_j_p(grid, params)
     b = np.random.default_rng(9).standard_normal(50)
@@ -122,8 +120,8 @@ def test_j_solve_residual():
 def test_screened_symbols_exceed_one():
     # both corrections vanish on the constant mode (symbol exactly 1) and
     # are strictly positive on every oscillatory mode
-    grid = build_grid(0.0, 1.0, 64)
-    ops = build_operators(grid, ND(0.1), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 1.0, 64)
+    ops = build_operators(grid, PhysParams(0.1), ModelVariant.FACTORIZED_ALL)
     for solver in (ops.j_solver, ops.p_solver):
         mags = np.abs(solver.symbol)
         assert mags[0] == pytest.approx(1.0, abs=1e-9)
@@ -138,15 +136,15 @@ def test_singular_circulant_reports_mode():
 
 def test_operator_size_preconditions():
     with pytest.raises(ConfigurationError):
-        build_operators(build_grid(0.0, 1.0, 8), ND(0.1), ModelVariant.UNFACTORIZED)
+        build_operators(Grid(0.0, 1.0, 8), PhysParams(0.1), ModelVariant.UNFACTORIZED)
     with pytest.raises(ConfigurationError):
-        build_operators(build_grid(0.0, 1.0, 16), ND(0.1, alpha=1.2),
+        build_operators(Grid(0.0, 1.0, 16), PhysParams(0.1, alpha=1.2),
                         ModelVariant.FIFTH_ONLY_FACTORIZED)
 
 
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_dispersive_rhs_matches_dense_oracle(variant):
-    grid = build_grid(0.0, 3.0, 32)
+    grid = Grid(0.0, 3.0, 32)
     alpha = 1.0 if variant is ModelVariant.FIFTH_ONLY_FACTORIZED else 1.0555
     params = PhysParams(epsilon=0.2, alpha=alpha, gravity=1.3, depth=1.0)
     ops = build_operators(grid, params, variant)
@@ -160,8 +158,8 @@ def test_dispersive_rhs_matches_dense_oracle(variant):
 
 
 def test_rhs_zero_cases():
-    grid = build_grid(0.0, 2.0, 24)
-    params = ND(0.3)
+    grid = Grid(0.0, 2.0, 24)
+    params = PhysParams(0.3)
     ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
     rate_v = dispersive_rate(ops, np.zeros(24), np.full(24, 0.8))
     assert np.allclose(rate_v, 0.0, atol=1e-14)
@@ -171,8 +169,8 @@ def test_linearized_rate_reproduces_dispersion_symbol():
     # small surface perturbation at a single Fourier mode: the velocity rate
     # must match the mode-wise composition of the stencil symbols
     n = 64
-    grid = build_grid(0.0, 2 * np.pi, n)
-    params = ND(0.1)
+    grid = Grid(0.0, 2 * np.pi, n)
+    params = PhysParams(0.1)
     ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
     g, eps, alpha = params.gravity, params.epsilon, params.alpha
 
@@ -195,8 +193,8 @@ def test_linearized_rate_reproduces_dispersion_symbol():
 
 
 def test_rk4_fd_step_leaves_its_inputs_unchanged():
-    grid = build_grid(0.0, 2.0, 32)
-    ops = build_operators(grid, ND(0.4), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 2.0, 32)
+    ops = build_operators(grid, PhysParams(0.4), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(12)
     zeta, v = 0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32)
     saved = zeta.copy(), v.copy()
@@ -211,8 +209,8 @@ def test_rk4_fd_step_leaves_its_inputs_unchanged():
 
 
 def test_rk4_fd_step_velocity_invariant_at_zero_epsilon():
-    grid = build_grid(0.0, 2.0, 32)
-    ops = build_operators(grid, ND(0.0), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 2.0, 32)
+    ops = build_operators(grid, PhysParams(0.0), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(13)
     zeta, v = 0.5 * rng.standard_normal(32), 0.5 * rng.standard_normal(32)
     assert np.array_equal(rk4_fd_step(zeta, v, 0.05, ops), v)
@@ -221,8 +219,8 @@ def test_rk4_fd_step_velocity_invariant_at_zero_epsilon():
 def test_rk4_fd_step_preserves_parity():
     # zeta even and v odd about the domain center stay that way
     n = 64
-    grid = build_grid(0.0, 2 * np.pi, n)
-    ops = build_operators(grid, ND(0.3), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 2 * np.pi, n)
+    ops = build_operators(grid, PhysParams(0.3), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
     zeta = 0.2 * np.cos(x - np.pi) + 0.1 * np.cos(3 * (x - np.pi))
     v = 0.1 * np.sin(x - np.pi)
@@ -233,8 +231,8 @@ def test_rk4_fd_step_preserves_parity():
 
 
 def test_euler_and_rk4_time_orders():
-    grid = build_grid(0.0, 2 * np.pi, 64)
-    ops = build_operators(grid, ND(0.5), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 2 * np.pi, 64)
+    ops = build_operators(grid, PhysParams(0.5), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
     zeta, v0 = 0.3 * np.sin(x), 0.2 * np.cos(2 * x)
 
@@ -258,8 +256,8 @@ def test_euler_and_rk4_time_orders():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_blowup_detection_on_nonfinite():
-    grid = build_grid(0.0, 2.0, 32)
-    ops = build_operators(grid, ND(0.4), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 2.0, 32)
+    ops = build_operators(grid, PhysParams(0.4), ModelVariant.FACTORIZED_ALL)
     v = np.zeros(32)
     v[5] = 1e200
     with pytest.raises(BlowUpError):
@@ -270,7 +268,7 @@ def test_high_frequency_instability_reproduction():
     # constant deformation 0.6 with a short-wave seed: the fifth-only
     # factorization grows without bound, the other two variants do not
     n = 256
-    grid = build_grid(0.0, 8 * np.pi, n)
+    grid = Grid(0.0, 8 * np.pi, n)
     params = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
     x = grid.centers
     z0 = 0.6 + 1e-3 * np.cos(8.0 * x)

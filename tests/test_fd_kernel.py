@@ -21,8 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ebwave.core import (ConfigurationError, ModelVariant, PhysParams, State,
-                         build_grid)
+from ebwave.core import ConfigurationError, Grid, ModelVariant, PhysParams, State
 from ebwave.dispersive import (_CONVERSION, FDWorkspace, PairStencil, apply_stencil,
                                build_operators, fourier_harmonics, rk4_fd_step,
                                velocity_rate, zeta_source_term)
@@ -52,7 +51,7 @@ def assert_close(got, want, rel):
 @pytest.mark.parametrize("n", [9, 32, 1200])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fd_kernel_matches_allocating_kernel(variant, n):
-    grid = build_grid(0.0, float(n), n)
+    grid = Grid(0.0, float(n), n)
     params = params_for(variant)
     ops = build_operators(grid, params, variant)
     want_ops = oracles.build_operators(grid, params, variant)
@@ -107,7 +106,7 @@ FINE_GRID_TOLERANCE = {ModelVariant.FACTORIZED_ALL: 1e-12,
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fd_kernel_on_fine_grid_matches_long_double_reference(variant):
     n = 1200
-    grid = build_grid(0.0, 12.0, n)                 # dx = 0.01
+    grid = Grid(0.0, 12.0, n)           # dx = 0.01
     params = params_for(variant)
     ops = build_operators(grid, params, variant)
     rel = FINE_GRID_TOLERANCE[variant]
@@ -119,18 +118,6 @@ def test_fd_kernel_on_fine_grid_matches_long_double_reference(variant):
         for ws in (None, reused):
             assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, rel)
             assert_close(rk4_fd_step(state.zeta, state.v, 1e-4, ops, workspace=ws), v, rel)
-
-
-def dam_break_64k():
-    """Grid, parameters, nodal initial state and first time step of the
-    benchmark's 64k dam break."""
-    config = replace(builtin_scenario("dam_break"), n_cells=65536, t_end=0.1,
-                     output_times=(0.0, 0.1))
-    grid, params = config.grid(), config.params()
-    cells = initial_state(config)
-    conv = ConversionOperator(grid.n_cells)
-    state = State(conv.forward(cells.zeta), conv.forward(cells.v))
-    return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -164,7 +151,7 @@ def test_pair_stencils_beat_offset_sums():
     # differences of neighbors are exact where the field is smooth, so the
     # pair form is at least 30 times closer than the offset-by-offset sum
     grid, _, state, _ = dam_break_64k()
-    fine = build_grid(0.0, 3.0, 1200)
+    fine = Grid(0.0, 3.0, 1200)
     smooth = np.sin(2.0 * np.pi * fine.centers / 3.0) + 0.3 * np.cos(4.0 * np.pi * fine.centers / 3.0)
     for field, dx in ((state.zeta, grid.dx), (smooth, fine.dx)):
         for order in range(1, 6):
@@ -219,7 +206,7 @@ def fd_buffers(ws):
 
 def test_fd_results_own_their_memory():
     n = 1200
-    grid = build_grid(0.0, 3.0, n)
+    grid = Grid(0.0, 3.0, n)
     ops = build_operators(grid, params_for(ModelVariant.FACTORIZED_ALL),
                           ModelVariant.FACTORIZED_ALL)
     ws = FDWorkspace(n)
@@ -237,8 +224,8 @@ def test_fd_results_own_their_memory():
 
 def test_rk4_fd_step_allocates_only_its_result():
     n = 65536
-    grid = build_grid(0.0, 2.0 * np.pi, n)
-    ops = build_operators(grid, PhysParams.nondimensional(0.3), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 2.0 * np.pi, n)
+    ops = build_operators(grid, PhysParams(0.3), ModelVariant.FACTORIZED_ALL)
     ws = FDWorkspace(n)
     x = grid.centers
     state = State(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
@@ -254,8 +241,8 @@ def test_rk4_fd_step_allocates_only_its_result():
 
 
 def test_fd_workspace_size_and_memory_checked():
-    grid = build_grid(0.0, 1.0, 16)
-    ops = build_operators(grid, PhysParams.nondimensional(0.3), ModelVariant.FACTORIZED_ALL)
+    grid = Grid(0.0, 1.0, 16)
+    ops = build_operators(grid, PhysParams(0.3), ModelVariant.FACTORIZED_ALL)
     with pytest.raises(ConfigurationError):
         zeta_source_term(ops, np.zeros(16), workspace=FDWorkspace(17))
     with pytest.raises(ConfigurationError):
@@ -270,7 +257,7 @@ def test_strang_step_on_shared_workspace_memory(variant):
     # the solver's FD workspace is carved from its FV workspace's memory;
     # each step must equal the same kernels run on separate workspaces
     n = 64
-    grid = build_grid(0.0, 4.0 * np.pi, n)
+    grid = Grid(0.0, 4.0 * np.pi, n)
     params = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
     solver = StrangSolver(grid, params, variant, n_disp=2)
     assert np.shares_memory(solver.fd_workspace.source, solver.fv_workspace.memory)

@@ -31,7 +31,7 @@ def wet_states(draw):
     zeta *= 0.9 / (epsilon * max(np.max(np.abs(zeta)), 1e-300))
     zeta[rng.integers(0, n, size=max(1, n // 50))] = 0.0
     v[n // 3:n // 3 + n // 5] = 0.25
-    return State(zeta, v), PhysParams.nondimensional(epsilon), draw(st.floats(1e-3, 1.0))
+    return State(zeta, v), PhysParams(epsilon), draw(st.floats(1e-3, 1.0))
 
 
 def rate(state, params, dx):

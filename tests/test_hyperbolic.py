@@ -13,8 +13,6 @@ from ebwave.hyperbolic import (FV_STRIP, FVWorkspace, hyperbolic_rhs, limiter,
 
 import oracles
 
-ND = PhysParams.nondimensional
-
 
 def dense_deltas(u):
     """Loop re-implementation of the high-order variations (oracle)."""
@@ -32,7 +30,7 @@ def dense_deltas(u):
 
 
 def test_physical_flux_rest_and_example():
-    params = ND(1.0)
+    params = PhysParams(1.0)
     assert physical_flux(0.0, 0.0, params) == (0.0, 0.0)
     f1, f2 = physical_flux(0.2, 0.1, params)
     assert f1 == pytest.approx(0.12)
@@ -41,7 +39,7 @@ def test_physical_flux_rest_and_example():
 
 def test_physical_flux_dry_state_raises():
     with pytest.raises(HyperbolicityError):
-        physical_flux(-1.5, 0.0, ND(1.0))
+        physical_flux(-1.5, 0.0, PhysParams(1.0))
 
 
 def test_jacobian_eigenvalues_by_finite_differences():
@@ -176,7 +174,7 @@ def rusanov_oracle(zl, vl, zr, vr, params):
 
 
 def test_numerical_flux_consistency_and_rest():
-    params = ND(0.3)
+    params = PhysParams(0.3)
     f1, f2 = numerical_flux(0.2, 0.4, 0.2, 0.4, params)
     p1, p2 = physical_flux(0.2, 0.4, params)
     assert f1 == pytest.approx(p1) and f2 == pytest.approx(p2)
@@ -196,7 +194,7 @@ def test_numerical_flux_against_oracle():
 
 
 def test_rhs_constant_state_and_steady_state():
-    params = ND(0.2)
+    params = PhysParams(0.2)
     n = 32
     rz, rv = hyperbolic_rhs(State(np.full(n, 0.4), np.full(n, 0.7)), params, 0.1)
     assert np.allclose(rz, 0.0, atol=1e-13) and np.allclose(rv, 0.0, atol=1e-13)
@@ -207,7 +205,7 @@ def test_rhs_constant_state_and_steady_state():
 
 
 def test_rhs_telescopes_to_zero_sum():
-    params = ND(0.4)
+    params = PhysParams(0.4)
     rng = np.random.default_rng(23)
     state = State(0.3 * rng.standard_normal(64), 0.3 * rng.standard_normal(64))
     rz, rv = hyperbolic_rhs(state, params, 0.05)
@@ -216,7 +214,7 @@ def test_rhs_telescopes_to_zero_sum():
 
 
 def test_rhs_translation_equivariance():
-    params = ND(0.4)
+    params = PhysParams(0.4)
     rng = np.random.default_rng(29)
     zeta = 0.2 * rng.standard_normal(48)
     v = 0.2 * rng.standard_normal(48)
@@ -243,7 +241,7 @@ def test_rk4_step_exactness_order():
 
 
 def test_rk4_fv_step_preserves_constant_state_and_mass():
-    params = ND(0.3)
+    params = PhysParams(0.3)
     n = 40
     state = State(np.full(n, 0.2), np.zeros(n))
     out = rk4_fv_step(state, 0.01, params, 0.1)
@@ -258,7 +256,7 @@ def test_rk4_fv_step_preserves_constant_state_and_mass():
 
 
 def test_rk4_fv_step_commutes_with_reflection():
-    params = ND(0.25)
+    params = PhysParams(0.25)
     rng = np.random.default_rng(37)
     zeta = 0.2 * rng.standard_normal(50)
     v = 0.2 * rng.standard_normal(50)
@@ -270,7 +268,7 @@ def test_rk4_fv_step_commutes_with_reflection():
 
 
 def test_max_signal_speed():
-    params = ND(0.5)
+    params = PhysParams(0.5)
     assert max_signal_speed(0.0, 0.0, params) == pytest.approx(1.0)
     assert float(max_signal_speed(0.6, -2.0, params)) \
         == pytest.approx(1.0 + np.sqrt(1.3))
@@ -329,7 +327,7 @@ def loop_rhs(zeta, v, params, dx):
 @pytest.mark.parametrize("n", [8, 13])
 def test_rhs_matches_loop_oracle_exactly(n):
     rng = np.random.default_rng(41 + n)
-    for params in (ND(0.4), PhysParams(epsilon=1.0, gravity=9.81, depth=1.0),
+    for params in (PhysParams(0.4), PhysParams(epsilon=1.0, gravity=9.81, depth=1.0),
                    PhysParams(epsilon=0.7, gravity=3.0, depth=2.0)):
         for _ in range(10):
             zeta = 0.15 * rng.standard_normal(n)
@@ -348,14 +346,14 @@ def test_rhs_dry_cell_at_wrap_edge_raises(n, where):
     zeta[where] = -1.5
     state = State(zeta, np.zeros(n))
     with pytest.raises(HyperbolicityError):
-        hyperbolic_rhs(state, ND(1.0), 0.1)
+        hyperbolic_rhs(state, PhysParams(1.0), 0.1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_grid_narrower_than_stencil_rejected(n):
     state = State(np.zeros(n), np.zeros(n))
     with pytest.raises(ConfigurationError):
-        hyperbolic_rhs(state, ND(0.5), 0.1)
+        hyperbolic_rhs(state, PhysParams(0.5), 0.1)
     with pytest.raises(ConfigurationError):
         reconstruct_interfaces(state)
     with pytest.raises(ConfigurationError):
@@ -363,7 +361,7 @@ def test_grid_narrower_than_stencil_rejected(n):
 
 
 STRIP_SIZES = [5, 8, 13, 1200, FV_STRIP - 1, FV_STRIP, FV_STRIP + 1, 2 * FV_STRIP + 7]
-PARAMS = [ND(0.4), PhysParams(epsilon=0.7, gravity=3.0, depth=2.0)]
+PARAMS = [PhysParams(0.4), PhysParams(epsilon=0.7, gravity=3.0, depth=2.0)]
 
 
 def wet_state(rng, n):
@@ -422,7 +420,8 @@ def test_dry_face_beside_a_nan_in_one_strip_raises(nan_at, dry_at):
     zeta[nan_at], zeta[dry_at] = np.nan, -1.5
     for workspace in (None, FVWorkspace(16)):
         with pytest.raises(HyperbolicityError):
-            hyperbolic_rhs(State(zeta, np.zeros(16)), ND(1.0), 0.1, workspace=workspace)
+            hyperbolic_rhs(State(zeta, np.zeros(16)), PhysParams(1.0), 0.1,
+                           workspace=workspace)
 
 
 def test_dry_cell_in_last_strip_raises():
@@ -431,19 +430,19 @@ def test_dry_cell_in_last_strip_raises():
     zeta = np.full(n, 0.1)
     zeta[n - 3] = -1.5
     with pytest.raises(HyperbolicityError):
-        hyperbolic_rhs(State(zeta, np.zeros(n)), ND(1.0), 0.1, workspace=ws)
+        hyperbolic_rhs(State(zeta, np.zeros(n)), PhysParams(1.0), 0.1, workspace=ws)
     with pytest.raises(HyperbolicityError):
-        rk4_fv_step(State(zeta, np.zeros(n)), 0.01, ND(1.0), 0.1, workspace=ws)
+        rk4_fv_step(State(zeta, np.zeros(n)), 0.01, PhysParams(1.0), 0.1, workspace=ws)
     # the workspace stays usable after the error
     state = wet_state(np.random.default_rng(3), n)
-    got = rk4_fv_step(state, 0.01, ND(0.4), 0.05, workspace=ws)
-    want = oracles.rk4_fv_step(state, 0.01, ND(0.4), 0.05)
+    got = rk4_fv_step(state, 0.01, PhysParams(0.4), 0.05, workspace=ws)
+    want = oracles.rk4_fv_step(state, 0.01, PhysParams(0.4), 0.05)
     assert_same_bits((got.zeta, got.v), (want.zeta, want.v))
 
 
 def test_workspace_size_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        hyperbolic_rhs(State.rest(16), ND(0.4), 0.1, workspace=FVWorkspace(17))
+        hyperbolic_rhs(State.rest(16), PhysParams(0.4), 0.1, workspace=FVWorkspace(17))
 
 
 def workspace_buffers(ws):
@@ -455,8 +454,8 @@ def test_rk4_fv_step_results_own_their_memory():
     ws = FVWorkspace(n)
     state = wet_state(np.random.default_rng(5), n)
     saved = state.copy()
-    first = rk4_fv_step(state, 0.01, ND(0.4), 0.05, workspace=ws)
-    second = rk4_fv_step(first, 0.01, ND(0.4), 0.05, workspace=ws)
+    first = rk4_fv_step(state, 0.01, PhysParams(0.4), 0.05, workspace=ws)
+    second = rk4_fv_step(first, 0.01, PhysParams(0.4), 0.05, workspace=ws)
     assert_same_bits((state.zeta, state.v), (saved.zeta, saved.v))
     outputs = [first.zeta, first.v, second.zeta, second.v]
     for i, a in enumerate(outputs):
@@ -470,10 +469,10 @@ def test_rk4_fv_step_allocates_only_its_result():
     ws = FVWorkspace(n)
     x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     state = State(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
-    rk4_fv_step(state, 1e-3, ND(0.3), 0.01, workspace=ws)     # warm up
+    rk4_fv_step(state, 1e-3, PhysParams(0.3), 0.01, workspace=ws)     # warm up
     tracemalloc.start()
     try:
-        out = rk4_fv_step(state, 1e-3, ND(0.3), 0.01, workspace=ws)
+        out = rk4_fv_step(state, 1e-3, PhysParams(0.3), 0.01, workspace=ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

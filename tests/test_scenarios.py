@@ -6,12 +6,12 @@ import pytest
 
 from ebwave.core import BlowUpError, ConfigurationError, PhysParams
 from ebwave.dispersion import DispersionKind
-from ebwave.scenarios import (CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult, Snapshot,
-                              builtin_names, builtin_scenario, choose_dt,
+from ebwave.scenarios import (ALPHA_SCAN, CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult,
+                              Snapshot, builtin_names, builtin_scenario, choose_dt,
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
-                              run_dispersion_report, run_scenario, strang_steps,
-                              track_crest, write_config, write_snapshots_csv)
+                              run_dispersion_report, run_scenario, track_crest,
+                              write_config, write_snapshots_csv)
 from ebwave.splitting import RunState, StrangSolver
 
 
@@ -90,7 +90,7 @@ def test_builtin_scenario_parameters_match_published_setups():
     assert head_on.amplitudes == (0.4, 0.2)
     assert head_on.centers == (-50.0, 50.0)
     dam = builtin_scenario("dam_break")
-    assert (dam.n_cells, dam.gravity, dam.dam_amplitude) == (2800, 9.81, 0.2091)
+    assert (dam.n_cells, dam.gravity, dam.ic_scale) == (2800, 9.81, 0.2091)
     heap = builtin_scenario("heap_hf")
     assert (heap.n_cells, heap.epsilon, heap.alpha) == (512, 0.1, 1.0555)
     assert builtin_scenario("heap_lf").epsilon == 0.5
@@ -120,30 +120,20 @@ def test_parse_config_errors_name_the_line_and_key():
         parse_config("name = x\n# a comment\nx_min = abc")
     with pytest.raises(ConfigurationError, match=r"^line 2: expect_blowup: expected true"):
         parse_config("name = x\nexpect_blowup = 1")
-    for key in ("bogus_key", "units", "corr_center", "fixed_dt", "n_disp"):
+    for key in ("bogus_key", "units", "corr_center", "fixed_dt", "n_disp", "dam_amplitude"):
         with pytest.raises(ConfigurationError, match=rf"^line 2: unknown config key '{key}'"):
             parse_config(f"name = x\n{key} = 1")
 
 
 def test_config_fields():
     names = {f.name for f in fields(ScenarioConfig)}
-    assert len(names) == 20
-    assert not names & {"units", "corr_center", "fixed_dt", "n_disp"}
+    assert len(names) == 19
     assert ScenarioConfig.n_disp == 1 and builtin_scenario("head_on").n_disp == 1
 
 
 def test_unknown_variant_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="variant must be one of .*'spectral'"):
         small_config(variant="spectral")
-
-
-@pytest.mark.parametrize("fixed_dt", [-0.01, np.nan])
-def test_strang_steps_rejects_negative_fixed_dt(fixed_dt):
-    config = small_config()
-    grid = config.grid()
-    run = RunState.initial(initial_state(config), grid.dx)
-    with pytest.raises(ValueError, match="fixed_dt must be >= 0"):
-        next(strang_steps(StrangSolver(grid, config.params()), run, 0.1, fixed_dt=fixed_dt))
 
 
 def test_config_validation():
@@ -206,7 +196,7 @@ def test_config_rejects_non_finite_values(name, bad):
 
 
 def test_non_finite_field_lists_are_complete():
-    assert {"x_min", "t_end", "cfl", "ic_scale", "dam_amplitude"} <= set(FLOAT_FIELDS)
+    assert {"x_min", "t_end", "cfl", "ic_scale"} <= set(FLOAT_FIELDS)
     assert {"output_times", "amplitudes"} <= set(TUPLE_FIELDS)
 
 
@@ -218,11 +208,11 @@ def test_initial_state_selectors():
     assert np.all(state.v == 0.0)
 
     dam = small_config(initial="dam_break", x_min=-700.0, x_max=700.0, n_cells=128,
-                       epsilon=1.0)
+                       epsilon=1.0, ic_scale=0.2091)
     assert np.max(initial_state(dam).zeta) == pytest.approx(2 * 0.2091, rel=1e-6)
 
-    with pytest.raises(ConfigurationError):
-        initial_state(small_config(initial="vortex"))
+    with pytest.raises(ConfigurationError, match="initial must be one of"):
+        small_config(initial="vortex")
     with pytest.raises(ConfigurationError):
         initial_state(small_config(initial="solitary", amplitudes=(0.2,)))
 
@@ -230,14 +220,14 @@ def test_initial_state_selectors():
 def test_initial_state_rejects_a_dry_bed():
     dam = dict(initial="dam_break", x_min=-700.0, x_max=700.0, n_cells=128, epsilon=1.0)
     heap = dict(initial="heap_high_freq", epsilon=0.1)
-    for config in (small_config(dam_amplitude=-0.6, **dam),
+    for config in (small_config(ic_scale=-0.6, **dam),
                    small_config(ic_scale=-50.0, **heap)):
         with pytest.raises(ConfigurationError, match="dry bed at t = 0"):
             initial_state(config)
         with pytest.raises(ConfigurationError, match="dry bed at t = 0"):
             run_scenario(config)
     # wet everywhere, however little: accepted
-    assert initial_state(small_config(dam_amplitude=-0.49, **dam)).zeta.min() > -1.0
+    assert initial_state(small_config(ic_scale=-0.49, **dam)).zeta.min() > -1.0
 
 
 def test_initial_state_scaling():
@@ -319,15 +309,16 @@ def test_run_convergence_rejects_non_solitary():
 
 def test_dispersion_report(tmp_path):
     curves, scan = run_dispersion_report("eb_factorized", 1.0555, 10.0,
-                                         samples=50, alpha_grid=np.array([0.5, 1.0555]),
-                                         outdir=tmp_path)
+                                         samples=50, outdir=tmp_path)
     assert curves.shape == (50, 7)
     # ratios tend to one in the long-wave limit
     assert curves[0, 5] == pytest.approx(1.0, abs=1e-3)
     assert curves[0, 6] == pytest.approx(1.0, abs=1e-3)
-    # alpha = 0.5 loses the real branch somewhere below K = 10
+    assert np.array_equal(scan[:, 0], ALPHA_SCAN)
+    # alpha = 0.5 loses the real branch somewhere below K = 10, alpha = 1.05 keeps it
+    assert (scan[0, 0], scan[55, 0]) == (0.5, 1.05)
     assert np.isnan(scan[0, 1])
-    assert np.isfinite(scan[1, 1])
+    assert np.isfinite(scan[55, 1])
 
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == ["alpha_scan_eb_factorized_K10.csv",

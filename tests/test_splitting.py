@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from ebwave.analytic import SolitaryWaveSpec, corrected_solution
-from ebwave.core import (BlowUpError, HyperbolicityError, ModelVariant, PhysParams,
-                         State, build_grid)
+from ebwave.core import (BlowUpError, Grid, HyperbolicityError, ModelVariant,
+                         PhysParams, State)
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
 from ebwave.dispersive import CirculantSolver
-from ebwave.scenarios import strang_steps
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 
 from oracles import dense_conversion_matrix
-
-ND = PhysParams.nondimensional
 
 
 def test_conversion_constant():
@@ -67,7 +64,7 @@ def test_conversion_states():
 
 
 def test_conversion_is_built_with_the_dispersive_operators():
-    solver = StrangSolver(build_grid(0.0, 1.0, 32), ND(0.3))
+    solver = StrangSolver(Grid(0.0, 1.0, 32), PhysParams(0.3))
     conv = solver.operators.conversion
     assert isinstance(conv, ConversionOperator) and isinstance(conv, CirculantSolver)
     x = np.random.default_rng(4).standard_normal(32)
@@ -75,7 +72,7 @@ def test_conversion_is_built_with_the_dispersive_operators():
 
 
 def test_choose_dt_examples():
-    params = ND(0.5)
+    params = PhysParams(0.5)
     rest = State(np.zeros(8), np.zeros(8))
     assert choose_dt(rest, params, 0.25, cfl=0.4) == pytest.approx(0.1)
     assert choose_dt(rest, params, 0.125, cfl=0.4) == pytest.approx(0.05)
@@ -90,8 +87,8 @@ def test_choose_dt_examples():
 
 
 def test_steady_state_preserved_through_strang_steps():
-    grid = build_grid(0.0, 10.0, 64)
-    solver = StrangSolver(grid, ND(0.1))
+    grid = Grid(0.0, 10.0, 64)
+    solver = StrangSolver(grid, PhysParams(0.1))
     run = RunState.initial(State(np.full(64, 0.3), np.zeros(64)), grid.dx)
     for _ in range(100):
         run = solver.strang_step(run, 0.05)
@@ -100,8 +97,8 @@ def test_steady_state_preserved_through_strang_steps():
 
 
 def test_mass_conserved_at_zero_epsilon():
-    grid = build_grid(0.0, 10.0, 64)
-    solver = StrangSolver(grid, ND(0.0))
+    grid = Grid(0.0, 10.0, 64)
+    solver = StrangSolver(grid, PhysParams(0.0))
     x = grid.centers
     run = RunState.initial(State(0.3 * np.exp(-(x - 5) ** 2), np.zeros(64)), grid.dx)
     mass0 = run.mass
@@ -111,8 +108,8 @@ def test_mass_conserved_at_zero_epsilon():
 
 
 def test_mass_invariance_on_nonlinear_run():
-    grid = build_grid(-2.0, 2.0, 128)
-    solver = StrangSolver(grid, ND(0.5))
+    grid = Grid(-2.0, 2.0, 128)
+    solver = StrangSolver(grid, PhysParams(0.5))
     x = grid.centers
     run = RunState.initial(State(0.7 * np.exp(-0.4 * x * x), np.zeros(128)), grid.dx)
     mass0 = run.mass
@@ -124,8 +121,8 @@ def test_mass_invariance_on_nonlinear_run():
 def test_reflection_symmetry_through_strang_steps():
     # zeta even, v odd about the domain center stays that way
     n = 128
-    grid = build_grid(-4.0, 4.0, n)
-    solver = StrangSolver(grid, ND(0.3))
+    grid = Grid(-4.0, 4.0, n)
+    solver = StrangSolver(grid, PhysParams(0.3))
     x = grid.centers
     zeta = 0.4 * np.exp(-x * x) + 0.1 * np.exp(-3 * x * x)
     v = 0.2 * x * np.exp(-x * x)
@@ -137,16 +134,16 @@ def test_reflection_symmetry_through_strang_steps():
 
 
 def test_strang_temporal_order_on_solitary_wave():
-    grid = build_grid(0.0, 100.0, 400)
-    params = ND(0.01)
+    grid = Grid(0.0, 100.0, 400)
+    params = PhysParams(0.01)
     spec = SolitaryWaveSpec(amplitude=0.2, epsilon=0.01, x0=20.0)
     z0, v0 = corrected_solution(spec, 0.0, grid.centers)
 
     def run_fixed(dt):
         solver = StrangSolver(grid, params)
         run = RunState.initial(State(z0.copy(), v0.copy()), grid.dx)
-        for run in strang_steps(solver, run, 2.0, fixed_dt=dt):
-            pass
+        for _ in range(round(2.0 / dt)):
+            run = solver.strang_step(run, dt)
         return run
 
     ref = run_fixed(0.003125)
@@ -162,7 +159,7 @@ def test_linear_mode_frequency_matches_dispersion_relation():
     # small standing wave: the oscillation frequency of one Fourier mode
     # reproduces the factorized model's dispersion relation
     n, kmode, eps = 256, 2, 0.1
-    grid = build_grid(0.0, 2 * np.pi, n)
+    grid = Grid(0.0, 2 * np.pi, n)
     x = grid.centers
     delta = 1e-5
     dim_model = DispersionModel(DispersionKind.EB_FACTORIZED,
@@ -170,19 +167,19 @@ def test_linear_mode_frequency_matches_dispersion_relation():
     # nondimensional frequency from the dimensional relation
     w_true = np.sqrt(omega_squared(dim_model, np.sqrt(eps) * kmode) / eps)
 
-    solver = StrangSolver(grid, ND(eps))
+    solver = StrangSolver(grid, PhysParams(eps))
     run = RunState.initial(State(delta * np.cos(kmode * x), np.zeros(n)), grid.dx)
     t_end = 1.0
-    for run in strang_steps(solver, run, t_end, fixed_dt=0.01):
-        pass
+    for _ in range(100):            # steps of 0.01 to t_end
+        run = solver.strang_step(run, 0.01)
     amplitude = 2.0 / n * np.sum(run.cells.zeta * np.cos(kmode * x))
     w_num = np.arccos(np.clip(amplitude / delta, -1.0, 1.0)) / t_end
     assert w_num == pytest.approx(w_true, rel=1e-4)
 
 
 def test_blowup_threshold_raises():
-    grid = build_grid(0.0, 10.0, 64)
-    solver = StrangSolver(grid, ND(0.1), blowup_threshold=0.2)
+    grid = Grid(0.0, 10.0, 64)
+    solver = StrangSolver(grid, PhysParams(0.1), blowup_threshold=0.2)
     x = grid.centers
     run = RunState.initial(State(0.5 * np.exp(-(x - 5) ** 2), np.zeros(64)), grid.dx)
     with pytest.raises(BlowUpError):
@@ -190,7 +187,7 @@ def test_blowup_threshold_raises():
 
 
 def test_run_state_diagnostics():
-    grid = build_grid(0.0, 1.0, 8)
+    grid = Grid(0.0, 1.0, 8)
     run = RunState.initial(State(np.full(8, 2.0), np.full(8, -3.0)), grid.dx)
     assert run.mass == pytest.approx(2.0)
     assert run.max_amplitude == pytest.approx(3.0)
@@ -198,7 +195,7 @@ def test_run_state_diagnostics():
 
 @pytest.mark.parametrize("field", ["zeta", "v"])
 def test_run_state_diagnostics_keep_nan(field):
-    grid = build_grid(0.0, 1.0, 64)
+    grid = Grid(0.0, 1.0, 64)
     state = State(np.zeros(64), np.zeros(64))
     getattr(state, field)[0] = np.nan
     run = RunState.initial(state, grid.dx)
@@ -208,12 +205,12 @@ def test_run_state_diagnostics_keep_nan(field):
 def test_subcycled_dispersive_step_consistency():
     # n_disp substeps change the result only at the dispersive-step
     # truncation level
-    grid = build_grid(-4.0, 4.0, 128)
+    grid = Grid(-4.0, 4.0, 128)
     x = grid.centers
     state = State(0.4 * np.exp(-x * x), np.zeros(128))
     outs = []
     for n_disp in (1, 4):
-        solver = StrangSolver(grid, ND(0.5), n_disp=n_disp)
+        solver = StrangSolver(grid, PhysParams(0.5), n_disp=n_disp)
         run = RunState.initial(state.copy(), grid.dx)
         for _ in range(10):
             run = solver.strang_step(run, 0.01)
