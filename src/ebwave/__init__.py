@@ -7,7 +7,7 @@ closed-form reference solutions used for validation.
 """
 
 from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError,
-                   ModelVariant, PhysParams, State, relative_l2_error)
+                   ModelVariant, PhysParams, StallError, State, relative_l2_error)
 from .dispersion import (DispersionInstabilityError, DispersionKind,
                          DispersionModel, omega, omega_squared, optimize_alpha,
                          stability_bound, taylor_coefficients, velocities,

@@ -1,11 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error (including non-finite
-config values, and ``dispersion`` parameters whose model has no real
-frequency branch up to ``--kmax``), 3 unexpected numerical blow-up
-(including a member of a ``converge`` refinement study that blew up) or a
-dry bed (the water column h0 + eps*zeta reached zero), 4 self-test
-failure. The output directory defaults to the EBWAVE_OUTDIR environment
+config values, ``dispersion`` parameters whose model has no real
+frequency branch up to ``--kmax`` and an ``optimize-alpha`` optimum at
+the edge of its bracket), 3 unexpected numerical blow-up (including a
+member of a ``converge`` study), a dry bed (h0 + eps*zeta reached zero)
+or a stall (the CFL step fell below ``scenarios.STALL_FRACTION`` of its
+first value), 4 self-test failure. The output directory defaults to the EBWAVE_OUTDIR environment
 variable, then to the current directory.
 """
 
@@ -19,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (BlowUpError, ConfigurationError, HyperbolicityError, ModelVariant,
-                   PhysParams)
-from .dispersion import (DispersionInstabilityError, QuadratureError, optimize_alpha,
-                         stability_bound)
+                   PhysParams, StallError)
+from .dispersion import DispersionInstabilityError, optimize_alpha, stability_bound
 from . import scenarios
 
 EXIT_OK = 0
@@ -207,7 +207,10 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (DispersionInstabilityError, QuadratureError) as exc:
+    except StallError as exc:
+        print(f"stall: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except DispersionInstabilityError as exc:
         print(f"dispersion error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

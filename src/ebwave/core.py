@@ -21,6 +21,11 @@ class HyperbolicityError(FloatingPointError):
     """Water column h0 + eps*zeta reached zero or below."""
 
 
+class StallError(FloatingPointError):
+    """The CFL time step collapsed: it fell below a fixed fraction
+    (``scenarios.STALL_FRACTION``) of the first one of its stepping loop."""
+
+
 class BlowUpError(FloatingPointError):
     """The solution left the configured bounds or became non-finite.
 

@@ -18,20 +18,15 @@ which signals a high frequency instability.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelVariant, PhysParams
+from .core import ConfigurationError, ModelVariant, PhysParams
 
 
 class DispersionInstabilityError(ArithmeticError):
     """A squared frequency went negative where a real branch was required."""
-
-
-class QuadratureError(ArithmeticError):
-    """Non-finite sample encountered while integrating a velocity error."""
 
 
 class DispersionKind(enum.Enum):
@@ -135,26 +130,21 @@ def omega(model: DispersionModel, k):
     return w
 
 
-def _group_velocity(model: DispersionModel, k: np.ndarray) -> np.ndarray:
-    """dw/dk by a fourth-order central difference with step max(1e-4, 1e-4*k);
-    the odd extension of w makes the stencil valid arbitrarily close to k = 0."""
-    h = np.maximum(1e-4, 1e-4 * k)
-    return (-omega(model, k + 2 * h) + 8.0 * omega(model, k + h)
-            - 8.0 * omega(model, k - h) + omega(model, k - 2 * h)) / (12.0 * h)
-
-
 def velocities(model: DispersionModel, k):
     """Phase and group velocity at wavenumber k > 0 (vectorized).
 
     Phase is w/k on the right-moving branch, group velocity dw/dk by a
-    fourth-order central difference (``_group_velocity``). Raises
+    fourth-order central difference with step max(1e-4, 1e-4 k); the odd
+    extension of w makes it valid arbitrarily close to k = 0. Raises
     DispersionInstabilityError where no real branch exists.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("wavenumbers must be positive")
     phase = omega(model, k) / k
-    group = _group_velocity(model, k)
+    h = np.maximum(1e-4, 1e-4 * k)
+    group = (-omega(model, k + 2 * h) + 8.0 * omega(model, k + h)
+             - 8.0 * omega(model, k - h) + omega(model, k - 2 * h)) / (12.0 * h)
     if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(group))):
         bad = k[~(np.isfinite(phase) & np.isfinite(group))]
         raise DispersionInstabilityError(
@@ -195,10 +185,10 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
 
         E(alpha) = int_0^K [ ((Cp - Cp_S)/Cp_S)^2 + ((Cg - Cg_S)/Cg_S)^2 ] dk,
 
-    by composite Simpson on [1e-6, K]; both relative errors vanish as
-    k -> 0 so the missing sliver is O(k_min^5). Raises QuadratureError if
-    any sample is non-finite (the model has no real branch somewhere in
-    the range, so this alpha is inadmissible on [0, K]).
+    by composite Simpson on [1e-6, K] over ``velocities``; both relative
+    errors vanish as k -> 0 so the missing sliver is O(k_min^5). Raises
+    DispersionInstabilityError where the model has no real branch in the
+    range (this alpha is inadmissible on [0, K]).
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
@@ -208,14 +198,9 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
     m = model.with_alpha(alpha)
     k = np.linspace(1e-6, K, panels + 1)
 
-    stokes = stokes_reference(m)
-    cp, cg = omega(m, k) / k, _group_velocity(m, k)
-    cp_s, cg_s = omega(stokes, k) / k, _group_velocity(stokes, k)
-
+    cp, cg = velocities(m, k)
+    cp_s, cg_s = velocities(stokes_reference(m), k)
     integrand = ((cp - cp_s) / cp_s) ** 2 + ((cg - cg_s) / cg_s) ** 2
-    if not np.all(np.isfinite(integrand)):
-        raise QuadratureError(
-            f"non-finite velocity error sample for alpha = {alpha:g} on [0, {K:g}]")
     step = k[1] - k[0]
     weights = np.ones_like(k)
     weights[1:-1:2] = 4.0
@@ -230,15 +215,16 @@ def optimize_alpha(model: DispersionModel, K: float,
 
     Alphas for which the model loses its real branch somewhere in (0, K]
     are treated as infinitely bad. Returns (alpha_opt, error_min) with
-    alpha_opt resolved to absolute tolerance ``tol``. Warns if the
-    minimizer sticks to an end of the bracket.
+    alpha_opt resolved to absolute tolerance ``tol``. An optimum within
+    2 tol of an end of the bracket is a ConfigurationError: the true
+    minimizer probably lies outside it.
     """
     lo, hi = bracket
 
     def objective(alpha: float) -> float:
         try:
             return weighted_error(model, alpha, K)
-        except QuadratureError:
+        except DispersionInstabilityError:
             return np.inf
 
     invgold = (np.sqrt(5.0) - 1.0) / 2.0
@@ -256,10 +242,11 @@ def optimize_alpha(model: DispersionModel, K: float,
             d = a + invgold * (b - a)
             fd = objective(d)
     alpha_opt = 0.5 * (a + b)
-    err_min = objective(alpha_opt)
     if alpha_opt - lo < 2 * tol or hi - alpha_opt < 2 * tol:
-        warnings.warn(f"alpha optimum {alpha_opt:.5f} sits at the bracket edge "
-                      f"[{lo}, {hi}]; the bracket is probably wrong", stacklevel=2)
+        raise ConfigurationError(
+            f"alpha optimum {alpha_opt:.5f} sits at the edge of the bracket "
+            f"[{lo:g}, {hi:g}] for K = {K:g}; the minimizer probably lies outside it")
+    err_min = objective(alpha_opt)
     return alpha_opt, err_min
 
 

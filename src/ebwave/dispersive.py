@@ -276,6 +276,7 @@ class CirculantSolver:
     multiplies a complex array by a complex one several times faster than
     by a real one. The symbol sigma_A is checked at construction; a (near)
     zero eigenvalue at any discrete frequency makes A singular on this grid.
+    sigma_A itself is ``stencil.symbol`` of the table.
     """
 
     def __init__(self, stencil: PairStencil, n: int, name: str = "operator", *,
@@ -298,13 +299,6 @@ class CirculantSolver:
         if numerator is not None:
             multiplier = numerator.symbol(harmonics) * multiplier
         self.multiplier = multiplier.astype(complex)
-
-    @property
-    def symbol(self) -> np.ndarray:
-        """Eigenvalues sigma_A of the factorized map A (see
-        ``PairStencil.symbol``); ``multiplier`` holds those of the map that
-        ``solve`` applies."""
-        return self.stencil.symbol(fourier_harmonics(self.n, max(3, self.stencil.reach)))
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None,
               spectrum: np.ndarray | None = None) -> np.ndarray:

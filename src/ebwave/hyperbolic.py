@@ -112,15 +112,20 @@ def _window(n: int, start: int, end: int) -> tuple[slice, ...]:
 
 
 class _FaceKernel:
-    """Reconstruction and limiter on the cells p[2:-2] of a padded window.
+    """The views of the rate kernel for strips of ``width`` cells, on the
+    scratch of an ``FVWorkspace`` (``block``, ``faces`` and the rows of ``tmp``).
 
-    ``right`` and ``left`` receive one entry per cell, and the five rows of
-    ``tmp`` (at least len(p) - 1 entries each) are the scratch. Every view
-    the kernel reads or writes is built here, so a call slices nothing.
+    ``variations`` and ``faces`` reconstruct and limit the cells p[2:-2] of
+    p = ``block`` into ``right`` and ``left``, one entry per cell; ``sides``,
+    ``flux_tmp`` and ``flux_pairs`` serve the Rusanov flux. Every view is
+    built here, once per width, so a call slices nothing.
     """
 
-    def __init__(self, p, right, left, tmp):
+    def __init__(self, width: int, block, faces, tmp):
+        m = width + 2 * GHOSTS              # window entries per field
+        p = self.block = block[:2 * m]
         c = len(p) - 4
+        right, left = (f[:c] for f in faces)
         d, d3, t, two_thirds, one_third = (b[:c + 3] for b in tmp)
         self.right, self.left, self.cells = right, left, p[2:-2]
         # neighbor differences d[k] = p[k+1] - p[k]: diff_down = u_i - u_{i-1}
@@ -143,6 +148,13 @@ class _FaceKernel:
         self.cap, self.agreement = tmp[3][:c], tmp[4][:c]
         self.pairs = ((self.abs2[1:-2], self.abs2[2:-1]),
                       (self.sign[1:-2], self.sign[2:-1]))
+        # interface i+1/2 of the k at start-1/2 .. end-1/2 pairs the right face
+        # of cell i with the left face of cell i+1; the faces of v start at m
+        k = width + 1
+        self.sides = right[:k], right[m:m + k], left[1:k + 1], left[m + 1:m + k + 1]
+        self.flux_tmp = tuple(b[:k] for b in tmp)
+        # _rusanov leaves the zeta and v fluxes in the first two rows
+        self.flux_pairs = tuple((f[1:], f[:-1]) for f in self.flux_tmp[:2])
 
     def variations(self) -> None:
         """delta_plus into ``right`` and delta_minus into ``left``, where
@@ -195,25 +207,6 @@ class _FaceKernel:
         np.subtract(self.cells, self.left, out=self.left)
 
 
-class _StripKernel:
-    """The views of the rate kernel for strips of ``width`` cells, on the
-    scratch of a workspace (``block``, the two face rows and ``tmp``)."""
-
-    def __init__(self, width: int, block, faces, tmp):
-        m = width + 2 * GHOSTS              # window entries per field
-        c = width + 2                       # cells start-1 .. end of a field
-        k = c - 1                           # interfaces start-1/2 .. end-1/2
-        right, left = faces
-        self.block = block[:2 * m]
-        self.kernel = _FaceKernel(self.block, right[:2 * m - 4], left[:2 * m - 4], tmp)
-        # interface i+1/2 pairs the right face of cell i with the left face
-        # of cell i+1; the faces of v start at offset m
-        self.sides = right[:k], right[m:m + k], left[1:c], left[m + 1:m + c]
-        self.flux_tmp = tuple(t[:k] for t in tmp)
-        # _rusanov leaves the zeta and v fluxes in the first two rows
-        self.flux_pairs = tuple((f[1:], f[:-1]) for f in self.flux_tmp[:2])
-
-
 class FVWorkspace:
     """Preallocated buffers of the finite-volume step on a grid of n cells.
 
@@ -225,7 +218,7 @@ class FVWorkspace:
     ``memory_size`` entries so that the solver's dispersive workspace fits
     in it too; built with ``np.empty``, it touches no page before the
     kernels write it. ``strips`` lists, per strip, the input slices of its
-    window, its first and end cell and the kernel views of its width.
+    window, its first and end cell and the ``_FaceKernel`` of its width.
     """
 
     def __init__(self, n: int, memory_size: int = 0):
@@ -240,13 +233,13 @@ class FVWorkspace:
         self.stage, self.rate, self.acc = self.memory[:rk4_size].reshape(3, 2, n)
         scratch = self.memory[rk4_size:rk4_size + 8 * row].reshape(8, row)
         self.block, self.faces, self.tmp = scratch[0], tuple(scratch[1:3]), tuple(scratch[3:])
-        kernels: dict[int, _StripKernel] = {}
+        kernels: dict[int, _FaceKernel] = {}
         strips = []
         for start in range(0, n, FV_STRIP):
             end = min(start + FV_STRIP, n)
             width = end - start
             if width not in kernels:
-                kernels[width] = _StripKernel(width, self.block, self.faces, self.tmp)
+                kernels[width] = _FaceKernel(width, self.block, self.faces, self.tmp)
             strips.append((_window(n, start, end), start, end, kernels[width]))
         self.strips = tuple(strips)
 
@@ -272,12 +265,12 @@ def _face_outputs(fields, kernel) -> tuple[np.ndarray, ...]:
     outputs = tuple(np.empty(ws.n) for _ in range(4))
     for pieces, start, end, strip in ws.strips:
         np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
-        kernel(strip.kernel)
+        kernel(strip)
         # the faces of cell i of a field are at i - start + 1 of its window
         m = end - start + 2 * GHOSTS
         for i, out in enumerate(outputs):
             first = (i // 2) * m + 1
-            faces = strip.kernel.left if i % 2 else strip.kernel.right
+            faces = strip.left if i % 2 else strip.right
             out[start:end] = faces[first:first + end - start]
     return outputs
 
@@ -422,7 +415,7 @@ def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
     fields = (state.zeta, state.v)
     for pieces, start, end, strip in ws.strips:
         np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
-        strip.kernel.faces()
+        strip.faces()
         _rusanov(*strip.sides, params, strip.flux_tmp)
         for (after, before), rate in zip(strip.flux_pairs, ws.rate):
             out = rate[start:end]

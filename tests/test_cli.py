@@ -92,6 +92,20 @@ def test_simulate_dry_bed_during_the_run_exit_code(tmp_path, capsys, monkeypatch
     assert len(err) == 1 and err[0].startswith("dry bed")
 
 
+def test_simulate_stall_exit_code(tmp_path, capsys):
+    # with the blow-up guard raised, the fifth-only heap's CFL step first
+    # falls below 1/100 of the first one at t = 0.497, step 892
+    config = replace(builtin_scenario("stability_fifth_only_factorized"),
+                     name="stall", blowup_threshold=1e6)
+    path = tmp_path / "stall.cfg"
+    write_config(config, path)
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_BLOWUP
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("stall: CFL step")
+    assert "t = 0.497" in err[0] and "after 891 steps" in err[0]
+    assert not (tmp_path / "stall.csv").exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("cfl", "2", "cfl must be in (0, 1], got 2.0"),
     ("blowup_threshold", "-1", "blowup_threshold must be positive, got -1.0"),
@@ -220,6 +234,16 @@ def test_optimize_alpha_subcommand(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "alpha* = 0.835" in out
+
+
+def test_optimize_alpha_at_the_bracket_edge_exit_code(capsys):
+    code = main(["optimize-alpha", "--kmax", "50"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: alpha optimum 1.99")
+    assert "[0.1, 2]" in err[0] and "K = 50" in err[0]
 
 
 def test_stability_subcommand(capsys):

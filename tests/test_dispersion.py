@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ebwave.core import ModelVariant, PhysParams
+from ebwave.core import ConfigurationError, ModelVariant, PhysParams
 from ebwave.dispersion import (DispersionInstabilityError, DispersionKind,
-                               DispersionModel, QuadratureError, omega,
+                               DispersionModel, omega,
                                omega_squared, optimize_alpha, stability_bound,
                                stokes_reference, taylor_coefficients, velocities,
                                weighted_error)
@@ -137,7 +137,7 @@ def test_weighted_error_positive_and_finite():
 
 
 def test_weighted_error_raises_where_unstable():
-    with pytest.raises(QuadratureError):
+    with pytest.raises(DispersionInstabilityError):
         weighted_error(model(DispersionKind.EB_FACTORIZED), 0.2, 10.0)
 
 
@@ -163,8 +163,8 @@ def test_optimize_alpha_matches_grid_scan():
     assert np.max(diffs) < 1e-2
 
 
-def test_optimize_alpha_warns_on_bracket_edge():
-    with pytest.warns(UserWarning):
+def test_optimize_alpha_rejects_bracket_edge():
+    with pytest.raises(ConfigurationError, match=r"1\.500\d+ .*\[1\.5, 2\].*K = 1\b"):
         optimize_alpha(model(DispersionKind.EB_UNFACTORIZED), 1.0, bracket=(1.5, 2.0))
 
 

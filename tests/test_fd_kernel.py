@@ -175,7 +175,8 @@ def test_solver_symbols_keep_relative_accuracy():
     p = 1 - eps_alpha / 3 * d2
     j = p + eps_alpha * np.longdouble(params.epsilon) / 45 * d4
     for solver, want, rel in ((ops.p_solver, p, 1e-15), (ops.j_solver, j, 1e-12)):
-        assert np.max(np.abs(solver.symbol - want) / want) <= rel
+        symbol = solver.stencil.symbol(fourier_harmonics(solver.n))
+        assert np.max(np.abs(symbol - want) / want) <= rel
 
 
 def test_public_stencils_and_symbols_match_allocating_kernel():
