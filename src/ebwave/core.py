@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,16 @@ class ConfigurationError(ValueError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+def require_finite(**values) -> None:
+    """Raise a ConfigurationError that names the first of ``values`` (a
+    number, or an ndarray checked entry by entry) that is NaN or infinite."""
+    for name, value in values.items():
+        finite = (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                  else math.isfinite(value))
+        if not finite:
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 class HyperbolicityError(FloatingPointError):
@@ -59,6 +70,8 @@ class PhysParams:
     depth: float = 1.0
 
     def __post_init__(self):
+        require_finite(epsilon=self.epsilon, alpha=self.alpha,
+                       gravity=self.gravity, depth=self.depth)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.alpha <= 0.0:
@@ -105,6 +118,7 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
+        require_finite(x_min=self.x_min, x_max=self.x_max)
         if self.x_max <= self.x_min:
             raise ConfigurationError("x_max must exceed x_min")
         if self.n_cells < 8:
@@ -152,19 +166,6 @@ class State:
     def is_hyperbolic(self, params: PhysParams) -> bool:
         """True when the water column is strictly positive everywhere."""
         return bool(np.min(self.water_column(params)) > 0.0)
-
-
-def periodic_pad(u: np.ndarray, g: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``u`` with ``g`` periodic ghost cells on each side.
-
-    Entry k of the result is u[(k - g) mod N], so a stencil with offsets in
-    [-g, g] reads the neighbors of cell i from slices starting at i + g.
-    Requires g <= N. ``out``, if given, receives the result (N + 2g entries).
-    """
-    if g > u.shape[0]:
-        raise ConfigurationError(
-            f"cannot wrap {g} ghost cells around {u.shape[0]} points")
-    return np.concatenate((u[u.shape[0] - g:], u, u[:g]), out=out)
 
 
 def relative_l2_error(numerical: np.ndarray, reference: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigurationError, ModelVariant, PhysParams
+from .core import ConfigurationError, ModelVariant, PhysParams, require_finite
 
 
 class DispersionInstabilityError(ArithmeticError):
@@ -190,6 +190,7 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
     DispersionInstabilityError where the model has no real branch in the
     range (this alpha is inadmissible on [0, K]).
     """
+    require_finite(K=K)
     if K <= 0.0:
         raise ValueError("K must be positive")
     if panels < 2:
@@ -256,12 +257,13 @@ def stability_bound(variant: ModelVariant, k: float, alpha: float = 1.0):
 
     UNFACTORIZED and FIFTH_ONLY_FACTORIZED bounds hold for alpha = 1 (the
     only case their linearizations are stated for); the FACTORIZED_ALL
-    bound is valid for any alpha > 0. Raises ValueError for alpha <= 0 or
-    k <= 0.
+    bound is valid for any alpha > 0. Raises ValueError for alpha <= 0,
+    k <= 0 or a value that is not finite.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha:g}")
     k = np.asarray(k, dtype=float)
+    require_finite(alpha=alpha, k=k)
     if np.any(k <= 0.0):
         raise ValueError("k must be positive")
     k2 = k * k

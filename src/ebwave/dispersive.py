@@ -62,19 +62,16 @@ K per Runge-Kutta stage): the benchmark's trace wraps ``solve`` and counts
 every one, as it did before the fold. The conversion's ``inverse`` is
 counted on its own span, not as a seventh solve.
 
-Workspace. Every buffer of one RK4 step lives in an ``FDWorkspace`` built
-once per grid (``StrangSolver`` keeps one): the ghost-filled field, the
-stencil scratch, the frozen zeta source, the RK4 stage, rate and running
-sum of v, each a (1, n) block as the finite-volume ones are (2, n) blocks,
-so that ``rk4_in_place`` has one layout, and one complex spectrum, which
-the FFTs write into through ``out=``. The conversion and the allocating
+Workspace. The step runs on the ``hyperbolic.Workspace`` of the whole
+Strang step (``StrangSolver`` keeps one): the RK4 of v uses row 0 of its
+stage, rate and sum blocks, and the ghost-filled field, the stencil
+scratch, the frozen zeta source and the complex spectrum, which the FFTs
+write into through ``out=``, lie in memory that the finite-volume step
+leaves idle during this one. The conversion and the allocating
 ``apply_stencil`` take their scratch from the same workspace (a new one
 when none is passed). A step allocates only the new v, where the
 allocating kernel took a fresh N-sized array for almost every numpy
-operation. Its seven N-sized rows are 3.5 MiB at N = 65536, as much as
-the allocating kernel's peak of temporaries, so the solver carves them
-from the memory of its finite-volume workspace, which is idle during this
-half step: then the dispersive step adds no resident memory at all.
+operation, and adds no resident memory to the finite-volume step's.
 """
 
 from __future__ import annotations
@@ -84,8 +81,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams, periodic_pad
-from .hyperbolic import rk4_in_place, workspace_for
+from .core import BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams
+from .hyperbolic import Workspace, rk4_in_place, workspace_for
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
 _D1 = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
@@ -96,8 +93,6 @@ _D5 = {-4: 1 / 6, -3: -9 / 6, -2: 26 / 6, -1: -29 / 6,
        1: 29 / 6, 2: -26 / 6, 3: 9 / 6, 4: -1 / 6}
 
 _STENCILS = {1: _D1, 2: _D2, 3: _D3, 4: _D4, 5: _D5}
-
-FD_GHOSTS = 4          # ghost cells per side: the reach of the widest stencil, D5
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ class PairStencil:
         """Write the stencil of the field held by ``padded`` into ``out``.
 
         ``padded`` is the field with the same number g >= reach of periodic
-        ghost cells on each side (``periodic_pad``), so that it has
+        ghost cells on each side (``Workspace.pad``), so that it has
         len(out) + 2g entries; ``tmp`` is scratch of len(out) and ``diffs``
         of at least len(padded) - 1, for the first differences that a
         symmetric stencil reads. Returns out.
@@ -224,8 +219,8 @@ def apply_stencil(order: int, field: np.ndarray, dx: float) -> np.ndarray:
         raise ConfigurationError(
             f"grid of {field.shape[0]} points is narrower than the "
             f"{width}-point stencil")
-    ws = FDWorkspace(field.shape[0])
-    return stencil.apply(ws.pad(field), np.empty_like(field), ws.tmp, ws.diffs)
+    ws = Workspace(field.shape[0])
+    return stencil.apply(ws.pad(field), np.empty_like(field), ws.fd_tmp, ws.diffs)
 
 
 def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:
@@ -312,54 +307,6 @@ class CirculantSolver:
         return np.fft.irfft(spectrum, n=self.n, out=out)
 
 
-class FDWorkspace:
-    """Preallocated buffers of the finite-difference step on a grid of n points.
-
-    ``padded`` holds one field with FD_GHOSTS periodic ghost cells per side
-    and ``tmp`` and ``diffs`` are the scratch of the stencils; ``source``
-    keeps the zeta-only source for the whole step; ``stage``, ``rate`` and
-    ``acc`` are the RK4 stage, rate and running sum of v, each a (1, n)
-    block like the (2, n) ones of the ``FVWorkspace`` (see
-    ``rk4_in_place``), which the zeta-only source borrows as scratch before
-    the stages start; ``spectrum`` is the complex scratch of the
-    FFTs. ``diffs`` and ``spectrum`` share their memory, because a stencil
-    and a solve never run at the same time.
-
-    All of them are carved from one flat float array of ``size(n)``
-    entries (about seven N-sized rows): ``memory`` when given, so that
-    memory another step owns but never uses at the same time serves both
-    (the ``StrangSolver`` passes its ``FVWorkspace.memory``), else a new
-    ``np.empty`` block, which touches no page before the kernels do.
-    """
-
-    def __init__(self, n: int, memory: np.ndarray | None = None):
-        self.n = n
-        padded_size = n + 2 * FD_GHOSTS
-        size = self.size(n)
-        if memory is None:
-            memory = np.empty(size)
-        elif (memory.dtype != float or memory.ndim != 1 or memory.shape[0] < size
-              or not memory.flags.c_contiguous):
-            raise ConfigurationError(
-                f"FD workspace needs {size} contiguous float entries, got {memory.shape}")
-        # the spectrum comes first, where the block is aligned for complex values
-        self.spectrum = memory[:2 * (n // 2 + 1)].view(complex)
-        self.diffs = memory[:padded_size]
-        self.padded = memory[padded_size:2 * padded_size]
-        rows = memory[2 * padded_size:size].reshape(5, n)
-        self.source, self.tmp = rows[:2]
-        self.stage, self.rate, self.acc = rows[2:].reshape(3, 1, n)
-
-    @staticmethod
-    def size(n: int) -> int:
-        """Float entries of the buffers of a workspace for n points."""
-        return 2 * (n + 2 * FD_GHOSTS) + 5 * n
-
-    def pad(self, u: np.ndarray) -> np.ndarray:
-        """``u`` with FD_GHOSTS ghost cells, in ``padded``."""
-        return periodic_pad(u, FD_GHOSTS, out=self.padded)
-
-
 # cell averages -> point values at the cell centers (deconvolution of the
 # sliding mean), symmetric five-point map exact through sixth order
 _CONVERSION = {-2: 27 / 5760, -1: -348 / 5760, 0: 6402 / 5760,
@@ -385,8 +332,8 @@ class ConversionOperator(CirculantSolver):
     invertible and reflection-equivariant, because any stencil symmetric
     about a half-integer point annihilates the Nyquist mode.
 
-    ``forward`` applies the map in pair form with the scratch of an
-    ``FDWorkspace`` (a new one when none is passed); ``inverse`` is the
+    ``forward`` applies the map in pair form with the scratch of a
+    ``Workspace`` (a new one when none is passed); ``inverse`` is the
     inherited ``solve``, whose complex scratch is passed as ``spectrum``.
     Given their scratch, both allocate only their result. ``harmonics`` is
     the table of the symbol, as for ``CirculantSolver``.
@@ -398,9 +345,9 @@ class ConversionOperator(CirculantSolver):
         super().__init__(_CONVERSION_PAIRS, n_cells, "cell-to-nodal map",
                          harmonics=harmonics)
 
-    def forward(self, field: np.ndarray, workspace: FDWorkspace | None = None) -> np.ndarray:
-        ws = workspace_for(FDWorkspace, self.n, workspace)
-        return self.stencil.apply(ws.pad(field), np.empty(self.n), ws.tmp, ws.diffs)
+    def forward(self, field: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+        ws = workspace_for(self.n, workspace)
+        return self.stencil.apply(ws.pad(field), np.empty(self.n), ws.fd_tmp, ws.diffs)
 
     inverse = CirculantSolver.solve
 
@@ -422,8 +369,6 @@ class DispersiveOperators:
     """
 
     grid: Grid
-    params: PhysParams
-    variant: ModelVariant
     d1: PairStencil
     gradient: PairStencil
     zeta_terms: tuple[tuple[PairStencil, int], ...]
@@ -495,8 +440,7 @@ def build_operators(grid: Grid, params: PhysParams,
     j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
     harmonics = fourier_harmonics(n)
     return DispersiveOperators(
-        grid=grid, params=params, variant=variant,
-        d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
+        grid=grid, d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
         zeta_terms=zeta_terms, u_terms=u_terms,
         j_solver=CirculantSolver(j_stencil, n, j_name, harmonics=harmonics),
         p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2",
@@ -511,14 +455,14 @@ def _add_terms(bracket, terms, padded, factors, term, ws) -> None:
     """bracket += each stencil term of the field in ``padded``, computed in
     ``term`` with the scratch of ``ws``."""
     for stencil, weight in terms:
-        stencil.apply(padded, term, ws.tmp, ws.diffs)
+        stencil.apply(padded, term, ws.fd_tmp, ws.diffs)
         if weight != _PLAIN:
             term *= factors[weight]
         bracket += term
 
 
 def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
-                     workspace: FDWorkspace | None = None) -> np.ndarray:
+                     workspace: Workspace | None = None) -> np.ndarray:
     """Velocity rate contribution that depends on zeta only.
 
     Since zeta is frozen during the dispersive half step, this part is
@@ -530,12 +474,12 @@ def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
     into ``workspace.source`` and returned as that array; without a
     workspace a fresh one is built, so the returned array is the caller's.
     """
-    ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
+    ws = workspace_for(ops.grid.n_cells, workspace)
     # the gradient becomes the source in place; the RK4 rows are free here
     gradient, bracket, term = ws.source, ws.stage[0], ws.rate[0]
     factors = (None, zeta, gradient)
     padded = ws.pad(zeta)
-    ops.gradient.apply(padded, gradient, ws.tmp, ws.diffs)
+    ops.gradient.apply(padded, gradient, ws.fd_tmp, ws.diffs)
     np.copyto(bracket, gradient)
     _add_terms(bracket, ops.zeta_terms, padded, factors, term, ws)
     if ops.u_terms:
@@ -546,20 +490,20 @@ def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
 
 
 def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarray,
-                  workspace: FDWorkspace | None = None) -> np.ndarray:
+                  workspace: Workspace | None = None) -> np.ndarray:
     """dv/dt = zeta_source - K (D1 v)^2, with K = 2/3 eps^2 J^{-1} D1.
 
     The rate is written into ``workspace.rate[0]`` and returned as that
     array; without a workspace a fresh one is built."""
-    ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
-    rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.tmp, ws.diffs)
+    ws = workspace_for(ops.grid.n_cells, workspace)
+    rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.fd_tmp, ws.diffs)
     rate *= rate
     nonlinear = ops.k_solver.solve(rate, out=rate, spectrum=ws.spectrum)
     return np.subtract(zeta_source, nonlinear, out=rate)
 
 
 def rk4_fd_step(zeta: np.ndarray, v: np.ndarray, dt: float, ops: DispersiveOperators,
-                workspace: FDWorkspace | None = None) -> np.ndarray:
+                workspace: Workspace | None = None) -> np.ndarray:
     """Advance the nodal velocity ``v`` by one RK4 step of the dispersive
     part over the frozen nodal surface ``zeta``; returns the new v.
 
@@ -570,7 +514,7 @@ def rk4_fd_step(zeta: np.ndarray, v: np.ndarray, dt: float, ops: DispersiveOpera
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = workspace_for(FDWorkspace, ops.grid.n_cells, workspace)
+    ws = workspace_for(ops.grid.n_cells, workspace)
     source = zeta_source_term(ops, zeta, workspace=ws)
     (v_new,) = rk4_in_place(
         (v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace=ws), ws)

@@ -10,16 +10,19 @@ limiter, and the interface flux is the Rusanov (local Lax-Friedrichs)
 two-point flux. Everything is periodic: every neighbor is read as a slice
 of a ghost-filled window.
 
-Workspace. Every buffer of one RK4 step lives in an ``FVWorkspace``, built
-once per grid (``StrangSolver`` keeps one): the RK4 stage state, rate and
-running sum, each one contiguous (2, n) block whose arithmetic runs as one
-flat pass over both fields, and the scratch of one strip. The kernels
-write every result through ``out=``, so a step allocates only its two
-result arrays. Without the workspace a step at N = 65536 allocated about a
-hundred 512 KiB temporaries per rate evaluation, and the page faults of
-handing them back to the OS and taking them again cost more than the
-arithmetic. The allocating ``reconstruction_deltas`` and
-``reconstruct_interfaces`` run the same strips on a workspace of their own.
+Workspace. Every buffer of a whole Strang step, both half steps, lives
+in one ``Workspace``, built once per grid (``StrangSolver`` keeps one and
+every kernel takes it): the RK4 stage state, rate and running sum, each
+one contiguous (2, n) block whose arithmetic runs as one flat pass over
+both fields, the scratch of one FV strip, and the buffers of the
+dispersive step, which sit in memory that this step leaves idle (see
+``Workspace``). The kernels write every result through ``out=``, so a
+step allocates only its result arrays. Without the workspace a step at
+N = 65536 allocated about a hundred 512 KiB temporaries per rate
+evaluation, and the page faults of handing them back to the OS and taking
+them again cost more than the arithmetic. The allocating
+``reconstruction_deltas`` and ``reconstruct_interfaces`` run the same
+strips on a workspace of their own.
 
 Flat strip block. ``hyperbolic_rhs`` walks the grid in strips of at most
 ``FV_STRIP`` cells. For each strip one ``np.concatenate`` copies the
@@ -56,10 +59,7 @@ calls. One ``rk4_fv_step`` at N = 65536 took 25.9 ms with strips of 4096
 cells, 23.1 ms with 8192 and 22.7 ms with 16384 (medians of 9 interleaved
 rounds); with one field per window, 2048 had been slower still and a
 single whole-grid strip no faster but larger in memory. A grid of at most
-``FV_STRIP`` cells is one strip. The RK4 blocks and the
-scratch are carved from one flat array, ``memory``, which the solver's
-dispersive workspace reuses (the two half steps never run at the same
-time).
+``FV_STRIP`` cells is one strip.
 
 The limiter is fused across the two faces of a cell: L(u, v, w) is
 symmetric in u and v, so the signs, the cap min(2|u|, 2|v|) and the
@@ -96,13 +96,14 @@ def max_signal_speed(zeta, v, params: PhysParams):
 
 STENCIL_WIDTH = 5      # cells i-2 .. i+2 feed the faces of cell i
 GHOSTS = 3             # ghost cells per side: enough for the faces of cells -1 .. N
+FD_GHOSTS = 4          # ghost cells per side of the FD field: the reach of D5
 FV_STRIP = 8192        # cells per strip of the rate kernel (see module docstring)
 
 
-def _window(n: int, start: int, end: int) -> tuple[slice, ...]:
-    """Slices of a field of n >= GHOSTS cells that hold, end to end, the
-    periodic window of cells start - GHOSTS .. end + GHOSTS - 1."""
-    first, last = start - GHOSTS, end + GHOSTS
+def _window(n: int, start: int, end: int, ghosts: int) -> tuple[slice, ...]:
+    """Slices of a field of n >= ghosts cells that hold, end to end, the
+    periodic window of cells start - ghosts .. end + ghosts - 1."""
+    first, last = start - ghosts, end + ghosts
     pieces = [slice(max(first, 0), min(last, n))]
     if first < 0:
         pieces.insert(0, slice(n + first, n))
@@ -113,7 +114,7 @@ def _window(n: int, start: int, end: int) -> tuple[slice, ...]:
 
 class _FaceKernel:
     """The views of the rate kernel for strips of ``width`` cells, on the
-    scratch of an ``FVWorkspace`` (``block``, ``faces`` and the rows of ``tmp``).
+    scratch of a ``Workspace`` (``block``, ``faces`` and the rows of ``tmp``).
 
     ``variations`` and ``faces`` reconstruct and limit the cells p[2:-2] of
     p = ``block`` into ``right`` and ``left``, one entry per cell; ``sides``,
@@ -207,21 +208,34 @@ class _FaceKernel:
         np.subtract(self.cells, self.left, out=self.left)
 
 
-class FVWorkspace:
-    """Preallocated buffers of the finite-volume step on a grid of n cells.
+class Workspace:
+    """Preallocated buffers of one Strang step on a grid of n cells.
 
     ``stage``, ``rate`` and ``acc`` are the RK4 stage state, the current
-    rate and the running sum, each a (2, n) block of zeta and v rows.
-    ``block`` (both windows of a strip end to end), ``faces`` (right and
-    left faces of the block) and ``tmp`` are the scratch of one strip.
-    All are carved from one flat array, ``memory``, with at least
-    ``memory_size`` entries so that the solver's dispersive workspace fits
-    in it too; built with ``np.empty``, it touches no page before the
-    kernels write it. ``strips`` lists, per strip, the input slices of its
-    window, its first and end cell and the ``_FaceKernel`` of its width.
+    rate and the running sum, each a (2, n) block of zeta and v rows; the
+    dispersive RK4 of v alone runs on their first rows (see
+    ``rk4_in_place``). ``block`` (both windows of a strip end to end),
+    ``faces`` (right and left faces of the block) and ``tmp`` are the
+    scratch of one FV strip, and ``strips`` lists, per strip, the input
+    slices of its window, its first and end cell and the ``_FaceKernel`` of
+    its width.
+
+    The two half steps never run at the same time, so the buffers of the
+    dispersive step lie in memory that the FV step leaves idle: ``source``,
+    the zeta-only source, is ``stage[1]``; ``fd_tmp``, the stencil scratch,
+    is row 1 of the second block; ``padded``, one field with FD_GHOSTS
+    periodic ghost cells per side (``pad``), starts on row 1 of the third
+    block, and ``diffs``, the first differences of a symmetric stencil,
+    follows it. ``spectrum``, the complex scratch of the FFTs, shares the
+    memory of ``diffs``, because a stencil and a solve never run at the
+    same time. None of them overlaps row 0 of a block, whichever way
+    ``rk4_in_place`` has swapped ``rate`` and ``acc``.
+
+    All are carved from one flat array, ``memory``; built with
+    ``np.empty``, it touches no page before the kernels write it.
     """
 
-    def __init__(self, n: int, memory_size: int = 0):
+    def __init__(self, n: int):
         if n < STENCIL_WIDTH:
             raise ConfigurationError(
                 f"grid of {n} points is narrower than the "
@@ -229,10 +243,18 @@ class FVWorkspace:
         self.n = n
         row = 2 * (min(n, FV_STRIP) + 2 * GHOSTS)     # both windows of the widest strip
         rk4_size = 6 * n
-        self.memory = np.empty(max(rk4_size + 8 * row, memory_size))
+        fd_size = n + 2 * FD_GHOSTS                   # entries of ``padded`` and ``diffs``
+        padded_end = 5 * n + fd_size
+        self.memory = np.empty(max(rk4_size + 8 * row, padded_end + fd_size))
         self.stage, self.rate, self.acc = self.memory[:rk4_size].reshape(3, 2, n)
         scratch = self.memory[rk4_size:rk4_size + 8 * row].reshape(8, row)
         self.block, self.faces, self.tmp = scratch[0], tuple(scratch[1:3]), tuple(scratch[3:])
+        self.source, self.fd_tmp = self.stage[1], self.rate[1]
+        self.padded = self.memory[5 * n:padded_end]
+        self.diffs = self.memory[padded_end:padded_end + fd_size]
+        # diffs starts 48 n + 64 bytes in, aligned for complex values
+        self.spectrum = self.diffs[:2 * (n // 2 + 1)].view(complex)
+        self.fd_window = _window(n, 0, n, FD_GHOSTS)
         kernels: dict[int, _FaceKernel] = {}
         strips = []
         for start in range(0, n, FV_STRIP):
@@ -240,15 +262,18 @@ class FVWorkspace:
             width = end - start
             if width not in kernels:
                 kernels[width] = _FaceKernel(width, self.block, self.faces, self.tmp)
-            strips.append((_window(n, start, end), start, end, kernels[width]))
+            strips.append((_window(n, start, end, GHOSTS), start, end, kernels[width]))
         self.strips = tuple(strips)
 
+    def pad(self, u: np.ndarray) -> np.ndarray:
+        """``u`` with FD_GHOSTS periodic ghost cells per side, in ``padded``."""
+        return np.concatenate([u[s] for s in self.fd_window], out=self.padded)
 
-def workspace_for(kind, n: int, workspace):
-    """``workspace`` checked against a grid of n points, or a new ``kind``
-    (``FVWorkspace`` or ``FDWorkspace``) for it."""
+
+def workspace_for(n: int, workspace: Workspace | None) -> Workspace:
+    """``workspace`` checked against a grid of n points, or a new one for it."""
     if workspace is None:
-        return kind(n)
+        return Workspace(n)
     if workspace.n != n:
         raise ConfigurationError(
             f"workspace for {workspace.n} points used on a grid of {n}")
@@ -258,10 +283,10 @@ def workspace_for(kind, n: int, workspace):
 def _face_outputs(fields, kernel) -> tuple[np.ndarray, ...]:
     """The right and left outputs of ``kernel`` (a ``_FaceKernel`` method)
     for every cell of the two periodic ``fields``, as (right, left) of the
-    first then of the second, run on the strips of an ``FVWorkspace`` as
+    first then of the second, run on the strips of a ``Workspace`` as
     ``hyperbolic_rhs`` runs them."""
     fields = [np.asarray(u, dtype=float) for u in fields]
-    ws = FVWorkspace(fields[0].shape[0])
+    ws = Workspace(fields[0].shape[0])
     outputs = tuple(np.empty(ws.n) for _ in range(4))
     for pieces, start, end, strip in ws.strips:
         np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
@@ -397,7 +422,7 @@ def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
 
 
 def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
-                   workspace: FVWorkspace | None = None):
+                   workspace: Workspace | None = None):
     """Semi-discrete rate -(F_{i+1/2} - F_{i-1/2})/dx with limited faces.
 
     Each strip's window holds three ghost cells per side, which is enough
@@ -411,7 +436,7 @@ def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
     without a workspace a fresh one is built, so the returned block is the
     caller's own.
     """
-    ws = workspace_for(FVWorkspace, state.zeta.shape[0], workspace)
+    ws = workspace_for(state.zeta.shape[0], workspace)
     fields = (state.zeta, state.v)
     for pieces, start, end, strip in ws.strips:
         np.concatenate([u[s] for u in fields for s in pieces], out=strip.block)
@@ -441,33 +466,37 @@ def _accumulate(acc, k, weight: float) -> None:
 def rk4_in_place(y: tuple, dt: float, rhs, ws) -> tuple:
     """One classical RK4 step for dy/dt = rhs(y) on a tuple of fields.
 
-    ``ws`` holds ``stage``, ``rate`` and ``acc``, each one contiguous
-    (fields, n) block whose arithmetic runs as one flat pass; rhs(stage)
-    writes its rate into ``ws.rate`` (read at call time), which is what
-    the step reads back. The first rate becomes the running sum by swapping
-    ``rate`` and ``acc`` instead of being copied, and 2 k2, 2 k3 and k4 are
-    then added in place in that order, which is the evaluation order of
+    The step runs on the first len(y) rows of the ``stage``, ``rate`` and
+    ``acc`` blocks of the ``Workspace`` ``ws``: both rows for the (zeta, v)
+    of the FV step, row 0 for the v of the FD step. Each is contiguous, so
+    its arithmetic runs as one flat pass. rhs(stage) writes its rate into
+    those rows of ``ws.rate`` (read at call time), which is what the step
+    reads back. The first rate becomes the running sum by swapping ``rate``
+    and ``acc`` instead of being copied, and 2 k2, 2 k3 and k4 are then
+    added in place in that order, which is the evaluation order of
     y + dt/6 (k1 + 2 k2 + 2 k3 + k4). Only the returned arrays are
     allocated, so the result never aliases the workspace.
     """
     rhs(y)
     ws.rate, ws.acc = ws.acc, ws.rate
+    rows = len(y)
+    stage, rate, acc = ws.stage[:rows], ws.rate[:rows], ws.acc[:rows]
     # each stage is built before the weighting of the sum overwrites k
-    _set_stage(ws.stage, y, 0.5 * dt, ws.acc)
-    rhs(ws.stage)
-    _set_stage(ws.stage, y, 0.5 * dt, ws.rate)
-    _accumulate(ws.acc, ws.rate, 2.0)
-    rhs(ws.stage)
-    _set_stage(ws.stage, y, dt, ws.rate)
-    _accumulate(ws.acc, ws.rate, 2.0)
-    rhs(ws.stage)
-    _accumulate(ws.acc, ws.rate, 1.0)
-    ws.acc *= dt / 6.0
-    return tuple(a + total for a, total in zip(y, ws.acc))
+    _set_stage(stage, y, 0.5 * dt, acc)
+    rhs(stage)
+    _set_stage(stage, y, 0.5 * dt, rate)
+    _accumulate(acc, rate, 2.0)
+    rhs(stage)
+    _set_stage(stage, y, dt, rate)
+    _accumulate(acc, rate, 2.0)
+    rhs(stage)
+    _accumulate(acc, rate, 1.0)
+    acc *= dt / 6.0
+    return tuple(a + total for a, total in zip(y, acc))
 
 
 def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float,
-                workspace: FVWorkspace | None = None) -> State:
+                workspace: Workspace | None = None) -> State:
     """Advance the cell averages by one RK4 step of the shallow-water part.
 
     The stages live in ``workspace`` (built here when None) and are
@@ -477,7 +506,7 @@ def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = workspace_for(FVWorkspace, state.zeta.shape[0], workspace)
+    ws = workspace_for(state.zeta.shape[0], workspace)
     return State(*rk4_in_place(
         (state.zeta, state.v), dt,
         lambda y: hyperbolic_rhs(State(*y), params, dx, workspace=ws), ws))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .analytic import (SolitaryWaveSpec, corrected_solution, dam_break_profile,
                        heap_profile)
 from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
-                   StallError, State, relative_l2_error)
+                   StallError, State, relative_l2_error, require_finite)
 from .dispersion import (DispersionInstabilityError, DispersionKind, DispersionModel,
                          stokes_reference, velocities, weighted_error)
 from .splitting import RunState, StrangSolver, choose_dt
@@ -421,6 +421,7 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
     """
     if samples < 1:
         raise ConfigurationError(f"need at least one sample, got {samples}")
+    require_finite(k_max=k_max)
     model = dispersion_model(kind_name, alpha)
     k = np.linspace(k_max / samples, k_max, samples)
     cp, cg = velocities(model, k)

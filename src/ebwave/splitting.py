@@ -29,9 +29,9 @@ import numpy as np
 from .core import BlowUpError, Grid, ModelVariant, PhysParams, State
 # the conversion is defined with the other circulants and re-exported here,
 # where the benchmark's trace patches its methods
-from .dispersive import (ConversionOperator, DispersiveOperators, FDWorkspace,  # noqa: F401
+from .dispersive import (ConversionOperator, DispersiveOperators,  # noqa: F401
                          build_operators, rk4_fd_step)
-from .hyperbolic import FVWorkspace, max_signal_speed, rk4_fv_step
+from .hyperbolic import Workspace, max_signal_speed, rk4_fv_step
 
 
 def choose_dt(state: State, params: PhysParams, dx: float,
@@ -75,7 +75,8 @@ class StrangSolver:
     dt yet, so a caller of ``strang_step`` with a larger dt may ask for more.
     ``blowup_threshold`` terminates the run with a BlowUpError as soon as
     max(|zeta|, |v|) exceeds it, which is the expected outcome of the
-    high frequency instability demonstrations.
+    high frequency instability demonstrations. Both half steps run on
+    one ``Workspace``, built here and kept as ``workspace``.
     """
 
     def __init__(self, grid: Grid, params: PhysParams,
@@ -89,19 +90,14 @@ class StrangSolver:
         self.n_disp = n_disp
         self.blowup_threshold = blowup_threshold
         self.operators: DispersiveOperators = build_operators(grid, params, variant)
-        # the dispersive step never overlaps the hyperbolic ones, so its
-        # buffers reuse the FV workspace's memory instead of adding to it
-        self.fv_workspace = FVWorkspace(grid.n_cells,
-                                        memory_size=FDWorkspace.size(grid.n_cells))
-        self.fd_workspace = FDWorkspace(grid.n_cells, memory=self.fv_workspace.memory)
+        self.workspace = Workspace(grid.n_cells)
 
     def strang_step(self, run: RunState, dt: float) -> RunState:
         """One S1(dt/2) S2(dt) S1(dt/2) step; returns a fresh RunState."""
-        dx = self.grid.dx
-        cells = rk4_fv_step(run.cells, 0.5 * dt, self.params, dx,
-                            workspace=self.fv_workspace)
+        dx, ws = self.grid.dx, self.workspace
+        cells = rk4_fv_step(run.cells, 0.5 * dt, self.params, dx, workspace=ws)
 
-        conversion, ws = self.operators.conversion, self.fd_workspace
+        conversion = self.operators.conversion
         zeta = conversion.forward(cells.zeta, ws)
         v = conversion.forward(cells.v, ws)
         for _ in range(self.n_disp):
@@ -110,8 +106,7 @@ class StrangSolver:
         # as is instead of converting it forth and back.
         cells = State(cells.zeta, conversion.inverse(v, spectrum=ws.spectrum))
 
-        cells = rk4_fv_step(cells, 0.5 * dt, self.params, dx,
-                            workspace=self.fv_workspace)
+        cells = rk4_fv_step(cells, 0.5 * dt, self.params, dx, workspace=ws)
 
         out = RunState(t=run.t + dt, cells=cells, step_count=run.step_count + 1)
         out.update_diagnostics(dx)

@@ -1,7 +1,7 @@
 """Brute-force re-implementations used as test oracles.
 
 The dense operators are assembled with explicit loops and numpy.linalg
-solves, independent of the package's ghost-cell (periodic_pad) stencils and
+solves, independent of the package's ghost-cell stencils and
 FFT solves. The finite-volume section is the plain allocating kernel (one
 fresh array per numpy operation, whole grid at once), kept verbatim as the
 reference the workspace/strip kernel must match bit for bit. The

@@ -1,10 +1,16 @@
+import io
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from ebwave import scenarios
 from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
-from ebwave.core import HyperbolicityError
+from ebwave.core import HyperbolicityError, ModelVariant
 from ebwave.scenarios import ScenarioConfig, builtin_scenario, write_config
 
 
@@ -220,6 +226,67 @@ def test_stability_rejects_nonpositive_alpha(capsys, alpha):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "alpha must be positive" in err[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["stability", "--k", "nan"], "k"),
+    (["stability", "--k", "inf"], "k"),
+    (["stability", "--variant", "factorized_all", "--alpha", "inf"], "alpha"),
+    (["dispersion", "--alpha", "nan"], "alpha"),
+    (["dispersion", "--kmax", "nan"], "k_max"),
+    (["dispersion", "--kmax", "inf"], "k_max"),
+    (["optimize-alpha", "--kmax", "nan"], "K"),
+    (["optimize-alpha", "--kmax", "inf"], "K")])
+def test_non_finite_arguments_are_named(tmp_path, capsys, argv, name):
+    if argv[0] == "dispersion":
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and f"{name} must be finite" in err[0]
+    assert not any(tmp_path.iterdir())
+
+
+ARGUMENT = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "abc", ""]),
+                     st.floats(1e-3, 1e3).map(repr))
+MODEL = st.sampled_from(["eb_unfactorized", "eb_factorized"])
+
+
+@st.composite
+def analysis_argvs(draw):
+    """Arguments of the three analysis subcommands, values as ``--opt=value``
+    so that one starting with a minus reaches the command."""
+    command = draw(st.sampled_from(["stability", "dispersion", "optimize-alpha"]))
+    if command == "stability":
+        ks = ",".join(draw(st.lists(ARGUMENT, min_size=1, max_size=3)))
+        variant = draw(st.sampled_from([v.value for v in ModelVariant]))
+        return [command, f"--variant={variant}", f"--alpha={draw(ARGUMENT)}", f"--k={ks}"]
+    if command == "dispersion":
+        return [command, f"--model={draw(MODEL)}", f"--alpha={draw(ARGUMENT)}",
+                f"--kmax={draw(ARGUMENT)}", f"--samples={draw(st.integers(-2, 64))}"]
+    return [command, f"--model={draw(MODEL)}", f"--kmax={draw(ARGUMENT)}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_argvs())
+def test_analysis_commands_exit_0_or_2_without_warnings(argv):
+    out = io.StringIO()
+    with (tempfile.TemporaryDirectory() as outdir,
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        if argv[0] == "dispersion":
+            argv = argv + [f"--outdir={outdir}"]
+        try:
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:          # argparse rejects the text
+            code = exc.code
+            assert code == EXIT_CONFIG
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert [str(w.message) for w in caught] == []
+    if code == EXIT_OK:
+        assert "nan" not in out.getvalue()
 
 
 def test_dispersion_subcommand(tmp_path):

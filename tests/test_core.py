@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ebwave.core import (ConfigurationError, Grid, ModelVariant, PhysParams, State,
-                         periodic_pad, relative_l2_error)
+                         relative_l2_error)
 
 
 def test_grid_spacing_examples():
@@ -27,6 +27,11 @@ def test_grid_validation():
     assert Grid(0.0, 1.0, 8).n_cells == 8
     with pytest.raises(ConfigurationError):
         Grid(1.0, 0.0, 64)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="x_min must be finite"):
+            Grid(bad, 1.0, 16)
+        with pytest.raises(ConfigurationError, match="x_max must be finite"):
+            Grid(0.0, bad, 16)
 
 
 def test_phys_params_validation():
@@ -41,6 +46,10 @@ def test_phys_params_validation():
         PhysParams(epsilon=0.5, gravity=-1.0)
     with pytest.raises(ConfigurationError):
         PhysParams(epsilon=0.5, depth=0.0)
+    for name in ("epsilon", "alpha", "gravity", "depth"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                PhysParams(**{"epsilon": 0.5, name: bad})
 
 
 def test_param_constructors():
@@ -78,12 +87,3 @@ def test_relative_l2_error_examples():
         relative_l2_error(ref, np.zeros(3))
     with pytest.raises(ValueError):
         relative_l2_error(ref, np.zeros(4))
-
-
-def test_periodic_pad():
-    u = np.arange(5.0)
-    assert np.array_equal(periodic_pad(u, 2), [3, 4, 0, 1, 2, 3, 4, 0, 1])
-    assert np.array_equal(periodic_pad(u, 5), np.tile(u, 3))
-    assert np.array_equal(periodic_pad(u, 0), u)
-    with pytest.raises(ConfigurationError):
-        periodic_pad(u, 6)

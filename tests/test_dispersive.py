@@ -4,9 +4,10 @@ import pytest
 from ebwave.core import (BlowUpError, ConfigurationError, Grid, ModelVariant,
                          PhysParams, State)
 from ebwave.dispersive import (_STENCILS, CirculantSolver, DispersiveOperators,
-                               FDWorkspace, PairStencil, apply_stencil, build_operators,
+                               PairStencil, apply_stencil, build_operators,
                                fourier_harmonics, rk4_fd_step, velocity_rate,
                                zeta_source_term)
+from ebwave.hyperbolic import Workspace
 from ebwave.splitting import RunState, StrangSolver
 
 from oracles import dense_dispersive_rhs, dense_j_p, dense_matrix
@@ -201,7 +202,7 @@ def test_rk4_fd_step_leaves_its_inputs_unchanged():
     zeta, v = 0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32)
     saved = zeta.copy(), v.copy()
     zeta.flags.writeable = v.flags.writeable = False    # a write would raise
-    for ws in (None, FDWorkspace(32)):
+    for ws in (None, Workspace(32)):
         out = v
         for _ in range(10):
             out = rk4_fd_step(zeta, out, 0.01, ops, workspace=ws)

@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 
 from ebwave.core import ConfigurationError, Grid, ModelVariant, PhysParams, State
-from ebwave.dispersive import (_CONVERSION, FDWorkspace, PairStencil, apply_stencil,
-                               build_operators, fourier_harmonics, rk4_fd_step,
-                               velocity_rate, zeta_source_term)
-from ebwave.hyperbolic import FVWorkspace, rk4_fv_step
+from ebwave.dispersive import (_CONVERSION, PairStencil, apply_stencil, build_operators,
+                               fourier_harmonics, rk4_fd_step, velocity_rate,
+                               zeta_source_term)
+from ebwave.hyperbolic import Workspace, rk4_fv_step
 from ebwave.scenarios import builtin_scenario, choose_dt, initial_state
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver
 
@@ -56,13 +56,13 @@ def test_fd_kernel_matches_allocating_kernel(variant, n):
     ops = build_operators(grid, params, variant)
     want_ops = oracles.build_operators(grid, params, variant)
     rng = np.random.default_rng(n)
-    reused = FDWorkspace(n)
+    reused = Workspace(n)
     for _ in range(2):
         state = random_state(rng, n)
         source = oracles.zeta_source_term(want_ops, state.zeta)
         rate = oracles.velocity_rate(want_ops, state.v, source)
         want = oracles.rk4_fd_step(state, 0.05, want_ops)
-        for ws in (None, FDWorkspace(n), reused):
+        for ws in (None, Workspace(n), reused):
             assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, 1e-12)
             assert_close(velocity_rate(ops, state.v, source, workspace=ws), rate, 1e-12)
             got = rk4_fd_step(state.zeta, state.v, 0.05, ops, workspace=ws)
@@ -111,7 +111,7 @@ def test_fd_kernel_on_fine_grid_matches_long_double_reference(variant):
     ops = build_operators(grid, params, variant)
     rel = FINE_GRID_TOLERANCE[variant]
     rng = np.random.default_rng(3)
-    reused = FDWorkspace(n)
+    reused = Workspace(n)
     for state in (random_state(rng, n), smooth_random_state(rng, grid)):
         source, v = oracles.long_double_dispersive(variant, state.zeta, state.v,
                                                     grid, params, dt=1e-4)
@@ -129,7 +129,7 @@ def test_fd_kernel_matches_on_dam_break_64k_initial_state(variant):
     want_ops = oracles.build_operators(grid, params, variant)
     want_source = oracles.zeta_source_term(want_ops, state.zeta)
     want_v = oracles.rk4_fd_step(state, dt, want_ops).v
-    reused = FDWorkspace(grid.n_cells)
+    reused = Workspace(grid.n_cells)
     rk4_fd_step(state.zeta, state.v, dt, ops, workspace=reused)
     for ws in (None, reused):
         got_source = zeta_source_term(ops, state.zeta, workspace=ws)
@@ -202,7 +202,8 @@ def test_odd_derivatives_of_a_constant_are_exactly_zero():
 
 
 def fd_buffers(ws):
-    return [ws.padded, ws.spectrum, ws.diffs, ws.source, ws.tmp, *ws.stage, *ws.rate, *ws.acc]
+    return [ws.padded, ws.spectrum, ws.diffs, ws.source, ws.fd_tmp,
+            *ws.stage, *ws.rate, *ws.acc]
 
 
 def test_fd_results_own_their_memory():
@@ -210,7 +211,7 @@ def test_fd_results_own_their_memory():
     grid = Grid(0.0, 3.0, n)
     ops = build_operators(grid, params_for(ModelVariant.FACTORIZED_ALL),
                           ModelVariant.FACTORIZED_ALL)
-    ws = FDWorkspace(n)
+    ws = Workspace(n)
     state = random_state(np.random.default_rng(5), n)
     saved = state.copy()
     first = rk4_fd_step(state.zeta, state.v, 1e-3, ops, workspace=ws)
@@ -227,7 +228,7 @@ def test_rk4_fd_step_allocates_only_its_result():
     n = 65536
     grid = Grid(0.0, 2.0 * np.pi, n)
     ops = build_operators(grid, PhysParams(0.3), ModelVariant.FACTORIZED_ALL)
-    ws = FDWorkspace(n)
+    ws = Workspace(n)
     x = grid.centers
     state = State(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
     rk4_fd_step(state.zeta, state.v, 1e-3, ops, workspace=ws)      # warm up
@@ -245,32 +246,46 @@ def test_fd_workspace_size_and_memory_checked():
     grid = Grid(0.0, 1.0, 16)
     ops = build_operators(grid, PhysParams(0.3), ModelVariant.FACTORIZED_ALL)
     with pytest.raises(ConfigurationError):
-        zeta_source_term(ops, np.zeros(16), workspace=FDWorkspace(17))
-    with pytest.raises(ConfigurationError):
-        FDWorkspace(16, memory=np.empty(FDWorkspace.size(16) - 1))
-    memory = np.empty(FDWorkspace.size(16))
-    ws = FDWorkspace(16, memory=memory)
-    assert all(np.shares_memory(b, memory) for b in fd_buffers(ws))
+        zeta_source_term(ops, np.zeros(16), workspace=Workspace(17))
+    ws = Workspace(16)
+    assert all(np.shares_memory(b, ws.memory) for b in fd_buffers(ws))
+
+
+@pytest.mark.parametrize("n, size", [(64, 1504), (1200, 26496), (8193, 180326),
+                                     (65536, 524384), (70000, 551168)])
+def test_fd_buffers_lie_in_idle_workspace_memory(n, size):
+    # the FD buffers share the memory of the FV step, but never row 0 of an
+    # RK4 block, which the FD step's own RK4 uses
+    ws = Workspace(n)
+    assert ws.memory.size == size
+    fd = [ws.source, ws.fd_tmp, ws.padded, ws.diffs]
+    for i, a in enumerate(fd):
+        assert not any(np.shares_memory(a, b) for b in fd[i + 1:])
+        assert not any(np.shares_memory(a, block[0]) for block in (ws.stage, ws.rate, ws.acc))
+    assert np.shares_memory(ws.spectrum, ws.diffs)
+    assert ws.spectrum.flags.aligned and ws.spectrum.ctypes.data % 16 == 0
+    u = np.arange(float(n))
+    assert np.array_equal(ws.pad(u), np.concatenate((u[-4:], u, u[:4])))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_strang_step_on_shared_workspace_memory(variant):
-    # the solver's FD workspace is carved from its FV workspace's memory;
-    # each step must equal the same kernels run on separate workspaces
+    # the solver runs both half steps on one workspace; each step must
+    # equal the same kernels run on a fresh workspace each
     n = 64
     grid = Grid(0.0, 4.0 * np.pi, n)
     params = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
     solver = StrangSolver(grid, params, variant, n_disp=2)
-    assert np.shares_memory(solver.fd_workspace.source, solver.fv_workspace.memory)
+    assert np.shares_memory(solver.workspace.source, solver.workspace.stage)
     x = grid.centers
     run = RunState.initial(State(0.3 * np.cos(x) ** 2, 0.1 * np.sin(x)), grid.dx)
     conv = ConversionOperator(n)
     for _ in range(3):
         dt = 0.02
-        cells = rk4_fv_step(run.cells, 0.5 * dt, params, grid.dx, workspace=FVWorkspace(n))
+        cells = rk4_fv_step(run.cells, 0.5 * dt, params, grid.dx, workspace=Workspace(n))
         zeta, v = conv.forward(cells.zeta), conv.forward(cells.v)
         for _ in range(2):
-            v = rk4_fd_step(zeta, v, 0.5 * dt, solver.operators, workspace=FDWorkspace(n))
+            v = rk4_fd_step(zeta, v, 0.5 * dt, solver.operators, workspace=Workspace(n))
         cells = State(cells.zeta, conv.inverse(v))
         want = rk4_fv_step(cells, 0.5 * dt, params, grid.dx)
         run = solver.strang_step(run, dt)

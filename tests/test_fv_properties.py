@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ebwave.core import PhysParams, State
-from ebwave.hyperbolic import FV_STRIP, FVWorkspace, hyperbolic_rhs
+from ebwave.hyperbolic import FV_STRIP, Workspace, hyperbolic_rhs
 
 EPS = np.finfo(float).eps
 
@@ -37,7 +37,7 @@ def wet_states(draw):
 def rate(state, params, dx):
     """The rate as two arrays the caller owns."""
     return [r.copy() for r in hyperbolic_rhs(state, params, dx,
-                                             workspace=FVWorkspace(state.zeta.size))]
+                                             workspace=Workspace(state.zeta.size))]
 
 
 @settings(max_examples=40, deadline=None)

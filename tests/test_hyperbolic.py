@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ebwave.core import ConfigurationError, HyperbolicityError, PhysParams, State
-from ebwave.hyperbolic import (FV_STRIP, FVWorkspace, hyperbolic_rhs, limiter,
+from ebwave.hyperbolic import (FV_STRIP, Workspace, hyperbolic_rhs, limiter,
                                max_signal_speed, numerical_flux, physical_flux,
                                reconstruct_interfaces, reconstruction_deltas,
                                rk4_fv_step, rk4_in_place)
@@ -382,7 +382,7 @@ def assert_same_bits(got, want):
 @pytest.mark.parametrize("n", STRIP_SIZES)
 def test_kernel_matches_allocating_kernel_exactly(n):
     rng = np.random.default_rng(n)
-    reused = FVWorkspace(n)
+    reused = Workspace(n)
     for params in PARAMS:
         for _ in range(2):
             state = wet_state(rng, n)
@@ -391,7 +391,7 @@ def test_kernel_matches_allocating_kernel_exactly(n):
             assert_same_bits(hyperbolic_rhs(state, params, 0.05), want_rate)
             assert_same_bits(hyperbolic_rhs(state, params, 0.05, workspace=reused),
                              want_rate)
-            for ws in (None, FVWorkspace(n), reused):
+            for ws in (None, Workspace(n), reused):
                 got = rk4_fv_step(state, 0.01, params, 0.05, workspace=ws)
                 assert_same_bits((got.zeta, got.v), (want.zeta, want.v))
 
@@ -418,7 +418,7 @@ def test_dry_face_beside_a_nan_in_one_strip_raises(nan_at, dry_at):
     # return instead of the negative entry
     zeta = np.full(16, 0.1)
     zeta[nan_at], zeta[dry_at] = np.nan, -1.5
-    for workspace in (None, FVWorkspace(16)):
+    for workspace in (None, Workspace(16)):
         with pytest.raises(HyperbolicityError):
             hyperbolic_rhs(State(zeta, np.zeros(16)), PhysParams(1.0), 0.1,
                            workspace=workspace)
@@ -426,7 +426,7 @@ def test_dry_face_beside_a_nan_in_one_strip_raises(nan_at, dry_at):
 
 def test_dry_cell_in_last_strip_raises():
     n = 2 * FV_STRIP + 7
-    ws = FVWorkspace(n)
+    ws = Workspace(n)
     zeta = np.full(n, 0.1)
     zeta[n - 3] = -1.5
     with pytest.raises(HyperbolicityError):
@@ -442,7 +442,7 @@ def test_dry_cell_in_last_strip_raises():
 
 def test_workspace_size_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        hyperbolic_rhs(State.rest(16), PhysParams(0.4), 0.1, workspace=FVWorkspace(17))
+        hyperbolic_rhs(State.rest(16), PhysParams(0.4), 0.1, workspace=Workspace(17))
 
 
 def workspace_buffers(ws):
@@ -451,7 +451,7 @@ def workspace_buffers(ws):
 
 def test_rk4_fv_step_results_own_their_memory():
     n = FV_STRIP + 1
-    ws = FVWorkspace(n)
+    ws = Workspace(n)
     state = wet_state(np.random.default_rng(5), n)
     saved = state.copy()
     first = rk4_fv_step(state, 0.01, PhysParams(0.4), 0.05, workspace=ws)
@@ -466,7 +466,7 @@ def test_rk4_fv_step_results_own_their_memory():
 
 def test_rk4_fv_step_allocates_only_its_result():
     n = 65536
-    ws = FVWorkspace(n)
+    ws = Workspace(n)
     x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     state = State(0.2 * np.sin(x), 0.1 * np.cos(3.0 * x))
     rk4_fv_step(state, 1e-3, PhysParams(0.3), 0.01, workspace=ws)     # warm up
