@@ -6,9 +6,6 @@ x0 + c*t (modulo the domain) with its amplitude intact; the corrected
 analytic solution provides the initial data.
 """
 
-import numpy as np
-
-from ebwave import PhysParams
 from ebwave.scenarios import builtin_scenario, run_scenario, track_crest
 from ebwave.analytic import SolitaryWaveSpec
 

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error (including non-finite
-config values, ``dispersion`` parameters whose model has no real
-frequency branch up to ``--kmax`` and an ``optimize-alpha`` optimum at
-the edge of its bracket), 3 unexpected numerical blow-up (including a
+config values, analysis arguments outside ``dispersion.MAGNITUDES``,
+``dispersion`` parameters whose model has no real frequency branch up to
+``--kmax`` and an ``optimize-alpha`` optimum at the edge of its
+bracket), 3 unexpected numerical blow-up (including a
 member of a ``converge`` study), a dry bed (h0 + eps*zeta reached zero)
 or a stall (the CFL step fell below ``scenarios.STALL_FRACTION`` of its
 first value), 4 self-test failure. The output directory defaults to the EBWAVE_OUTDIR environment

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,8 @@ class Grid:
 
     def __post_init__(self):
         require_finite(x_min=self.x_min, x_max=self.x_max)
+        if not isinstance(self.n_cells, numbers.Integral) or isinstance(self.n_cells, bool):
+            raise ConfigurationError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.x_max <= self.x_min:
             raise ConfigurationError("x_max must exceed x_min")
         if self.n_cells < 8:

@@ -42,6 +42,24 @@ _LINEARIZED = (DispersionKind.LIN_UNFACTORIZED,
                DispersionKind.LIN_FIFTH_ONLY,
                DispersionKind.LIN_FACTORIZED)
 
+# The wavenumbers k and K and the alphas that the analysis entry points
+# (``stability_bound``, ``weighted_error``, ``scenarios.run_dispersion_report``)
+# accept. Inside this range the largest terms of the closed forms, alpha k^6
+# in ``omega_squared`` and alpha^2 k^4 in ``stability_bound``, stay below
+# 1e210 and the smallest denominator, k^2, above 1e-60, so every relation,
+# bound and velocity is finite.
+MAGNITUDES = (1e-30, 1e30)
+
+
+def require_magnitude(**values) -> None:
+    """Raise a ConfigurationError that names the first of ``values`` (a
+    number, or an ndarray checked entry by entry) outside MAGNITUDES."""
+    lo, hi = MAGNITUDES
+    for name, value in values.items():
+        if not np.all((lo <= value) & (value <= hi)):
+            raise ConfigurationError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+
+
 # The linearized relations for the unfactorized and fifth-only models are
 # derived with alpha = 1; only the fully factorized one keeps alpha free.
 _ALPHA_ONE_ONLY = (DispersionKind.LIN_UNFACTORIZED, DispersionKind.LIN_FIFTH_ONLY)
@@ -188,11 +206,11 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
     by composite Simpson on [1e-6, K] over ``velocities``; both relative
     errors vanish as k -> 0 so the missing sliver is O(k_min^5). Raises
     DispersionInstabilityError where the model has no real branch in the
-    range (this alpha is inadmissible on [0, K]).
+    range (this alpha is inadmissible on [0, K]), and a ConfigurationError
+    for an alpha or K that is not finite or lies outside MAGNITUDES.
     """
     require_finite(K=K)
-    if K <= 0.0:
-        raise ValueError("K must be positive")
+    require_magnitude(alpha=alpha, K=K)
     if panels < 2:
         raise ValueError("need at least 2 Simpson panels")
     panels += panels % 2
@@ -257,15 +275,15 @@ def stability_bound(variant: ModelVariant, k: float, alpha: float = 1.0):
 
     UNFACTORIZED and FIFTH_ONLY_FACTORIZED bounds hold for alpha = 1 (the
     only case their linearizations are stated for); the FACTORIZED_ALL
-    bound is valid for any alpha > 0. Raises ValueError for alpha <= 0,
-    k <= 0 or a value that is not finite.
+    bound is valid for any alpha > 0. Raises ValueError for alpha <= 0 and
+    a ConfigurationError for a value that is not finite or lies outside
+    MAGNITUDES.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha:g}")
     k = np.asarray(k, dtype=float)
     require_finite(alpha=alpha, k=k)
-    if np.any(k <= 0.0):
-        raise ValueError("k must be positive")
+    require_magnitude(alpha=alpha, k=k)
     k2 = k * k
     k4 = k2 * k2
     if variant is ModelVariant.UNFACTORIZED:

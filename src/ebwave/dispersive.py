@@ -67,11 +67,11 @@ Strang step (``StrangSolver`` keeps one): the RK4 of v uses row 0 of its
 stage, rate and sum blocks, and the ghost-filled field, the stencil
 scratch, the frozen zeta source and the complex spectrum, which the FFTs
 write into through ``out=``, lie in memory that the finite-volume step
-leaves idle during this one. The conversion and the allocating
-``apply_stencil`` take their scratch from the same workspace (a new one
-when none is passed). A step allocates only the new v, where the
-allocating kernel took a fresh N-sized array for almost every numpy
-operation, and adds no resident memory to the finite-volume step's.
+leaves idle during this one. The conversion takes its scratch from the
+same workspace (a new one when none is passed). A step allocates only
+the new v, where the allocating kernel took a fresh N-sized array for
+almost every numpy operation, and adds no resident memory to the
+finite-volume step's.
 """
 
 from __future__ import annotations
@@ -207,20 +207,6 @@ class PairStencil:
 
 _PAIRS = {order: PairStencil.of(table) for order, table in _STENCILS.items()}
 IDENTITY = PairStencil(total=1.0, pairs=(), antisymmetric=False)
-
-
-def apply_stencil(order: int, field: np.ndarray, dx: float) -> np.ndarray:
-    """Apply the fourth-order centered difference of the given derivative
-    order (1 to 5) to a periodic field, scaled by dx^-order."""
-    field = np.asarray(field, dtype=float)
-    stencil = _PAIRS[order].scaled(dx ** -order)
-    width = 2 * stencil.reach + 1
-    if field.shape[0] < width:
-        raise ConfigurationError(
-            f"grid of {field.shape[0]} points is narrower than the "
-            f"{width}-point stencil")
-    ws = Workspace(field.shape[0])
-    return stencil.apply(ws.pad(field), np.empty_like(field), ws.fd_tmp, ws.diffs)
 
 
 def fourier_harmonics(n: int, reach: int = 3) -> np.ndarray:

@@ -21,8 +21,7 @@ step allocates only its result arrays. Without the workspace a step at
 N = 65536 allocated about a hundred 512 KiB temporaries per rate
 evaluation, and the page faults of handing them back to the OS and taking
 them again cost more than the arithmetic. The allocating
-``reconstruction_deltas`` and ``reconstruct_interfaces`` run the same
-strips on a workspace of their own.
+``reconstruction_deltas`` runs the same strips on a workspace of its own.
 
 Flat strip block. ``hyperbolic_rhs`` walks the grid in strips of at most
 ``FV_STRIP`` cells. For each strip one ``np.concatenate`` copies the
@@ -76,14 +75,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ConfigurationError, HyperbolicityError, PhysParams, State
-
-
-def physical_flux(zeta, v, params: PhysParams):
-    """Exact flux F(U) = (h v, eps/2 v^2 + g zeta). Raises if h <= 0."""
-    h = params.depth + params.epsilon * np.asarray(zeta)
-    if np.any(h <= 0.0):
-        raise HyperbolicityError("nonpositive water column in flux evaluation")
-    return h * v, 0.5 * params.epsilon * v * v + params.gravity * zeta
 
 
 def max_signal_speed(zeta, v, params: PhysParams):
@@ -347,21 +338,15 @@ def limiter(u, v, w):
     return out
 
 
-def reconstruct_interfaces(state: State):
-    """Limited face values for both components.
-
-    Returns (zeta_right, zeta_left, v_right, v_left) where *_right is the
-    value at the right face x_{i+1/2} seen from cell i and *_left the value
-    at the left face x_{i-1/2} seen from cell i.
-    """
-    return _face_outputs((state.zeta, state.v), _FaceKernel.faces)
-
-
 def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp):
-    """Rusanov flux of len(zeta_l) interfaces (see ``numerical_flux``), with
-    five scratch rows ``tmp`` of exactly that length.
+    """Rusanov two-point flux of len(zeta_l) >= 1 interfaces,
 
-    Returns (flux_zeta, flux_v) as tmp[0] and tmp[1].
+        F~ = (F(L) + F(R))/2 - s/2 (R - L),
+        s  = max(|eps v_L| + sqrt(g h_L), |eps v_R| + sqrt(g h_R)),
+
+    with F(U) = (h v, eps/2 v^2 + g zeta), on five scratch rows ``tmp`` of
+    exactly that length. Returns (flux_zeta, flux_v) as tmp[0] and tmp[1].
+    Raises HyperbolicityError if h <= 0 on either side.
     """
     eps, g = params.epsilon, params.gravity
     h_l, h_r, s, a, b = tmp
@@ -369,9 +354,8 @@ def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp):
         np.multiply(zeta, eps, out=h)
         h += params.depth
     for h in (h_l, h_r):
-        # fmin skips NaN as the comparison h <= 0 does, where min would not;
-        # starting from +inf keeps an empty flux valid
-        if np.fmin.reduce(h, initial=np.inf) <= 0.0:
+        # fmin skips NaN as the comparison h <= 0 does, where min would not
+        if np.fmin.reduce(h) <= 0.0:
             raise HyperbolicityError("nonpositive water column in flux evaluation")
     # s/2, with s = max(|eps v_L| + sqrt(g h_L), |eps v_R| + sqrt(g h_R))
     for speed, h, v in ((s, h_l, v_l), (a, h_r, v_r)):
@@ -404,21 +388,6 @@ def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp):
     a *= s
     flux_v -= a
     return flux_zeta, flux_v
-
-
-def numerical_flux(zeta_l, v_l, zeta_r, v_r, params: PhysParams):
-    """Rusanov two-point flux,
-
-        F~ = (F(L) + F(R))/2 - s/2 (R - L),
-        s  = max(|eps v_L| + sqrt(g h_L), |eps v_R| + sqrt(g h_R)).
-
-    Raises HyperbolicityError if h <= 0 on either side.
-    """
-    sides = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                  for a in (zeta_l, v_l, zeta_r, v_r)))
-    shape, size = sides[0].shape, sides[0].size
-    fluxes = _rusanov(*(a.ravel() for a in sides), params, tuple(np.empty((5, size))))
-    return tuple(f.reshape(shape)[()] for f in fluxes)
 
 
 def hyperbolic_rhs(state: State, params: PhysParams, dx: float,

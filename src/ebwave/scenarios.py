@@ -34,7 +34,7 @@ from .analytic import (SolitaryWaveSpec, corrected_solution, dam_break_profile,
 from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
                    StallError, State, relative_l2_error, require_finite)
 from .dispersion import (DispersionInstabilityError, DispersionKind, DispersionModel,
-                         stokes_reference, velocities, weighted_error)
+                         require_magnitude, stokes_reference, velocities, weighted_error)
 from .splitting import RunState, StrangSolver, choose_dt
 
 FLOAT_FMT = "%.17g"
@@ -42,15 +42,21 @@ FLOAT_FMT = "%.17g"
 # the ``initial`` selectors that ``initial_state`` dispatches on
 INITIAL_CONDITIONS = ("solitary", "heap_high_freq", "heap_low_freq", "dam_break")
 
+# the smallest ``cfl`` of a config: below it a run takes more than a thousand
+# steps for the fastest wave to cross one cell, and near 1e-300 its steps
+# round to zero or never reach t_end
+CFL_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run.
 
-    Every run takes the CFL step that ``cfl`` sets; ``ic_scale`` scales the
-    heap or dam profile that ``initial`` selects. ``n_disp``, the number of
-    dispersive substeps per step, is a class attribute rather than a field:
-    no config key sets it. A ConfigurationError's ``key`` names a rejected field.
+    Every run takes the CFL step that ``cfl``, at least CFL_MIN, sets;
+    ``ic_scale`` scales the heap or dam profile that ``initial`` selects.
+    ``n_disp``, the number of dispersive substeps per step, is a class
+    attribute rather than a field: no config key sets it. A
+    ConfigurationError's ``key`` names a rejected field.
     """
 
     name: str
@@ -95,6 +101,9 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}", key=f.name)
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigurationError(f"cfl must be in (0, 1], got {self.cfl}", key="cfl")
+        if self.cfl < CFL_MIN:
+            raise ConfigurationError(
+                f"cfl = {self.cfl} is below the minimum of {CFL_MIN:g}", key="cfl")
         if self.blowup_threshold <= 0.0:
             raise ConfigurationError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}",
@@ -423,6 +432,7 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
         raise ConfigurationError(f"need at least one sample, got {samples}")
     require_finite(k_max=k_max)
     model = dispersion_model(kind_name, alpha)
+    require_magnitude(alpha=alpha, k_max=k_max)
     k = np.linspace(k_max / samples, k_max, samples)
     cp, cg = velocities(model, k)
     cp_s, cg_s = velocities(stokes_reference(model), k)

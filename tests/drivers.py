@@ -1,0 +1,42 @@
+"""Allocating drivers of the production kernels.
+
+Each runs one kernel of the package as the solver runs it, on scratch of
+its own, and returns arrays that the caller owns:
+
+* ``stencil``: a centered difference, as the ``PairStencil`` of its order
+  on a ``Workspace``;
+* ``faces``: the limited faces, as ``_FaceKernel.faces`` on the strips of
+  a ``Workspace``;
+* ``flux``: the Rusanov flux, as ``_rusanov`` on five scratch rows.
+"""
+
+import numpy as np
+
+from ebwave.dispersive import _PAIRS
+from ebwave.hyperbolic import Workspace, _face_outputs, _FaceKernel, _rusanov
+
+
+def stencil(order: int, field, dx: float) -> np.ndarray:
+    """The fourth-order centered difference of derivative ``order`` (1 to 5)
+    of the periodic ``field``, scaled by dx^-order."""
+    field = np.asarray(field, dtype=float)
+    ws = Workspace(field.shape[0])
+    return _PAIRS[order].scaled(dx ** -order).apply(
+        ws.pad(field), np.empty_like(field), ws.fd_tmp, ws.diffs)
+
+
+def faces(zeta, v) -> tuple[np.ndarray, ...]:
+    """(zeta_right, zeta_left, v_right, v_left) of two periodic fields:
+    *_right is the limited value at the right face x_{i+1/2} seen from
+    cell i, *_left the one at the left face x_{i-1/2}."""
+    return _face_outputs((zeta, v), _FaceKernel.faces)
+
+
+def flux(zeta_l, v_l, zeta_r, v_r, params) -> tuple:
+    """Rusanov flux (flux_zeta, flux_v) between the left and right states,
+    broadcast against each other; scalars for scalar sides."""
+    sides = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                  for a in (zeta_l, v_l, zeta_r, v_r)))
+    shape, size = sides[0].shape, sides[0].size
+    fluxes = _rusanov(*(a.ravel() for a in sides), params, tuple(np.empty((5, size))))
+    return tuple(f.reshape(shape)[()] for f in fluxes)

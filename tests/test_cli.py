@@ -3,8 +3,8 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,8 +248,26 @@ def test_non_finite_arguments_are_named(tmp_path, capsys, argv, name):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["stability", "--k", "1e200"], "k"),
+    (["stability", "--k=1e-200"], "k"),
+    (["stability", "--variant", "factorized_all", "--alpha", "1e200"], "alpha"),
+    (["dispersion", "--kmax", "1e200"], "k_max"),
+    (["optimize-alpha", "--kmax", "1e200"], "K")])
+def test_extreme_magnitudes_are_named(tmp_path, capsys, argv, name):
+    if argv[0] == "dispersion":
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: {name} must lie in [1e-30, 1e+30]")
+    assert not any(tmp_path.iterdir())
+
+
 ARGUMENT = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "abc", ""]),
-                     st.floats(1e-3, 1e3).map(repr))
+                     st.floats(1e-300, 1e300).map(repr))
 MODEL = st.sampled_from(["eb_unfactorized", "eb_factorized"])
 
 
@@ -287,6 +305,40 @@ def test_analysis_commands_exit_0_or_2_without_warnings(argv):
     assert [str(w.message) for w in caught] == []
     if code == EXIT_OK:
         assert "nan" not in out.getvalue()
+
+
+@st.composite
+def run_configs(draw):
+    """The fields of small configs of every variant and initial condition,
+    as the attributes that ``write_config`` reads: no constructor checks
+    them before the command does."""
+    t_end = draw(st.floats(0.0, 0.05))
+    return SimpleNamespace(
+        name="fuzz", x_min=-2.0, x_max=2.0, n_cells=draw(st.integers(8, 64)),
+        epsilon=0.5, alpha=1.0, gravity=1.0, depth=1.0,
+        variant=draw(st.sampled_from([v.value for v in ModelVariant])),
+        initial=draw(st.sampled_from(scenarios.INITIAL_CONDITIONS)),
+        t_end=t_end, output_times=(0.0, t_end),
+        cfl=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        blowup_threshold=draw(st.floats(1.0, 1e3)), expect_blowup=False,
+        amplitudes=(0.2,), centers=(0.0,), directions=(1.0,),
+        ic_scale=draw(st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_configs())
+def test_simulate_exits_0_2_or_3_with_one_line(config):
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as outdir,
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        path = f"{outdir}/fuzz.cfg"
+        write_config(config, path)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["simulate", path, "--outdir", outdir])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_dispersion_subcommand(tmp_path):

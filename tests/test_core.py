@@ -25,6 +25,10 @@ def test_grid_validation():
     with pytest.raises(ConfigurationError, match="n_cells = 7 is below the minimum of 8"):
         Grid(0.0, 1.0, 7)
     assert Grid(0.0, 1.0, 8).n_cells == 8
+    assert Grid(0.0, 1.0, np.int64(8)).n_cells == 8
+    for bad in (float("nan"), 8.0, True):
+        with pytest.raises(ConfigurationError, match="n_cells must be an integer"):
+            Grid(0.0, 1.0, bad)
     with pytest.raises(ConfigurationError):
         Grid(1.0, 0.0, 64)
     for bad in (np.nan, np.inf, -np.inf):

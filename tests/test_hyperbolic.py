@@ -7,10 +7,10 @@ import pytest
 
 from ebwave.core import ConfigurationError, HyperbolicityError, PhysParams, State
 from ebwave.hyperbolic import (FV_STRIP, Workspace, hyperbolic_rhs, limiter,
-                               max_signal_speed, numerical_flux, physical_flux,
-                               reconstruct_interfaces, reconstruction_deltas,
+                               max_signal_speed, reconstruction_deltas,
                                rk4_fv_step, rk4_in_place)
 
+import drivers
 import oracles
 
 
@@ -29,29 +29,21 @@ def dense_deltas(u):
     return dp, dm
 
 
-def test_physical_flux_rest_and_example():
-    params = PhysParams(1.0)
-    assert physical_flux(0.0, 0.0, params) == (0.0, 0.0)
-    f1, f2 = physical_flux(0.2, 0.1, params)
-    assert f1 == pytest.approx(0.12)
-    assert f2 == pytest.approx(0.205)
-
-
-def test_physical_flux_dry_state_raises():
-    with pytest.raises(HyperbolicityError):
-        physical_flux(-1.5, 0.0, PhysParams(1.0))
-
-
 def test_jacobian_eigenvalues_by_finite_differences():
+    # the Rusanov flux with equal sides is the exact flux F(U) bit for bit:
+    # the halved sum of two equal terms is exact and the jump term is 0
     params = PhysParams(epsilon=0.3, gravity=2.0, depth=1.5)
     rng = np.random.default_rng(3)
     for _ in range(20):
         zeta, v = rng.uniform(-0.5, 0.5), rng.uniform(-1, 1)
+        h0 = params.depth + params.epsilon * zeta
+        assert drivers.flux(zeta, v, zeta, v, params) == (
+            h0 * v, 0.5 * params.epsilon * v * v + params.gravity * zeta)
         h = 1e-7
         jac = np.zeros((2, 2))
         for j, (dz, dv) in enumerate([(h, 0.0), (0.0, h)]):
-            fp = physical_flux(zeta + dz, v + dv, params)
-            fm = physical_flux(zeta - dz, v - dv, params)
+            fp = drivers.flux(zeta + dz, v + dv, zeta + dz, v + dv, params)
+            fm = drivers.flux(zeta - dz, v - dv, zeta - dz, v - dv, params)
             jac[0, j] = (fp[0] - fm[0]) / (2 * h)
             jac[1, j] = (fp[1] - fm[1]) / (2 * h)
         eig = np.sort(np.linalg.eigvals(jac))
@@ -108,7 +100,7 @@ def test_limiter_vectorized():
 
 def test_reconstruct_constant_field():
     state = State(np.full(16, 0.3), np.full(16, -1.2))
-    zr, zl, vr, vl = reconstruct_interfaces(state)
+    zr, zl, vr, vl = drivers.faces(state.zeta, state.v)
     for arr, val in [(zr, 0.3), (zl, 0.3), (vr, -1.2), (vl, -1.2)]:
         assert np.allclose(arr, val, atol=1e-15)
 
@@ -140,7 +132,7 @@ def test_limited_faces_match_unlimited_away_from_extrema():
     avg = cell_averages(lambda s: -np.cos(s), n, length)
     dp, _ = reconstruction_deltas(avg)
     state = State(avg, np.zeros(n))
-    zr, _, _, _ = reconstruct_interfaces(state)
+    zr, _, _, _ = drivers.faces(state.zeta, state.v)
     x = (np.arange(n) + 0.5) * length / n
     monotone = (np.abs(np.cos(x)) > 0.3)  # away from the two extrema
     assert np.allclose(zr[monotone], (avg + 0.5 * dp)[monotone], atol=1e-14)
@@ -152,7 +144,7 @@ def test_limited_faces_bounded_by_neighbors_on_rough_data():
         u = rng.standard_normal(24)
         u[rng.integers(0, 24)] += rng.uniform(3, 10)  # jump
         state = State(u, u[::-1].copy())
-        zr, zl, _, _ = reconstruct_interfaces(state)
+        zr, zl, _, _ = drivers.faces(state.zeta, state.v)
         up1 = np.roll(u, -1)
         um1 = np.roll(u, 1)
         assert np.all(zr <= np.maximum(u, up1) + 1e-12)
@@ -175,10 +167,11 @@ def rusanov_oracle(zl, vl, zr, vr, params):
 
 def test_numerical_flux_consistency_and_rest():
     params = PhysParams(0.3)
-    f1, f2 = numerical_flux(0.2, 0.4, 0.2, 0.4, params)
-    p1, p2 = physical_flux(0.2, 0.4, params)
+    f1, f2 = drivers.flux(0.2, 0.4, 0.2, 0.4, params)
+    # the exact flux F(U) = (h v, eps/2 v^2 + g zeta), h = h0 + eps zeta
+    p1, p2 = (1.0 + 0.3 * 0.2) * 0.4, 0.5 * 0.3 * 0.4 ** 2 + 0.2
     assert f1 == pytest.approx(p1) and f2 == pytest.approx(p2)
-    assert numerical_flux(0.0, 0.0, 0.0, 0.0, params) == (0.0, 0.0)
+    assert drivers.flux(0.0, 0.0, 0.0, 0.0, params) == (0.0, 0.0)
 
 
 def test_numerical_flux_against_oracle():
@@ -187,7 +180,7 @@ def test_numerical_flux_against_oracle():
     for _ in range(50):
         zl, zr = rng.uniform(-0.5, 1.0, 2)
         vl, vr = rng.uniform(-1.0, 1.0, 2)
-        got = numerical_flux(zl, vl, zr, vr, params)
+        got = drivers.flux(zl, vl, zr, vr, params)
         want = rusanov_oracle(zl, vl, zr, vr, params)
         assert got[0] == pytest.approx(want[0], rel=1e-14)
         assert got[1] == pytest.approx(want[1], rel=1e-14)
@@ -355,7 +348,7 @@ def test_grid_narrower_than_stencil_rejected(n):
     with pytest.raises(ConfigurationError):
         hyperbolic_rhs(state, PhysParams(0.5), 0.1)
     with pytest.raises(ConfigurationError):
-        reconstruct_interfaces(state)
+        drivers.faces(state.zeta, state.v)
     with pytest.raises(ConfigurationError):
         reconstruction_deltas(state.zeta)
 
@@ -402,13 +395,13 @@ def test_public_kernels_match_allocating_kernel_exactly(n):
     state = wet_state(rng, n)
     assert_same_bits(reconstruction_deltas(state.zeta),
                      oracles.reconstruction_deltas(state.zeta))
-    assert_same_bits(reconstruct_interfaces(state), oracles.reconstruct_interfaces(state))
+    assert_same_bits(drivers.faces(state.zeta, state.v), oracles.reconstruct_interfaces(state))
     u, v, w = rng.standard_normal((3, n))
     u[::7] = 0.0
     assert_same_bits([limiter(u, v, w)], [oracles.limiter(u, v, w)])
     sides = rng.uniform(-0.5, 1.0, (4, n))
     for params in PARAMS:
-        assert_same_bits(numerical_flux(*sides, params),
+        assert_same_bits(drivers.flux(*sides, params),
                          oracles.numerical_flux(*sides, params))
 
 

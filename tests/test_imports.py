@@ -1,4 +1,5 @@
-"""No package module imports a name that it never uses.
+"""No module of the package, its tests or its demos imports a name that it
+never uses.
 
 No linter is a dependency of the project, so this is the check of
 pyflakes' F401 ("imported but unused") in the standard library's ``ast``.
@@ -12,8 +13,15 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ebwave"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ebwave"
+MODULES = sorted([*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+                  *ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
+
+
+def _module_id(path):
+    """A package module by its file name, a test or demo by its path."""
+    return path.name if path.parent == PACKAGE else str(path.relative_to(ROOT))
 
 
 def _annotations(tree):
@@ -67,6 +75,6 @@ def test_checker_finds_unused_and_passes_annotations_and_noqa():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES, ids=_module_id)
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []

@@ -163,6 +163,7 @@ def test_config_rejects_mistyped_fields(name, value):
     ("cfl", 0.0, r"cfl must be in \(0, 1\], got 0.0"),
     ("cfl", -0.4, r"cfl must be in \(0, 1\], got -0.4"),
     ("cfl", 1.5, r"cfl must be in \(0, 1\], got 1.5"),
+    ("cfl", 1e-300, "cfl = 1e-300 is below the minimum of 0.001"),
     ("blowup_threshold", 0.0, "blowup_threshold must be positive, got 0.0"),
     ("blowup_threshold", -1.0, "blowup_threshold must be positive, got -1.0")])
 def test_config_rejects_out_of_range_cfl_and_blowup_threshold(name, value, message):

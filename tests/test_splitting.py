@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ebwave.analytic import SolitaryWaveSpec, corrected_solution
-from ebwave.core import (BlowUpError, Grid, HyperbolicityError, ModelVariant,
-                         PhysParams, State)
+from ebwave.core import BlowUpError, Grid, HyperbolicityError, PhysParams, State
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
 from ebwave.dispersive import CirculantSolver
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
