@@ -18,6 +18,8 @@ for name, result in results.items():
         print(f"{name:25s} BLEW UP at t = {result.blowup_time:.3f} "
               f"(threshold {result.config.blowup_threshold:g}, "
               f"{'expected' if result.config.expect_blowup else 'unexpected'})")
+    elif result.failure:
+        print(f"{name:25s} FAILED: {result.failure}")
     else:
         amp = max(float(np.max(np.abs(s.zeta))) for s in result.snapshots)
         print(f"{name:25s} stable through t = 3, max |zeta| = {amp:.3f}")

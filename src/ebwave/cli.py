@@ -1,14 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration error (including non-finite
-config values, analysis arguments outside ``dispersion.MAGNITUDES``,
-``dispersion`` parameters whose model has no real frequency branch up to
-``--kmax`` and an ``optimize-alpha`` optimum at the edge of its
-bracket), 3 unexpected numerical blow-up (including a
-member of a ``converge`` study), a dry bed (h0 + eps*zeta reached zero)
-or a stall (the CFL step fell below ``scenarios.STALL_FRACTION`` of its
-first value), 4 self-test failure. The output directory defaults to the EBWAVE_OUTDIR environment
-variable, then to the current directory.
+Exit codes: 0 success, 2 configuration error (including non-finite config
+values, analysis arguments outside ``dispersion.MAGNITUDES``, ``dispersion``
+parameters whose model has no real frequency branch up to ``--kmax`` and an
+``optimize-alpha`` optimum at the edge of its bracket), 3 unexpected
+numerical blow-up (including a member of a ``converge`` study), a dry bed
+(h0 + eps*zeta reached zero) or a stall (the CFL step fell below
+``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A
+failed run still writes its CSV. The output directory defaults to the
+EBWAVE_OUTDIR environment variable, then to the current directory.
 """
 
 from __future__ import annotations
@@ -29,6 +29,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_SELFTEST = 4
+
+# error class -> (stderr label, exit code), matched in order
+ERRORS = {
+    ConfigurationError: ("configuration error", EXIT_CONFIG),
+    HyperbolicityError: ("dry bed (water column h0 + eps*zeta <= 0)", EXIT_BLOWUP),
+    BlowUpError: ("blow-up", EXIT_BLOWUP),
+    StallError: ("stall", EXIT_BLOWUP),
+    DispersionInstabilityError: ("dispersion error", EXIT_CONFIG),
+    ValueError: ("error", EXIT_CONFIG),
+}
+
+
+def _report(exc: Exception, where: str = "") -> int:
+    label, code = next(v for kind, v in ERRORS.items() if isinstance(exc, kind))
+    print(f"{label}: {where}{exc}", file=sys.stderr)
+    return code
 
 
 def _outdir(args) -> Path:
@@ -52,11 +68,10 @@ def _cmd_simulate(args) -> int:
     result = scenarios.run_scenario(config, outdir=_outdir(args))
     print(f"{config.name}: {result.steps} steps, "
           f"mass drift {abs(result.mass_final - result.mass_initial):.3e}")
-    if result.blew_up:
-        print(f"blow-up at t = {result.blowup_time:g}"
-              + (" (expected by scenario)" if config.expect_blowup else ""))
-        return EXIT_OK if config.expect_blowup else EXIT_BLOWUP
-    return EXIT_OK
+    if result.blew_up and config.expect_blowup:
+        print(f"blow-up at t = {result.blowup_time:g} (expected by scenario)")
+        return EXIT_OK
+    return _report(result.failure) if result.failure else EXIT_OK
 
 
 def _cmd_converge(args) -> int:
@@ -98,17 +113,16 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_stability_demo(args) -> int:
-    results = scenarios.stability_demo(outdir=_outdir(args))
-    for name, result in results.items():
-        if result.blew_up:
-            print(f"{name}: blow-up at t = {result.blowup_time:.3f}"
-                  + (" (expected)" if result.config.expect_blowup else " (UNEXPECTED)"))
+    code = EXIT_OK
+    for name, result in scenarios.stability_demo(outdir=_outdir(args)).items():
+        if result.blew_up and result.config.expect_blowup:
+            print(f"{name}: blow-up at t = {result.blowup_time:.3f} (expected)")
+        elif result.failure:
+            code = _report(result.failure, f"{name}: ")
         else:
             amp = max(float(np.max(np.abs(s.zeta))) for s in result.snapshots)
             print(f"{name}: bounded, max |zeta| = {amp:.3f}")
-    bad = [r for r in results.values()
-           if r.blew_up != r.config.expect_blowup]
-    return EXIT_BLOWUP if bad else EXIT_OK
+    return code
 
 
 def _cmd_self_test(args) -> int:
@@ -195,28 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HyperbolicityError as exc:
-        print(f"dry bed (water column h0 + eps*zeta <= 0): {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except StallError as exc:
-        print(f"stall: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except DispersionInstabilityError as exc:
-        print(f"dispersion error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(ERRORS) as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,10 @@ def stokes_reference(model: DispersionModel) -> DispersionModel:
     return DispersionModel(DispersionKind.FULL_EULER, model.params)
 
 
+# the lower limit of the ``weighted_error`` integral, which K must exceed
+K_LOW = 1e-6
+
+
 def weighted_error(model: DispersionModel, alpha: float, K: float,
                    panels: int = 2000) -> float:
     """Integrated squared relative velocity error of the model against the
@@ -203,19 +207,23 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
 
         E(alpha) = int_0^K [ ((Cp - Cp_S)/Cp_S)^2 + ((Cg - Cg_S)/Cg_S)^2 ] dk,
 
-    by composite Simpson on [1e-6, K] over ``velocities``; both relative
-    errors vanish as k -> 0 so the missing sliver is O(k_min^5). Raises
+    by composite Simpson on [K_LOW, K] over ``velocities``; both relative
+    errors vanish as k -> 0 so the missing sliver is O(K_LOW^5). Raises
     DispersionInstabilityError where the model has no real branch in the
     range (this alpha is inadmissible on [0, K]), and a ConfigurationError
-    for an alpha or K that is not finite or lies outside MAGNITUDES.
+    for an alpha or K that is not finite or lies outside MAGNITUDES, or a
+    K at or below K_LOW.
     """
     require_finite(K=K)
     require_magnitude(alpha=alpha, K=K)
+    if K <= K_LOW:
+        raise ConfigurationError(f"K must exceed {K_LOW:g}, the lower limit of the "
+                                 f"error integral, got {K:g}")
     if panels < 2:
         raise ValueError("need at least 2 Simpson panels")
     panels += panels % 2
     m = model.with_alpha(alpha)
-    k = np.linspace(1e-6, K, panels + 1)
+    k = np.linspace(K_LOW, K, panels + 1)
 
     cp, cg = velocities(m, k)
     cp_s, cg_s = velocities(stokes_reference(m), k)

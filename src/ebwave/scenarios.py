@@ -14,9 +14,9 @@ configurations produce identical bytes.
 ``strang_steps`` is the package's one stepping loop: it owns the choice of
 dt, the landing on each output time and, through ``StrangSolver``, the
 blow-up check. It yields every step instead of returning the last one, so
-a caller keeps the last finite state when a step blows up, and it lives
-here rather than in ``splitting`` because the benchmark's trace wraps the
-``choose_dt`` that this module looks up.
+a caller keeps the last state before a step that blows up, dries or
+stalls, and it lives here rather than in ``splitting`` because the
+benchmark's trace wraps the ``choose_dt`` that this module looks up.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .analytic import (SolitaryWaveSpec, corrected_solution, dam_break_profile,
                        heap_profile)
-from .core import (BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams,
-                   StallError, State, relative_l2_error, require_finite)
+from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError, ModelVariant,
+                   PhysParams, StallError, State, relative_l2_error, require_finite)
 from .dispersion import (DispersionInstabilityError, DispersionKind, DispersionModel,
                          require_magnitude, stokes_reference, velocities, weighted_error)
 from .splitting import RunState, StrangSolver, choose_dt
@@ -238,16 +238,22 @@ class Snapshot:
 
 @dataclass
 class ScenarioResult:
+    """One run; ``failure`` is the error that ended it before t_end, or None."""
+
     config: ScenarioConfig
     snapshots: list[Snapshot]
-    blowup_time: float | None
     mass_initial: float
     mass_final: float
     steps: int
+    failure: FloatingPointError | None
 
     @property
     def blew_up(self) -> bool:
-        return self.blowup_time is not None
+        return isinstance(self.failure, BlowUpError)
+
+    @property
+    def blowup_time(self) -> float | None:
+        return self.failure.time if self.blew_up else None
 
 
 # a stall: a CFL step below this fraction of the first of a ``strang_steps``
@@ -285,10 +291,10 @@ def run_scenario(config: ScenarioConfig, outdir=None,
     """Drive the splitting solver through the scenario.
 
     Snapshots of (t, x_i, zeta_i, v_i) are taken at each configured output
-    time (and passed to ``on_snapshot`` when given). A blow-up terminates
-    the run and is recorded in the result rather than raised; scenarios
-    built to demonstrate instabilities set ``expect_blowup``. A dry bed
-    (HyperbolicityError) and a stall (StallError) propagate.
+    time (and passed to ``on_snapshot`` when given). A blow-up, a dry bed
+    or a stall ends the run as the result's ``failure``, not raised, and
+    the CSV still holds the snapshots taken before it; scenarios built to
+    demonstrate instabilities set ``expect_blowup``.
     """
     grid = config.grid()
     solver = StrangSolver(grid, config.params(), config.model_variant(),
@@ -307,7 +313,7 @@ def run_scenario(config: ScenarioConfig, outdir=None,
         if on_snapshot is not None:
             on_snapshot(snap.t, snap.x, snap.zeta, snap.v)
 
-    blowup_time = None
+    failure = None
     targets = list(config.output_times) or [config.t_end]
     if targets[-1] < config.t_end:
         targets.append(config.t_end)
@@ -317,13 +323,14 @@ def run_scenario(config: ScenarioConfig, outdir=None,
                 pass
             if t_target in config.output_times or not config.output_times:
                 emit(run)
-    except BlowUpError as exc:
-        blowup_time = exc.time if exc.time is not None else run.t
+    except (BlowUpError, HyperbolicityError, StallError) as exc:
+        failure = exc
+        if isinstance(exc, BlowUpError) and exc.time is None:
+            exc.time = run.t
 
     result = ScenarioResult(config=config, snapshots=snapshots,
-                            blowup_time=blowup_time,
                             mass_initial=mass_initial, mass_final=run.mass,
-                            steps=run.step_count)
+                            steps=run.step_count, failure=failure)
     if outdir is not None:
         write_snapshots_csv(result, Path(outdir) / f"{config.name}.csv")
     return result
@@ -383,9 +390,8 @@ def run_convergence(base: ScenarioConfig, n_list, t_final: float) -> Convergence
         config = replace(base, n_cells=n, t_end=t_final, output_times=(t_final,),
                          name=f"{base.name}_n{n}")
         result = run_scenario(config)
-        if result.blew_up:
-            raise BlowUpError(f"convergence member N={n} blew up",
-                              time=result.blowup_time)
+        if result.failure is not None:
+            raise type(result.failure)(f"convergence member N={n}: {result.failure}")
         snap = result.snapshots[-1]
         zeta_ref, v_ref = corrected_solution(spec, t_final, snap.x)
         errs_z.append(relative_l2_error(snap.zeta, zeta_ref))
@@ -581,8 +587,4 @@ def stability_demo(outdir=None) -> dict[str, ScenarioResult]:
 
     The fifth-only factorization is expected to blow up before t = 3 while
     the other two variants stay bounded."""
-    results = {}
-    for variant in ModelVariant:
-        config = _stability(variant)
-        results[variant.value] = run_scenario(config, outdir=outdir)
-    return results
+    return {v.value: run_scenario(_stability(v), outdir=outdir) for v in ModelVariant}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ebwave import scenarios
 from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
-from ebwave.core import HyperbolicityError, ModelVariant
+from ebwave.core import ModelVariant
 from ebwave.scenarios import ScenarioConfig, builtin_scenario, write_config
 
 
@@ -61,12 +61,17 @@ def test_simulate_bad_entry_names_key_and_line(tmp_path, capsys, key, value):
     assert not (tmp_path / "mini.csv").exists()
 
 
-def test_simulate_unexpected_blowup_exit_code(tmp_path):
+def test_simulate_unexpected_blowup_exit_code(tmp_path, capsys):
     config = replace(builtin_scenario("stability_fifth_only_factorized"),
                      name="surprise", n_cells=256, expect_blowup=False)
     path = tmp_path / "surprise.cfg"
     write_config(config, path)
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_BLOWUP
+    captured = capsys.readouterr()
+    assert "blow-up" not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("blow-up: amplitude")
+    assert (tmp_path / "surprise.csv").exists()
 
 
 def test_simulate_expected_blowup_is_success(tmp_path):
@@ -88,14 +93,20 @@ def test_simulate_dry_bed_exit_code(tmp_path, capsys):
     assert not (tmp_path / "dry.csv").exists()
 
 
-def test_simulate_dry_bed_during_the_run_exit_code(tmp_path, capsys, monkeypatch):
-    def dries_up(config, outdir=None):
-        raise HyperbolicityError("water column 0 at face 3")
+# mini_config overrides of a heap that is wet at t = 0 (h >= 1) and dries in
+# the flux after 1581 steps, at t = 1.906
+DRY_BED = dict(name="dry", x_min=-3.0, x_max=3.0, epsilon=1.0, ic_scale=20.0,
+               blowup_threshold=1e6, t_end=3.0, output_times=(0.0, 3.0))
 
-    monkeypatch.setattr(scenarios, "run_scenario", dries_up)
-    assert main(["simulate", "heap_lf", "--outdir", str(tmp_path)]) == EXIT_BLOWUP
+
+def test_simulate_dry_bed_during_the_run_exit_code(tmp_path, capsys):
+    path = mini_config(tmp_path, **DRY_BED)
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_BLOWUP
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("dry bed")
+    assert err == ["dry bed (water column h0 + eps*zeta <= 0): "
+                   "nonpositive water column in flux evaluation"]
+    # the t = 0 snapshot, taken before the bed dried
+    assert len((tmp_path / "dry.csv").read_text().splitlines()) == 1 + 64
 
 
 def test_simulate_stall_exit_code(tmp_path, capsys):
@@ -109,7 +120,26 @@ def test_simulate_stall_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("stall: CFL step")
     assert "t = 0.497" in err[0] and "after 891 steps" in err[0]
-    assert not (tmp_path / "stall.csv").exists()
+    # the t = 0 snapshot, taken before the stall
+    assert len((tmp_path / "stall.csv").read_text().splitlines()) == 1 + 512
+
+
+def test_stability_demo_reports_a_dried_member_and_runs_the_others(tmp_path, capsys,
+                                                                    monkeypatch):
+    dry = scenarios.read_config(mini_config(tmp_path, **DRY_BED))
+    wet = scenarios.read_config(mini_config(tmp_path))
+    monkeypatch.setattr(scenarios, "_stability", lambda variant: replace(
+        dry if variant is ModelVariant.FACTORIZED_ALL else wet,
+        name=variant.value, variant=variant.value))
+    assert main(["stability-demo", "--outdir", str(tmp_path)]) == EXIT_BLOWUP
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "dry bed (water column h0 + eps*zeta <= 0): factorized_all: "
+        "nonpositive water column in flux evaluation"]
+    out = captured.out.strip().splitlines()
+    assert [line.split(":")[0] for line in out] == ["unfactorized", "fifth_only_factorized"]
+    assert all("bounded" in line for line in out)
+    assert all((tmp_path / f"{v.value}.csv").exists() for v in ModelVariant)
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -263,6 +293,22 @@ def test_extreme_magnitudes_are_named(tmp_path, capsys, argv, name):
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"configuration error: {name} must lie in [1e-30, 1e+30]")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-alpha", "--kmax=1e-30"],
+    ["dispersion", "--kmax=1e-7"]])
+def test_error_integral_needs_k_above_its_lower_limit(tmp_path, capsys, argv):
+    # the integral of weighted_error starts at 1e-6: below it, it ran backwards
+    # and gave a negative error
+    if argv[0] == "dispersion":
+        argv = argv + ["--outdir", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: K must exceed 1e-06")
     assert not any(tmp_path.iterdir())
 
 

@@ -4,14 +4,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ebwave.core import BlowUpError, ConfigurationError, PhysParams
+from ebwave import scenarios
+from ebwave.core import (BlowUpError, ConfigurationError, HyperbolicityError, PhysParams,
+                         StallError)
 from ebwave.dispersion import DispersionKind
 from ebwave.scenarios import (ALPHA_SCAN, CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult,
                               Snapshot, builtin_names, builtin_scenario, choose_dt,
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
-                              run_dispersion_report, run_scenario, track_crest,
-                              write_config, write_snapshots_csv)
+                              run_dispersion_report, run_scenario, strang_steps,
+                              track_crest, write_config, write_snapshots_csv)
 from ebwave.splitting import RunState, StrangSolver
 
 
@@ -45,8 +47,8 @@ def synthetic_result(times, n, seed=0) -> ScenarioResult:
         v[:3] = (-0.0, 1e-300, 1e300)
         zeta[-3:] = (1e300, -0.0, 1e-300)
         snaps.append(Snapshot(t, np.linspace(-1.0, 1.0, n), zeta, v))
-    return ScenarioResult(config=small_config(), snapshots=snaps, blowup_time=None,
-                          mass_initial=0.0, mass_final=0.0, steps=0)
+    return ScenarioResult(config=small_config(), snapshots=snaps, mass_initial=0.0,
+                          mass_final=0.0, steps=0, failure=None)
 
 
 def test_csv_writer_matches_rowwise_formatter(tmp_path):
@@ -292,6 +294,57 @@ def test_run_scenario_records_expected_blowup():
     assert result.mass_final == run.mass
     assert result.blowup_time == blowup.value.time
     assert [(s.t, s.zeta.tobytes(), s.v.tobytes()) for s in result.snapshots] == snapshots
+
+
+# small_config overrides of a heap that is wet at t = 0 (h >= 1) and dries in
+# the flux after 1581 steps, at t = 1.906
+DRY_BED = dict(name="dry", x_min=-3.0, x_max=3.0, epsilon=1.0, ic_scale=20.0,
+               blowup_threshold=1e6, t_end=3.0, output_times=(0.0, 3.0))
+
+
+def strang_loop(config):
+    """``config`` run as a plain ``strang_steps`` loop that raises: the
+    last state yielded, the snapshots taken and the error."""
+    grid = config.grid()
+    solver = StrangSolver(grid, config.params(), config.model_variant(),
+                          n_disp=config.n_disp, blowup_threshold=config.blowup_threshold)
+    run = RunState.initial(initial_state(config), grid.dx)
+    snapshots = []
+    with pytest.raises(FloatingPointError) as error:
+        for t_target in config.output_times:
+            for run in strang_steps(solver, run, t_target, config.cfl):
+                pass
+            snapshots.append((run.t, run.cells.zeta.tobytes(), run.cells.v.tobytes()))
+    return run, snapshots, error.value
+
+
+@pytest.mark.parametrize("config, kind", [
+    (small_config(**DRY_BED), HyperbolicityError),
+    # with the blow-up guard raised, the fifth-only heap stalls at t = 0.497
+    (replace(builtin_scenario("stability_fifth_only_factorized"), blowup_threshold=1e6),
+     StallError)])
+def test_run_scenario_returns_a_dry_bed_or_stall(tmp_path, config, kind):
+    result = run_scenario(config, outdir=tmp_path)
+    run, snapshots, error = strang_loop(config)
+    assert type(result.failure) is type(error) is kind
+    assert str(result.failure) == str(error)
+    assert not result.blew_up and result.blowup_time is None
+    assert result.steps == run.step_count > 0
+    assert result.mass_final == run.mass
+    assert [(s.t, s.zeta.tobytes(), s.v.tobytes()) for s in result.snapshots] == snapshots
+    csv = (tmp_path / f"{config.name}.csv").read_text().splitlines()
+    assert len(csv) == 1 + len(snapshots) * config.n_cells
+
+
+@pytest.mark.parametrize("kind", [BlowUpError, HyperbolicityError, StallError])
+def test_run_convergence_names_the_failing_member(monkeypatch, kind):
+    def fails(config):
+        return ScenarioResult(config=config, snapshots=[], mass_initial=0.0,
+                              mass_final=0.0, steps=3, failure=kind("it failed"))
+
+    monkeypatch.setattr(scenarios, "run_scenario", fails)
+    with pytest.raises(kind, match=r"^convergence member N=100: it failed$"):
+        run_convergence(builtin_scenario("solitary"), [100, 200], 0.25)
 
 
 def test_run_convergence_small_ladder():
