@@ -16,7 +16,7 @@ from .analytic import (SolitaryWaveSpec, base_wave, corrected_solution,
                        corrector_source, dam_break_profile, heap_profile)
 from .splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 from .dispersive import DispersiveOperators, build_operators, rk4_fd_step
-from .hyperbolic import hyperbolic_rhs, limiter, reconstruction_deltas, rk4_fv_step
+from .hyperbolic import Workspace, hyperbolic_rhs, limiter, reconstruction_deltas, rk4_fv_step
 from .scenarios import (ConvergenceReport, ScenarioConfig, ScenarioResult,
                         builtin_names, builtin_scenario, run_convergence,
                         run_dispersion_report, run_scenario, stability_demo,

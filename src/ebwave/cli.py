@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 configuration error (including non-finite config
 values, analysis arguments outside ``dispersion.MAGNITUDES``, ``dispersion``
-parameters whose model has no real frequency branch up to ``--kmax`` and an
-``optimize-alpha`` optimum at the edge of its bracket), 3 unexpected
+parameters whose model has no real frequency branch up to ``--kmax``, an
+``optimize-alpha`` optimum at the edge of its bracket and a config or output
+path that the operating system refuses), 3 unexpected
 numerical blow-up (including a member of a ``converge`` study), a dry bed
 (h0 + eps*zeta reached zero) or a stall (the CFL step fell below
 ``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A
 failed run still writes its CSV. The output directory defaults to the
-EBWAVE_OUTDIR environment variable, then to the current directory.
+EBWAVE_OUTDIR environment variable, then to the current directory, and is
+created before any run.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ ERRORS = {
     StallError: ("stall", EXIT_BLOWUP),
     DispersionInstabilityError: ("dispersion error", EXIT_CONFIG),
     ValueError: ("error", EXIT_CONFIG),
+    OSError: ("i/o error", EXIT_CONFIG),
 }
 
 
@@ -48,9 +51,11 @@ def _report(exc: Exception, where: str = "") -> int:
 
 
 def _outdir(args) -> Path:
-    if args.outdir is not None:
-        return Path(args.outdir)
-    return Path(os.environ.get("EBWAVE_OUTDIR", "."))
+    """The output directory, created here, so that a path the OS refuses
+    stops a command before its first step."""
+    path = Path(os.environ.get("EBWAVE_OUTDIR", ".") if args.outdir is None else args.outdir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _load_config(ref: str) -> scenarios.ScenarioConfig:
@@ -77,9 +82,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_converge(args) -> int:
     config = _load_config(args.config)
     n_list = [int(v) for v in args.n.split(",")]
+    outdir = _outdir(args)
     report = scenarios.run_convergence(config, n_list, args.t_final)
-    scenarios.write_convergence_csv(
-        report, _outdir(args) / f"convergence_{config.name}.csv")
+    scenarios.write_convergence_csv(report, outdir / f"convergence_{config.name}.csv")
     for n, ez, ev in zip(report.n_cells, report.err_zeta, report.err_v):
         print(f"N={n:6d}  E_L2(zeta)={ez:.3e}  E_L2(v)={ev:.3e}")
     print(f"slopes: zeta {report.slope_zeta:.3f}, v {report.slope_v:.3f}"
@@ -127,7 +132,7 @@ def _cmd_stability_demo(args) -> int:
 
 def _cmd_self_test(args) -> int:
     from .core import Grid, State
-    from .splitting import ConversionOperator, RunState, StrangSolver
+    from .splitting import RunState, StrangSolver
 
     failures = []
 
@@ -140,13 +145,13 @@ def _cmd_self_test(args) -> int:
     alpha_opt, _ = optimize_alpha(model, 1.0)
     check("alpha optimum near 0.8351 (K=1)", abs(alpha_opt - 0.8351) < 5e-3)
 
-    conv = ConversionOperator(128)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(128)
-    check("conversion round trip", np.max(np.abs(conv.inverse(conv.forward(x)) - x)) < 1e-12)
-
     grid = Grid(0.0, 10.0, 64)
     solver = StrangSolver(grid, PhysParams(0.1))
+    conv = solver.operators.conversion
+    x = np.random.default_rng(7).standard_normal(64)
+    check("conversion round trip",
+          np.max(np.abs(conv.inverse(conv.forward(x, solver.workspace)) - x)) < 1e-12)
+
     run = RunState.initial(State(0.25 * np.ones(64), np.zeros(64)), grid.dx)
     for _ in range(20):
         run = solver.strang_step(run, 0.05)

@@ -41,11 +41,11 @@ class StallError(FloatingPointError):
 class BlowUpError(FloatingPointError):
     """The solution left the configured bounds or became non-finite.
 
-    ``time`` is the simulation time at which the blow-up was detected
-    (None when unknown).
+    ``time`` is the simulation time at which the blow-up was detected; only
+    ``StrangSolver.strang_step`` decides one.
     """
 
-    def __init__(self, message: str, time: float | None = None):
+    def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
 

@@ -63,15 +63,15 @@ every one, as it did before the fold. The conversion's ``inverse`` is
 counted on its own span, not as a seventh solve.
 
 Workspace. The step runs on the ``hyperbolic.Workspace`` of the whole
-Strang step (``StrangSolver`` keeps one): the RK4 of v uses row 0 of its
-stage, rate and sum blocks, and the ghost-filled field, the stencil
-scratch, the frozen zeta source and the complex spectrum, which the FFTs
-write into through ``out=``, lie in memory that the finite-volume step
-leaves idle during this one. The conversion takes its scratch from the
-same workspace (a new one when none is passed). A step allocates only
-the new v, where the allocating kernel took a fresh N-sized array for
-almost every numpy operation, and adds no resident memory to the
-finite-volume step's.
+Strang step, which every kernel takes from its caller (``StrangSolver``
+keeps one): the RK4 of v uses row 0 of its stage, rate and sum blocks,
+and the ghost-filled field, the stencil scratch, the frozen zeta source
+and the complex spectrum, which the FFTs write into through ``out=``,
+lie in memory that the finite-volume step leaves idle during this one.
+The conversion takes its scratch from the same workspace. A step
+allocates only the new v, where the allocating kernel took a fresh
+N-sized array for almost every numpy operation, and adds no resident
+memory to the finite-volume step's.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlowUpError, ConfigurationError, Grid, ModelVariant, PhysParams
+from .core import ConfigurationError, Grid, ModelVariant, PhysParams
 from .hyperbolic import Workspace, rk4_in_place, workspace_for
 
 # fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
@@ -318,9 +318,9 @@ class ConversionOperator(CirculantSolver):
     invertible and reflection-equivariant, because any stencil symmetric
     about a half-integer point annihilates the Nyquist mode.
 
-    ``forward`` applies the map in pair form with the scratch of a
-    ``Workspace`` (a new one when none is passed); ``inverse`` is the
-    inherited ``solve``, whose complex scratch is passed as ``spectrum``.
+    ``forward`` applies the map in pair form with the scratch of the
+    caller's ``Workspace``; ``inverse`` is the inherited ``solve``, whose
+    complex scratch is passed as ``spectrum``.
     Given their scratch, both allocate only their result. ``harmonics`` is
     the table of the symbol, as for ``CirculantSolver``.
     """
@@ -331,7 +331,7 @@ class ConversionOperator(CirculantSolver):
         super().__init__(_CONVERSION_PAIRS, n_cells, "cell-to-nodal map",
                          harmonics=harmonics)
 
-    def forward(self, field: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+    def forward(self, field: np.ndarray, workspace: Workspace) -> np.ndarray:
         ws = workspace_for(self.n, workspace)
         return self.stencil.apply(ws.pad(field), np.empty(self.n), ws.fd_tmp, ws.diffs)
 
@@ -448,7 +448,7 @@ def _add_terms(bracket, terms, padded, factors, term, ws) -> None:
 
 
 def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
-                     workspace: Workspace | None = None) -> np.ndarray:
+                     workspace: Workspace) -> np.ndarray:
     """Velocity rate contribution that depends on zeta only.
 
     Since zeta is frozen during the dispersive half step, this part is
@@ -457,8 +457,7 @@ def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
         source = g/alpha D1 zeta - J^{-1}[ g/alpha D1 zeta + high order terms ]
 
     (the terms are listed in ``build_operators``). The result is written
-    into ``workspace.source`` and returned as that array; without a
-    workspace a fresh one is built, so the returned array is the caller's.
+    into ``workspace.source`` and returned as that array.
     """
     ws = workspace_for(ops.grid.n_cells, workspace)
     # the gradient becomes the source in place; the RK4 rows are free here
@@ -476,11 +475,11 @@ def zeta_source_term(ops: DispersiveOperators, zeta: np.ndarray,
 
 
 def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarray,
-                  workspace: Workspace | None = None) -> np.ndarray:
+                  workspace: Workspace) -> np.ndarray:
     """dv/dt = zeta_source - K (D1 v)^2, with K = 2/3 eps^2 J^{-1} D1.
 
     The rate is written into ``workspace.rate[0]`` and returned as that
-    array; without a workspace a fresh one is built."""
+    array."""
     ws = workspace_for(ops.grid.n_cells, workspace)
     rate = ops.d1.apply(ws.pad(v), ws.rate[0], ws.fd_tmp, ws.diffs)
     rate *= rate
@@ -489,22 +488,19 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarr
 
 
 def rk4_fd_step(zeta: np.ndarray, v: np.ndarray, dt: float, ops: DispersiveOperators,
-                workspace: Workspace | None = None) -> np.ndarray:
+                workspace: Workspace) -> np.ndarray:
     """Advance the nodal velocity ``v`` by one RK4 step of the dispersive
     part over the frozen nodal surface ``zeta``; returns the new v.
 
     The zeta-only part of the rate is evaluated once and shared by the four
     stages, which is exact because zeta does not move during this half
-    step. Neither input is written to. The stages live in ``workspace``
-    (built here when None); only the returned array is allocated.
+    step. Neither input is written to. The stages live in ``workspace``;
+    only the returned array is allocated. A non-finite result is returned
+    as it is: ``StrangSolver.strang_step`` decides whether a run blew up.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = workspace_for(ops.grid.n_cells, workspace)
-    source = zeta_source_term(ops, zeta, workspace=ws)
+    source = zeta_source_term(ops, zeta, workspace)
     (v_new,) = rk4_in_place(
-        (v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace=ws), ws)
-    # min and max propagate NaN and reach any infinity, without a mask array
-    if not (np.isfinite(v_new.min()) and np.isfinite(v_new.max())):
-        raise BlowUpError("non-finite velocity after dispersive step")
+        (v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace), workspace)
     return v_new

@@ -12,7 +12,7 @@ of a ghost-filled window.
 
 Workspace. Every buffer of a whole Strang step, both half steps, lives
 in one ``Workspace``, built once per grid (``StrangSolver`` keeps one and
-every kernel takes it): the RK4 stage state, rate and running sum, each
+passes it to every kernel): the RK4 stage state, rate and running sum, each
 one contiguous (2, n) block whose arithmetic runs as one flat pass over
 both fields, the scratch of one FV strip, and the buffers of the
 dispersive step, which sit in memory that this step leaves idle (see
@@ -261,10 +261,8 @@ class Workspace:
         return np.concatenate([u[s] for s in self.fd_window], out=self.padded)
 
 
-def workspace_for(n: int, workspace: Workspace | None) -> Workspace:
-    """``workspace`` checked against a grid of n points, or a new one for it."""
-    if workspace is None:
-        return Workspace(n)
+def workspace_for(n: int, workspace: Workspace) -> Workspace:
+    """``workspace``, checked against a grid of n points."""
     if workspace.n != n:
         raise ConfigurationError(
             f"workspace for {workspace.n} points used on a grid of {n}")
@@ -390,8 +388,7 @@ def _rusanov(zeta_l, v_l, zeta_r, v_r, params: PhysParams, tmp):
     return flux_zeta, flux_v
 
 
-def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
-                   workspace: Workspace | None = None):
+def hyperbolic_rhs(state: State, params: PhysParams, dx: float, workspace: Workspace):
     """Semi-discrete rate -(F_{i+1/2} - F_{i-1/2})/dx with limited faces.
 
     Each strip's window holds three ghost cells per side, which is enough
@@ -401,9 +398,7 @@ def hyperbolic_rhs(state: State, params: PhysParams, dx: float,
     sums of the returned rate vanish to round-off.
 
     The rate is written into ``workspace.rate`` and returned as that
-    (2, n) block of zeta and v rows, which the next call overwrites;
-    without a workspace a fresh one is built, so the returned block is the
-    caller's own.
+    (2, n) block of zeta and v rows, which the next call overwrites.
     """
     ws = workspace_for(state.zeta.shape[0], workspace)
     fields = (state.zeta, state.v)
@@ -465,17 +460,16 @@ def rk4_in_place(y: tuple, dt: float, rhs, ws) -> tuple:
 
 
 def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float,
-                workspace: Workspace | None = None) -> State:
+                workspace: Workspace) -> State:
     """Advance the cell averages by one RK4 step of the shallow-water part.
 
-    The stages live in ``workspace`` (built here when None) and are
-    combined by ``rk4_in_place``; only the two returned arrays are
-    allocated. Each stage calls ``hyperbolic_rhs`` through the module
-    global, where the benchmark's trace wraps it.
+    The stages live in ``workspace`` and are combined by ``rk4_in_place``;
+    only the two returned arrays are allocated. Each stage calls
+    ``hyperbolic_rhs`` through the module global, where the benchmark's
+    trace wraps it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = workspace_for(state.zeta.shape[0], workspace)
     return State(*rk4_in_place(
         (state.zeta, state.v), dt,
-        lambda y: hyperbolic_rhs(State(*y), params, dx, workspace=ws), ws))
+        lambda y: hyperbolic_rhs(State(*y), params, dx, workspace), workspace))

@@ -325,8 +325,6 @@ def run_scenario(config: ScenarioConfig, outdir=None,
                 emit(run)
     except (BlowUpError, HyperbolicityError, StallError) as exc:
         failure = exc
-        if isinstance(exc, BlowUpError) and exc.time is None:
-            exc.time = run.t
 
     result = ScenarioResult(config=config, snapshots=snapshots,
                             mass_initial=mass_initial, mass_final=run.mass,
@@ -390,12 +388,17 @@ def run_convergence(base: ScenarioConfig, n_list, t_final: float) -> Convergence
         config = replace(base, n_cells=n, t_end=t_final, output_times=(t_final,),
                          name=f"{base.name}_n{n}")
         result = run_scenario(config)
-        if result.failure is not None:
-            raise type(result.failure)(f"convergence member N={n}: {result.failure}")
+        if result.failure is not None:      # the same error, a blow-up's time included
+            result.failure.args = (f"convergence member N={n}: {result.failure}",)
+            raise result.failure
         snap = result.snapshots[-1]
         zeta_ref, v_ref = corrected_solution(spec, t_final, snap.x)
         errs_z.append(relative_l2_error(snap.zeta, zeta_ref))
         errs_v.append(relative_l2_error(snap.v, v_ref))
+        if not (errs_z[-1] > 0.0 and errs_v[-1] > 0.0):
+            raise ConfigurationError(
+                f"convergence member N={n} has a zero error at t_final = {t_final:g}: "
+                "a slope needs positive errors")
 
     log_dx = np.log([(base.x_max - base.x_min) / n for n in n_list])
     slope_z = float(np.polyfit(log_dx, np.log(errs_z), 1)[0])

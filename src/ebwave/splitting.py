@@ -93,7 +93,13 @@ class StrangSolver:
         self.workspace = Workspace(grid.n_cells)
 
     def strang_step(self, run: RunState, dt: float) -> RunState:
-        """One S1(dt/2) S2(dt) S1(dt/2) step; returns a fresh RunState."""
+        """One S1(dt/2) S2(dt) S1(dt/2) step; returns a fresh RunState.
+
+        The one place where a blow-up is decided: a BlowUpError at ``run.t``
+        when the dispersive substeps leave a non-finite velocity (it is not
+        converted back), else at the new time when max(|zeta|, |v|) is
+        non-finite or above ``blowup_threshold``.
+        """
         dx, ws = self.grid.dx, self.workspace
         cells = rk4_fv_step(run.cells, 0.5 * dt, self.params, dx, workspace=ws)
 
@@ -102,6 +108,9 @@ class StrangSolver:
         v = conversion.forward(cells.v, ws)
         for _ in range(self.n_disp):
             v = rk4_fd_step(zeta, v, dt / self.n_disp, self.operators, workspace=ws)
+        # min and max propagate NaN and reach any infinity, without a mask array
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
+            raise BlowUpError("non-finite velocity after dispersive step", time=run.t)
         # d zeta/dt = 0 in the dispersive part: keep the cell-averaged zeta
         # as is instead of converting it forth and back.
         cells = State(cells.zeta, conversion.inverse(v, spectrum=ws.spectrum))

@@ -14,6 +14,7 @@ from ebwave.core import Grid, ModelVariant, PhysParams, State
 from ebwave.dispersion import (DispersionKind, DispersionModel, omega_squared,
                                optimize_alpha, stability_bound, taylor_coefficients)
 from ebwave.dispersive import build_operators, velocity_rate, zeta_source_term
+from ebwave.hyperbolic import Workspace
 from ebwave.scenarios import (builtin_scenario, local_maxima, run_convergence,
                               run_scenario, track_crest)
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
@@ -135,7 +136,7 @@ def test_criterion_06_dense_oracle_equivalence():
     n = 32
     grid = Grid(0.0, 3.0, n)
     rng = np.random.default_rng(2024)
-    conv = ConversionOperator(n)
+    conv, ws = ConversionOperator(n), Workspace(n)
     conv_mat = dense_conversion_matrix(n)
 
     worst_rhs = 0.0
@@ -147,12 +148,12 @@ def test_criterion_06_dense_oracle_equivalence():
             alpha = 1.0 if variant is ModelVariant.FIFTH_ONLY_FACTORIZED else 1.0555
             params = PhysParams(epsilon=0.2, alpha=alpha, gravity=1.3, depth=1.0)
             ops = build_operators(grid, params, variant)
-            rate = velocity_rate(ops, v, zeta_source_term(ops, zeta))
+            rate = velocity_rate(ops, v, zeta_source_term(ops, zeta, ws), ws)
             want = dense_dispersive_rhs(variant, zeta, v, grid, params)
             worst_rhs = max(worst_rhs, float(np.max(np.abs(rate - want))))
         worst_conv = max(
             worst_conv,
-            float(np.max(np.abs(conv.forward(zeta) - conv_mat @ zeta))),
+            float(np.max(np.abs(conv.forward(zeta, ws) - conv_mat @ zeta))),
             float(np.max(np.abs(conv.inverse(v) - np.linalg.solve(conv_mat, v)))))
     ok = worst_rhs <= 1e-12 and worst_conv <= 1e-12
     report(6, "dense-oracle equivalence", ok,
@@ -240,7 +241,7 @@ def test_criterion_10_discretization_orders():
     # (b) cell-average -> point-value conversion
     errs = []
     for n in (32, 64, 128):
-        pts = ConversionOperator(n).forward(cell_averages_of_sin(n, length))
+        pts = ConversionOperator(n).forward(cell_averages_of_sin(n, length), Workspace(n))
         centers = (np.arange(n) + 0.5) * length / n
         errs.append(np.max(np.abs(pts - np.sin(centers))))
     conv_order = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))

@@ -231,6 +231,41 @@ def test_converge_rejects_fewer_than_two_levels(tmp_path, capsys, levels):
     assert not (tmp_path / "convergence_solitary.csv").exists()
 
 
+@pytest.mark.parametrize("t_final", ["0", "1e-300"])
+def test_converge_rejects_vanishing_errors(tmp_path, capsys, t_final):
+    # a zero error has no logarithm, so there is no slope to fit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["converge", "solitary", "--n", "64,128", "--t-final", t_final,
+                     "--outdir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert "N=64" in err[0] and f"t_final = {float(t_final):g}" in err[0]
+    assert [str(w.message) for w in caught] == []
+    assert "slopes" not in captured.out
+    assert not (tmp_path / "convergence_solitary.csv").exists()
+
+
+def test_simulate_outdir_the_os_refuses_stops_before_the_run(tmp_path, capsys, monkeypatch):
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenarios, "run_scenario", run_scenario)
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / "out"      # below a regular file
+    assert main(["simulate", "heap_hf", "--outdir", str(outdir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ") and str(outdir) in err[0]
+
+
+def test_simulate_directory_as_config_is_an_io_error(tmp_path, capsys):
+    assert main(["simulate", str(tmp_path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ") and str(tmp_path) in err[0]
+
+
 def test_dispersion_rejects_zero_samples(tmp_path, capsys):
     code = main(["dispersion", "--samples", "0", "--outdir", str(tmp_path)])
     assert code == EXIT_CONFIG

@@ -7,15 +7,18 @@ from ebwave.dispersive import (_STENCILS, CirculantSolver, PairStencil,
                                build_operators, fourier_harmonics, rk4_fd_step,
                                velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import Workspace
-from ebwave.splitting import RunState, StrangSolver
+from ebwave import splitting
+from ebwave.splitting import ConversionOperator, RunState, StrangSolver
 
 import drivers
 from oracles import dense_dispersive_rhs, dense_j_p, dense_matrix
 
 
 def dispersive_rate(ops, zeta, v):
-    """dv/dt of the dispersive part at the point values (zeta, v)."""
-    return velocity_rate(ops, v, zeta_source_term(ops, zeta))
+    """dv/dt of the dispersive part at the point values (zeta, v), in a
+    workspace of its own."""
+    ws = Workspace(ops.grid.n_cells)
+    return velocity_rate(ops, v, zeta_source_term(ops, zeta, ws), ws)
 
 
 def test_stencil_structure():
@@ -200,13 +203,12 @@ def test_rk4_fd_step_leaves_its_inputs_unchanged():
     zeta, v = 0.3 * rng.standard_normal(32), 0.3 * rng.standard_normal(32)
     saved = zeta.copy(), v.copy()
     zeta.flags.writeable = v.flags.writeable = False    # a write would raise
-    for ws in (None, Workspace(32)):
-        out = v
-        for _ in range(10):
-            out = rk4_fd_step(zeta, out, 0.01, ops, workspace=ws)
-        assert np.array_equal(zeta, saved[0]) and np.array_equal(v, saved[1])
-        assert not np.array_equal(out, v)
-        assert not np.shares_memory(out, zeta) and not np.shares_memory(out, v)
+    ws, out = Workspace(32), v
+    for _ in range(10):
+        out = rk4_fd_step(zeta, out, 0.01, ops, workspace=ws)
+    assert np.array_equal(zeta, saved[0]) and np.array_equal(v, saved[1])
+    assert not np.array_equal(out, v)
+    assert not np.shares_memory(out, zeta) and not np.shares_memory(out, v)
 
 
 def test_rk4_fd_step_velocity_invariant_at_zero_epsilon():
@@ -214,7 +216,7 @@ def test_rk4_fd_step_velocity_invariant_at_zero_epsilon():
     ops = build_operators(grid, PhysParams(0.0), ModelVariant.FACTORIZED_ALL)
     rng = np.random.default_rng(13)
     zeta, v = 0.5 * rng.standard_normal(32), 0.5 * rng.standard_normal(32)
-    assert np.array_equal(rk4_fd_step(zeta, v, 0.05, ops), v)
+    assert np.array_equal(rk4_fd_step(zeta, v, 0.05, ops, Workspace(32)), v)
 
 
 def test_rk4_fd_step_preserves_parity():
@@ -225,8 +227,9 @@ def test_rk4_fd_step_preserves_parity():
     x = grid.centers
     zeta = 0.2 * np.cos(x - np.pi) + 0.1 * np.cos(3 * (x - np.pi))
     v = 0.1 * np.sin(x - np.pi)
+    ws = Workspace(n)
     for _ in range(5):
-        v = rk4_fd_step(zeta, v, 0.02, ops)
+        v = rk4_fd_step(zeta, v, 0.02, ops, ws)
     assert np.max(np.abs(zeta - zeta[::-1])) < 1e-12
     assert np.max(np.abs(v + v[::-1])) < 1e-12
 
@@ -236,12 +239,13 @@ def test_euler_and_rk4_time_orders():
     ops = build_operators(grid, PhysParams(0.5), ModelVariant.FACTORIZED_ALL)
     x = grid.centers
     zeta, v0 = 0.3 * np.sin(x), 0.2 * np.cos(2 * x)
+    ws = Workspace(64)
 
     def euler_step(v, dt):
         return v + dt * dispersive_rate(ops, zeta, v)
 
     def evolve(dt, t_end, euler):
-        step = euler_step if euler else lambda v, dt: rk4_fd_step(zeta, v, dt, ops)
+        step = euler_step if euler else lambda v, dt: rk4_fd_step(zeta, v, dt, ops, ws)
         v = v0
         for _ in range(int(round(t_end / dt))):
             v = step(v, dt)
@@ -256,14 +260,27 @@ def test_euler_and_rk4_time_orders():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_blowup_detection_on_nonfinite():
+def test_blowup_detection_on_nonfinite(monkeypatch):
     grid = Grid(0.0, 2.0, 32)
-    ops = build_operators(grid, PhysParams(0.4), ModelVariant.FACTORIZED_ALL)
+    solver = StrangSolver(grid, PhysParams(0.4))
     v = np.zeros(32)
     v[5] = 1e200
-    # the overflow's NaN then passes through an rfft and a multiplier product
-    with pytest.raises(BlowUpError), np.errstate(invalid="ignore"):
-        rk4_fd_step(np.zeros(32), v, 1.0, ops)
+    # the overflow's NaN passes through an rfft and a multiplier product, and
+    # the kernel returns it: the step decides the blow-up
+    with np.errstate(invalid="ignore"):
+        v = rk4_fd_step(np.zeros(32), v, 1.0, solver.operators, solver.workspace)
+    assert np.isnan(v).all()
+
+    def inverse(*args, **kwargs):
+        raise AssertionError("a non-finite velocity was converted back")
+
+    monkeypatch.setattr(splitting, "rk4_fd_step", lambda *args, **kwargs: v)
+    monkeypatch.setattr(ConversionOperator, "inverse", inverse)
+    run = RunState(t=0.25, cells=State(np.zeros(32), np.zeros(32)), step_count=3)
+    message = "^non-finite velocity after dispersive step$"
+    with pytest.raises(BlowUpError, match=message) as blowup:
+        solver.strang_step(run, 0.01)
+    assert blowup.value.time == run.t
 
 
 def test_high_frequency_instability_reproduction():

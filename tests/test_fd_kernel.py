@@ -63,7 +63,7 @@ def test_fd_kernel_matches_allocating_kernel(variant, n):
         source = oracles.zeta_source_term(want_ops, state.zeta)
         rate = oracles.velocity_rate(want_ops, state.v, source)
         want = oracles.rk4_fd_step(state, 0.05, want_ops)
-        for ws in (None, Workspace(n), reused):
+        for ws in (Workspace(n), reused):
             assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, 1e-12)
             assert_close(velocity_rate(ops, state.v, source, workspace=ws), rate, 1e-12)
             got = rk4_fd_step(state.zeta, state.v, 0.05, ops, workspace=ws)
@@ -77,8 +77,8 @@ def dam_break_64k():
                      output_times=(0.0, 0.1))
     grid, params = config.grid(), config.params()
     cells = initial_state(config)
-    conv = ConversionOperator(grid.n_cells)
-    state = State(conv.forward(cells.zeta), conv.forward(cells.v))
+    conv, ws = ConversionOperator(grid.n_cells), Workspace(grid.n_cells)
+    state = State(conv.forward(cells.zeta, ws), conv.forward(cells.v, ws))
     return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
 
 
@@ -116,7 +116,7 @@ def test_fd_kernel_on_fine_grid_matches_long_double_reference(variant):
     for state in (random_state(rng, n), smooth_random_state(rng, grid)):
         source, v = oracles.long_double_dispersive(variant, state.zeta, state.v,
                                                     grid, params, dt=1e-4)
-        for ws in (None, reused):
+        for ws in (Workspace(n), reused):
             assert_close(zeta_source_term(ops, state.zeta, workspace=ws), source, rel)
             assert_close(rk4_fd_step(state.zeta, state.v, 1e-4, ops, workspace=ws), v, rel)
 
@@ -132,7 +132,7 @@ def test_fd_kernel_matches_on_dam_break_64k_initial_state(variant):
     want_v = oracles.rk4_fd_step(state, dt, want_ops).v
     reused = Workspace(grid.n_cells)
     rk4_fd_step(state.zeta, state.v, dt, ops, workspace=reused)
-    for ws in (None, reused):
+    for ws in (Workspace(grid.n_cells), reused):
         got_source = zeta_source_term(ops, state.zeta, workspace=ws)
         got_v = rk4_fd_step(state.zeta, state.v, dt, ops, workspace=ws)
         assert_close(got_source, source, 1e-9)
@@ -284,11 +284,11 @@ def test_strang_step_on_shared_workspace_memory(variant):
     for _ in range(3):
         dt = 0.02
         cells = rk4_fv_step(run.cells, 0.5 * dt, params, grid.dx, workspace=Workspace(n))
-        zeta, v = conv.forward(cells.zeta), conv.forward(cells.v)
+        zeta, v = conv.forward(cells.zeta, Workspace(n)), conv.forward(cells.v, Workspace(n))
         for _ in range(2):
             v = rk4_fd_step(zeta, v, 0.5 * dt, solver.operators, workspace=Workspace(n))
         cells = State(cells.zeta, conv.inverse(v))
-        want = rk4_fv_step(cells, 0.5 * dt, params, grid.dx)
+        want = rk4_fv_step(cells, 0.5 * dt, params, grid.dx, workspace=Workspace(n))
         run = solver.strang_step(run, dt)
         assert np.array_equal(run.cells.zeta, want.zeta)
         assert np.array_equal(run.cells.v, want.v)

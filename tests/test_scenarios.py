@@ -338,13 +338,17 @@ def test_run_scenario_returns_a_dry_bed_or_stall(tmp_path, config, kind):
 
 @pytest.mark.parametrize("kind", [BlowUpError, HyperbolicityError, StallError])
 def test_run_convergence_names_the_failing_member(monkeypatch, kind):
+    # a blow-up keeps its time
+    extra = {"time": 0.125} if kind is BlowUpError else {}
+
     def fails(config):
         return ScenarioResult(config=config, snapshots=[], mass_initial=0.0,
-                              mass_final=0.0, steps=3, failure=kind("it failed"))
+                              mass_final=0.0, steps=3, failure=kind("it failed", **extra))
 
     monkeypatch.setattr(scenarios, "run_scenario", fails)
-    with pytest.raises(kind, match=r"^convergence member N=100: it failed$"):
+    with pytest.raises(kind, match=r"^convergence member N=100: it failed$") as error:
         run_convergence(builtin_scenario("solitary"), [100, 200], 0.25)
+    assert vars(error.value) == extra
 
 
 def test_run_convergence_small_ladder():

@@ -5,6 +5,7 @@ from ebwave.analytic import SolitaryWaveSpec, corrected_solution
 from ebwave.core import BlowUpError, Grid, HyperbolicityError, PhysParams, State
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
 from ebwave.dispersive import CirculantSolver
+from ebwave.hyperbolic import Workspace
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 
 from oracles import dense_conversion_matrix
@@ -12,19 +13,19 @@ from oracles import dense_conversion_matrix
 
 def test_conversion_constant():
     conv = ConversionOperator(32)
-    out = conv.forward(np.full(32, 1.7))
+    out = conv.forward(np.full(32, 1.7), Workspace(32))
     assert np.allclose(out, 1.7, atol=1e-13)
     assert np.allclose(conv.inverse(out), 1.7, atol=1e-13)
 
 
 def test_conversion_roundtrip_identity():
-    conv = ConversionOperator(64)
+    conv, ws = ConversionOperator(64), Workspace(64)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(64)
-        back = conv.inverse(conv.forward(x))
+        back = conv.inverse(conv.forward(x, ws))
         assert np.max(np.abs(back - x)) < 1e-12
-        fwd = conv.forward(conv.inverse(x))
+        fwd = conv.forward(conv.inverse(x), ws)
         assert np.max(np.abs(fwd - x)) < 1e-12
 
 
@@ -34,7 +35,7 @@ def test_conversion_against_dense_oracle():
     mat = dense_conversion_matrix(n)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(n)
-    assert np.allclose(conv.forward(x), mat @ x, atol=1e-13)
+    assert np.allclose(conv.forward(x, Workspace(n)), mat @ x, atol=1e-13)
     assert np.allclose(conv.inverse(x), np.linalg.solve(mat, x), atol=1e-12)
 
 
@@ -46,7 +47,7 @@ def test_conversion_accuracy_order():
         dx = length / n
         edges = np.arange(n + 1) * dx
         avg = (np.cos(edges[:-1]) - np.cos(edges[1:])) / dx
-        pts = ConversionOperator(n).forward(avg)
+        pts = ConversionOperator(n).forward(avg, Workspace(n))
         centers = (np.arange(n) + 0.5) * dx
         errs.append(np.max(np.abs(pts - np.sin(centers))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -54,11 +55,11 @@ def test_conversion_accuracy_order():
 
 
 def test_conversion_states():
-    conv = ConversionOperator(16)
+    conv, ws = ConversionOperator(16), Workspace(16)
     rng = np.random.default_rng(2)
     cells = State(rng.standard_normal(16), rng.standard_normal(16))
     for field in (cells.zeta, cells.v):
-        back = conv.inverse(conv.forward(field))
+        back = conv.inverse(conv.forward(field, ws))
         assert np.allclose(back, field, atol=1e-12)
 
 

@@ -1,0 +1,81 @@
+"""Scratch memory has one owner: the caller of a kernel.
+
+Every kernel takes the ``Workspace`` of its caller, so no parameter named
+``workspace`` has a default, and a ``Workspace`` is built in two places
+only: by ``StrangSolver``, for the whole Strang step, and by
+``hyperbolic._face_outputs``, which runs the face kernel for the
+allocating ``reconstruction_deltas``. Checked in the standard library's
+``ast``, as ``test_imports`` checks imports.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ebwave"
+BUILDERS = {("splitting.py", "StrangSolver.__init__"), ("hyperbolic.py", "_face_outputs")}
+
+
+def _functions(tree):
+    """(qualified name, node) of every function of ``tree``, methods as
+    Class.method."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    yield name, child
+                yield from walk(child, name + ".")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+
+
+def defaulted_workspaces(source: str) -> list[str]:
+    """The functions of ``source`` whose ``workspace`` parameter has a default."""
+    found = []
+    for name, node in _functions(ast.parse(source)):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if any(a.arg == "workspace" for a in defaulted):
+            found.append(name)
+    return found
+
+
+def workspace_builders(source: str) -> set[str]:
+    """The functions of ``source`` that call ``Workspace(...)`` in their own
+    body, nested functions excluded."""
+    builders = set()
+    for name, node in _functions(ast.parse(source)):
+        nested = {id(n) for _, f in _functions(node) for n in ast.walk(f)}
+        for call in ast.walk(node):
+            if id(call) in nested or not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "Workspace":
+                builders.add(name)
+    return builders
+
+
+def test_checkers_find_defaults_and_builders():
+    source = ("def f(x, workspace=None): pass\n"
+              "def g(x, *, workspace=None): pass\n"
+              "def h(x, workspace): pass\n"
+              "class A:\n"
+              "    def m(self, n):\n"
+              "        return hyperbolic.Workspace(n)\n"
+              "def k(n):\n"
+              "    def inner():\n"
+              "        return Workspace(n)\n")
+    assert defaulted_workspaces(source) == ["f", "g"]
+    assert workspace_builders(source) == {"A.m", "k.inner"}
+
+
+def test_kernels_take_the_callers_workspace():
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        assert defaulted_workspaces(source) == [], path.name
+        builders |= {(path.name, name) for name in workspace_builders(source)}
+    assert builders == BUILDERS
