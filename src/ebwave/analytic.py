@@ -13,24 +13,26 @@ order in eps. That corrected solution initializes and scores the solitary
 wave experiments.
 
 Spatial derivatives of the base profiles are taken by eighth-order central
-differences of the analytic expressions rather than hand-expanded sech
-chains; the step is chosen large enough that the fifth derivative stays
-out of the round-off floor (validated by a Richardson check in the tests).
+differences (``core.central_weights``) of the analytic expressions rather
+than hand-expanded sech chains; the step is chosen large enough that the
+fifth derivative stays out of the round-off floor (validated by a
+Richardson check in the tests).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
+
+from .core import ConfigurationError, central_weights, simpson_weights
 
 
 @dataclass(frozen=True)
 class SolitaryWaveSpec:
-    """A single solitary wave: amplitude, regime, launch point, direction."""
+    """A single solitary wave: amplitude, regime, launch point, direction.
+    A rejected wave raises a ConfigurationError keyed by the field at fault,
+    ``amplitude`` or ``direction``."""
 
     amplitude: float
     epsilon: float
@@ -39,11 +41,12 @@ class SolitaryWaveSpec:
 
     def __post_init__(self):
         if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
+            raise ConfigurationError("amplitude must be positive", key="amplitude")
         if not 0.0 <= self.amplitude * self.epsilon < 1.0:
-            raise ValueError("need 0 <= a*eps < 1 for a real wave speed")
+            raise ConfigurationError("need 0 <= a*eps < 1 for a real wave speed",
+                                     key="amplitude")
         if self.direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
+            raise ConfigurationError("direction must be +1 or -1", key="direction")
 
     @property
     def kappa(self) -> float:
@@ -69,36 +72,6 @@ def base_wave(spec: SolitaryWaveSpec, t: float, x):
     return zeta1, v1
 
 
-@lru_cache(maxsize=None)
-def _central_weights(order: int, half_width: int) -> np.ndarray:
-    """Exact weights of the centered difference for the given derivative
-    order on offsets -half_width..half_width (unit spacing).
-
-    Solved in rational arithmetic, so conditioning of the moment system is
-    not a concern even for wide stencils.
-    """
-    npts = 2 * half_width + 1
-    if npts <= order:
-        raise ValueError("stencil too narrow for this derivative order")
-    offsets = range(-half_width, half_width + 1)
-    rows = [[Fraction(m) ** p for m in offsets] for p in range(npts)]
-    rhs = [Fraction(0)] * npts
-    rhs[order] = Fraction(math.factorial(order))
-    # Gaussian elimination over the rationals
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    n = npts
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [val * inv for val in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [vr - factor * vc for vr, vc in zip(a[r], a[col])]
-    return np.array([float(a[r][n]) for r in range(n)])
-
-
 def profile_derivative(fun, x, order: int, step: float) -> np.ndarray:
     """Eighth-order centered difference of an analytic profile.
 
@@ -108,7 +81,7 @@ def profile_derivative(fun, x, order: int, step: float) -> np.ndarray:
     if order == 0:
         return fun(x)
     half_width = (order + 8) // 2
-    w = _central_weights(order, half_width)
+    w = central_weights(order, half_width)
     x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)
     for m, c in zip(range(-half_width, half_width + 1), w):
@@ -181,12 +154,8 @@ def corrected_solution(spec: SolitaryWaveSpec, t: float, x,
 
     if t > 0.0:
         tau = min(0.05, t / 10.0) if substep is None else substep
-        panels = max(2, int(np.ceil(t / tau)))
-        panels += panels % 2
-        s = np.linspace(0.0, t, panels + 1)
-        weights = np.ones_like(s)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
+        weights = simpson_weights(max(2, int(np.ceil(t / tau))))
+        s = np.linspace(0.0, t, weights.shape[0])
         weights *= (s[1] - s[0]) / 3.0
         int_minus = np.zeros_like(x)
         int_plus = np.zeros_like(x)

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error (including non-finite config
-values, analysis arguments outside ``dispersion.MAGNITUDES``, ``dispersion``
-parameters whose model has no real frequency branch up to ``--kmax``, an
+values, a negative ``t_end``, a solitary wave that cannot exist, a run whose
+end lies more than ``scenarios.STEP_LIMIT`` CFL steps away, analysis
+arguments outside ``dispersion.MAGNITUDES``, ``dispersion`` parameters
+whose model has no real frequency branch up to ``--kmax``, an
 ``optimize-alpha`` optimum at the edge of its bracket and a config or output
 path that the operating system refuses), 3 unexpected
 numerical blow-up (including a member of a ``converge`` study), a dry bed

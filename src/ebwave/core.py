@@ -1,4 +1,5 @@
-"""Physical parameters, periodic grids and state containers shared by all solvers."""
+"""Physical parameters, periodic grids, state containers and the exact
+difference and quadrature weights (``central_weights``, ``simpson_weights``)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,3 +185,31 @@ def relative_l2_error(numerical: np.ndarray, reference: np.ndarray) -> float:
     if ref_norm == 0.0:
         raise ValueError("reference norm is zero")
     return float(np.linalg.norm(numerical - reference) / ref_norm)
+
+
+@lru_cache(maxsize=None)
+def central_weights(order: int, half_width: int) -> tuple[float, ...]:
+    """Weights of the centered difference for the ``order``-th derivative on
+    offsets -half_width..half_width (unit spacing), each rounded once from
+    its exact value: order! times the x^order coefficient of the node's
+    Lagrange basis polynomial (Fornberg, Math. Comp. 51, 1988)."""
+    offsets = range(-half_width, half_width + 1)
+    if len(offsets) <= order:
+        raise ValueError("stencil too narrow for this derivative order")
+    weights = []
+    for m in offsets:
+        basis = [Fraction(1)]           # coefficients, constant term first
+        for j in offsets:
+            if j != m:                  # basis *= (x - j) / (m - j)
+                basis = [(up - j * c) / (m - j) for up, c in zip([0, *basis], [*basis, 0])]
+        weights.append(float(math.factorial(order) * basis[order]))
+    return tuple(weights)
+
+
+def simpson_weights(panels: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1, to be scaled by step / 3,
+    on panels + panels % 2 + 1 nodes (an even number of panels)."""
+    weights = np.ones(panels + panels % 2 + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return weights

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigurationError, ModelVariant, PhysParams, require_finite
+from .core import (ConfigurationError, ModelVariant, PhysParams, require_finite,
+                   simpson_weights)
 
 
 class DispersionInstabilityError(ArithmeticError):
@@ -102,24 +103,18 @@ def omega_squared(model: DispersionModel, k):
     if model.kind is DispersionKind.FULL_EULER:
         return g * h0 * np.abs(k) * np.tanh(np.abs(k))
 
-    if model.kind is DispersionKind.EB_UNFACTORIZED:
-        num = 1.0 + (a - 1.0) / 3.0 * k2 + (a + 1.0) / 45.0 * k4
-        den = 1.0 + a / 3.0 * k2 + a / 45.0 * k4
-        return g * h0 * k2 * num / den
-
-    if model.kind is DispersionKind.EB_FACTORIZED:
-        num = 1.0 + (a - 1.0) / 3.0 * k2 \
-            + k4 / 45.0 * (a - 1.0 + 2.0 / (1.0 + a * k2 / 3.0))
-        den = 1.0 + a / 3.0 * k2 + a / 45.0 * k4
-        return g * h0 * k2 * num / den
-
-    zb, _ = model.background
+    den = 1.0 + a / 3.0 * k2 + a / 45.0 * k4
+    zb = model.background[0] if model.kind in _LINEARIZED else 0.0
     h = h0 + zb
     if h <= 0.0:
         raise ValueError("background water column h0 + zeta_b must be positive")
-    den = 1.0 + a / 3.0 * k2 + a / 45.0 * k4
 
-    if model.kind is DispersionKind.LIN_UNFACTORIZED:
+    if model.kind is DispersionKind.EB_UNFACTORIZED:
+        num = 1.0 + (a - 1.0) / 3.0 * k2 + (a + 1.0) / 45.0 * k4
+    elif model.kind is DispersionKind.EB_FACTORIZED:
+        num = 1.0 + (a - 1.0) / 3.0 * k2 \
+            + k4 / 45.0 * (a - 1.0 + 2.0 / (1.0 + a * k2 / 3.0))
+    elif model.kind is DispersionKind.LIN_UNFACTORIZED:
         num = 1.0 - 2.0 / 3.0 * k2 * zb + 2.0 / 45.0 * k4
     elif model.kind is DispersionKind.LIN_FIFTH_ONLY:
         num = 1.0 - 2.0 / 3.0 * k2 * zb + k4 / 45.0 * (2.0 / (1.0 + k2 / 3.0))
@@ -221,18 +216,14 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
                                  f"error integral, got {K:g}")
     if panels < 2:
         raise ValueError("need at least 2 Simpson panels")
-    panels += panels % 2
+    weights = simpson_weights(panels)
     m = model.with_alpha(alpha)
-    k = np.linspace(K_LOW, K, panels + 1)
+    k = np.linspace(K_LOW, K, weights.shape[0])
 
     cp, cg = velocities(m, k)
     cp_s, cg_s = velocities(stokes_reference(m), k)
     integrand = ((cp - cp_s) / cp_s) ** 2 + ((cg - cg_s) / cg_s) ** 2
-    step = k[1] - k[0]
-    weights = np.ones_like(k)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(step / 3.0 * np.sum(weights * integrand))
+    return float((k[1] - k[0]) / 3.0 * np.sum(weights * integrand))
 
 
 def optimize_alpha(model: DispersionModel, K: float,

@@ -18,9 +18,10 @@ through D3/D5 stencils, or a mix that factorizes the fifth derivative only
 demonstration case).
 
 Operators. Every constant-coefficient operator is built once per grid,
-parameters and variant (``build_operators``), the map between cell
-averages and point values (``ConversionOperator``) included, and applied
-in one of two forms:
+parameters and variant (``build_operators``) from the fourth-order
+stencils D1-D5 that ``core.central_weights`` generates, the map between
+cell averages and point values (``ConversionOperator``) included, and
+applied in one of two forms:
 
 * a ``PairStencil``: the stencil in pair form, total u_i + sum_m c_m
   ((u_{i+m} - u_i) + (u_{i-m} - u_i)) when symmetric (total being the
@@ -81,18 +82,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, Grid, ModelVariant, PhysParams
+from .core import ConfigurationError, Grid, ModelVariant, PhysParams, central_weights
 from .hyperbolic import Workspace, rk4_in_place, workspace_for
 
-# fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
-_D1 = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
-_D2 = {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12}
-_D3 = {-3: 1 / 8, -2: -8 / 8, -1: 13 / 8, 1: -13 / 8, 2: 8 / 8, 3: -1 / 8}
-_D4 = {-3: -1 / 6, -2: 12 / 6, -1: -39 / 6, 0: 56 / 6, 1: -39 / 6, 2: 12 / 6, 3: -1 / 6}
-_D5 = {-4: 1 / 6, -3: -9 / 6, -2: 26 / 6, -1: -29 / 6,
-       1: 29 / 6, 2: -26 / 6, 3: 9 / 6, 4: -1 / 6}
-
-_STENCILS = {1: _D1, 2: _D2, 3: _D3, 4: _D4, 5: _D5}
+# D1-D5 generated at fourth order, offset -> coefficient, to be scaled by dx^-order
+_STENCILS = {order: dict(zip(range(-r, r + 1), central_weights(order, r)))
+             for order in range(1, 6) for r in [(order + 3) // 2]}
 
 
 @dataclass(frozen=True)
@@ -390,11 +385,6 @@ def build_operators(grid: Grid, params: PhysParams,
                          + gradient eps^2 alpha D2 zeta
     """
     n = grid.n_cells
-    needs_d5 = variant is ModelVariant.UNFACTORIZED
-    min_n = 9 if needs_d5 else 7
-    if n < min_n:
-        raise ConfigurationError(
-            f"{variant.value} needs at least {min_n} points, got {n}")
     if variant is ModelVariant.FIFTH_ONLY_FACTORIZED and params.alpha != 1.0:
         raise ConfigurationError(
             "the fifth-only factorized variant is defined for alpha = 1")
@@ -422,6 +412,12 @@ def build_operators(grid: Grid, params: PhysParams,
     else:
         zeta_terms += ((stencil(3, 2.0 / 3.0 * eps ** 2 * g), _TIMES_ZETA),
                        (stencil(2, eps ** 2 * alpha), _TIMES_GRADIENT))
+
+    # the 2 reach + 1 points of every stencil must be distinct cells
+    min_n = 2 * max(term.reach for term, _ in zeta_terms + u_terms) + 1
+    if n < min_n:
+        raise ConfigurationError(
+            f"{variant.value} needs at least {min_n} points, got {n}")
 
     j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
     harmonics = fourier_harmonics(n)

@@ -55,8 +55,10 @@ class ScenarioConfig:
     Every run takes the CFL step that ``cfl``, at least CFL_MIN, sets;
     ``ic_scale`` scales the heap or dam profile that ``initial`` selects.
     ``n_disp``, the number of dispersive substeps per step, is a class
-    attribute rather than a field: no config key sets it. A
-    ConfigurationError's ``key`` names a rejected field.
+    attribute rather than a field: no config key sets it. A solitary
+    config builds its waves here, so that a wave that cannot exist is
+    rejected with the config. A ConfigurationError's ``key`` names a
+    rejected field.
     """
 
     name: str
@@ -108,6 +110,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}",
                 key="blowup_threshold")
+        if self.t_end < 0.0:
+            raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}",
+                                     key="t_end")
         if sorted(self.output_times) != list(self.output_times):
             raise ConfigurationError("output_times must be sorted", key="output_times")
         if self.output_times and not (0.0 <= self.output_times[0]
@@ -119,6 +124,8 @@ class ScenarioConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigurationError(
                     f"{key} must be one of {allowed}, got {getattr(self, key)!r}", key=key)
+        if self.initial == "solitary":
+            _solitary_waves(self)
 
     def params(self) -> PhysParams:
         return PhysParams(epsilon=self.epsilon, alpha=self.alpha,
@@ -186,6 +193,8 @@ def parse_config(text: str) -> ScenarioConfig:
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from None
     except ConfigurationError as exc:   # its message starts with the key
+        if exc.key not in raw:          # a missing entry, such as centers
+            raise
         raise ConfigurationError(f"line {raw[exc.key][0]}: {exc}") from None
 
 
@@ -194,12 +203,18 @@ def read_config(path) -> ScenarioConfig:
 
 
 def _solitary_waves(config: ScenarioConfig) -> list[SolitaryWaveSpec]:
-    """One wave per entry of the config's amplitudes, centers and directions."""
-    if not (len(config.amplitudes) == len(config.centers) == len(config.directions)):
-        raise ConfigurationError(
-            "solitary initial data needs matching amplitudes/centers/directions")
-    return [SolitaryWaveSpec(amplitude=a, epsilon=config.epsilon, x0=x0, direction=int(d))
-            for a, x0, d in zip(config.amplitudes, config.centers, config.directions)]
+    """One wave per entry of the config's amplitudes, centers and directions;
+    a ConfigurationError names the list at fault."""
+    for key in ("centers", "directions"):
+        if len(getattr(config, key)) != len(config.amplitudes):
+            raise ConfigurationError(
+                f"{key}: solitary initial data needs matching "
+                "amplitudes/centers/directions", key=key)
+    try:
+        return [SolitaryWaveSpec(amplitude=a, epsilon=config.epsilon, x0=x0, direction=d)
+                for a, x0, d in zip(config.amplitudes, config.centers, config.directions)]
+    except ConfigurationError as exc:   # keyed by the spec's field, one entry of a list
+        raise ConfigurationError(f"{exc.key}s: {exc}", key=f"{exc.key}s") from None
 
 
 def initial_state(config: ScenarioConfig) -> State:
@@ -261,6 +276,10 @@ class ScenarioResult:
 # reaches 0.134 before its blow-up.
 STALL_FRACTION = 1e-2
 
+# the most CFL steps of the first size that a ``strang_steps`` call may need
+# to reach its target; the longest built-in takes 2811 steps in all
+STEP_LIMIT = 1e8
+
 
 def strang_steps(solver: StrangSolver, run: RunState, t_target: float,
                  cfl: float = 0.4) -> Iterator[RunState]:
@@ -272,13 +291,20 @@ def strang_steps(solver: StrangSolver, run: RunState, t_target: float,
     below STALL_FRACTION of the call's first one is not taken but raises a
     StallError, since a growing signal speed can shrink dt without bound.
     It and a BlowUpError from a step propagate, and the caller's loop
-    variable still holds the last state yielded before them.
+    variable still holds the last state yielded before them. A target
+    more than STEP_LIMIT first steps away is a ConfigurationError, raised
+    before any step: with the stall rule, that bounds the steps of a call.
     """
     dx = solver.grid.dx
     dt_first = None
     while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
         dt = choose_dt(run.cells, solver.params, dx, cfl)
-        dt_first = dt_first or dt
+        if dt_first is None:
+            dt_first = dt
+            if t_target - run.t > STEP_LIMIT * dt:
+                raise ConfigurationError(
+                    f"the remaining time {t_target - run.t:g} to t = {t_target:g} "
+                    f"needs more than STEP_LIMIT = {STEP_LIMIT:g} CFL steps of {dt:g}")
         if dt < STALL_FRACTION * dt_first:
             raise StallError(f"CFL step {dt:g} fell below {STALL_FRACTION:g} of the first, "
                              f"{dt_first:g}, at t = {run.t:g} after {run.step_count} steps")

@@ -28,6 +28,21 @@ def mini_config(tmp_path, **overrides):
     return path
 
 
+def edited_config(tmp_path, name, **edits):
+    """The built-in ``name`` written to a file with each line of ``edits``
+    set to its value (dropped when None); returns the path and the line
+    number of each edited key."""
+    path = tmp_path / f"{name}.cfg"
+    write_config(builtin_scenario(name), path)
+    lines = path.read_text().splitlines()
+    linenos = {key: next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} "))
+               for key in edits}
+    for key, value in edits.items():
+        lines[linenos[key] - 1] = None if value is None else f"{key} = {value}"
+    path.write_text("".join(f"{line}\n" for line in lines if line is not None))
+    return path, linenos
+
+
 def test_simulate_config_file(tmp_path, capsys):
     path = mini_config(tmp_path)
     code = main(["simulate", str(path), "--outdir", str(tmp_path)])
@@ -180,13 +195,48 @@ def test_simulate_unknown_variant(tmp_path, capsys):
 
 
 def test_converge_mismatched_solitary_lists_exit_code(tmp_path, capsys):
-    config = replace(builtin_scenario("solitary"), name="nocenter", centers=())
-    path = tmp_path / "nocenter.cfg"
-    write_config(config, path)
+    # the constructor rejects the config, so the file is edited as text
+    path, linenos = edited_config(tmp_path, "solitary", centers="")
     code = main(["converge", str(path), "--n", "64,128", "--t-final", "0.1",
                  "--outdir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "matching amplitudes/centers/directions" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: line {linenos['centers']}: centers: solitary initial data "
+        "needs matching amplitudes/centers/directions"]
+
+
+@pytest.mark.parametrize("name,edits,message", [
+    ("heap_hf", dict(t_end="-1", output_times=""), "t_end must be nonnegative, got -1.0"),
+    ("solitary", dict(amplitudes="200"),
+     "amplitudes: need 0 <= a*eps < 1 for a real wave speed"),
+    ("solitary", dict(directions="0.5"), "directions: direction must be +1 or -1")])
+def test_config_that_cannot_run_names_its_line(tmp_path, capsys, name, edits, message):
+    path, linenos = edited_config(tmp_path, name, **edits)
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    lineno = linenos[next(iter(edits))]
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: line {lineno}: {message}"]
+    assert not (tmp_path / f"{name}.csv").exists()
+
+
+def test_solitary_config_without_centers_names_the_key(tmp_path, capsys):
+    path, _ = edited_config(tmp_path, "solitary", centers=None)
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: centers: solitary initial data needs matching "
+        "amplitudes/centers/directions"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "solitary", "--n", "64,128", "--t-final", "1e300"],
+    ["simulate", "heap_hf"]])
+def test_run_past_the_step_limit_is_a_configuration_error(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = ["simulate", str(edited_config(tmp_path, "heap_hf", t_end="1e300")[0])]
+    assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: the remaining time 1e+300")
+    assert f"STEP_LIMIT = {scenarios.STEP_LIMIT:g} CFL steps" in err[0]
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):

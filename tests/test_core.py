@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ebwave.core import (ConfigurationError, Grid, ModelVariant, PhysParams, State,
-                         relative_l2_error)
+                         central_weights, relative_l2_error, simpson_weights)
 
 
 def test_grid_spacing_examples():
@@ -91,3 +93,28 @@ def test_relative_l2_error_examples():
         relative_l2_error(ref, np.zeros(3))
     with pytest.raises(ValueError):
         relative_l2_error(ref, np.zeros(4))
+
+
+def test_central_weights_of_the_eighth_order_first_derivative_are_exact():
+    exact = [Fraction(1, 280), Fraction(-4, 105), Fraction(1, 5), Fraction(-4, 5), 0,
+             Fraction(4, 5), Fraction(-1, 5), Fraction(4, 105), Fraction(-1, 280)]
+    weights = central_weights(1, 4)
+    assert weights == tuple(float(w) for w in exact)
+    assert all(type(w) is float for w in weights)
+
+
+@pytest.mark.parametrize("order,half_width", [(3, 1), (5, 2), (2, 0)])
+def test_central_weights_reject_a_stencil_too_narrow_for_the_order(order, half_width):
+    with pytest.raises(ValueError, match="stencil too narrow"):
+        central_weights(order, half_width)
+
+
+@pytest.mark.parametrize("panels", [2, 3, 8, 11])
+def test_simpson_weights_integrate_a_cubic_exactly(panels):
+    weights = simpson_weights(panels)
+    assert weights.shape == (panels + panels % 2 + 1,)
+    s = np.linspace(-1.0, 2.0, weights.shape[0])
+    step = s[1] - s[0]
+    # int_{-1}^{2} (s^3 - 2 s^2 + 3) ds = 15/4 - 6 + 9
+    assert step / 3.0 * np.sum(weights * (s ** 3 - 2.0 * s ** 2 + 3.0)) \
+        == pytest.approx(6.75, rel=1e-14)

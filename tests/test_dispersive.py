@@ -1,16 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ebwave.core import (BlowUpError, ConfigurationError, Grid, ModelVariant,
                          PhysParams, State)
-from ebwave.dispersive import (_STENCILS, CirculantSolver, PairStencil,
+from ebwave.dispersive import (_PAIRS, _STENCILS, CirculantSolver, PairStencil,
                                build_operators, fourier_harmonics, rk4_fd_step,
                                velocity_rate, zeta_source_term)
-from ebwave.hyperbolic import Workspace
+from ebwave.hyperbolic import FD_GHOSTS, Workspace
 from ebwave import splitting
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver
 
 import drivers
+import oracles
 from oracles import dense_dispersive_rhs, dense_j_p, dense_matrix
 
 
@@ -33,6 +36,30 @@ def test_stencil_structure():
                 assert mirror == pytest.approx(-c)
         width = max(coeffs) - min(coeffs) + 1
         assert drivers.stencil(order, np.zeros(width), 0.1).shape == (width,)
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_generated_stencils_equal_the_typed_tables_bit_for_bit(order):
+    generated = {m: c for m, c in _STENCILS[order].items() if c != 0.0}
+    assert generated.keys() == oracles._STENCILS[order].keys()
+    for m, c in generated.items():
+        assert np.float64(c).tobytes() == np.float64(oracles._STENCILS[order][m]).tobytes()
+
+
+def test_fd_ghosts_cover_the_widest_stencil():
+    assert FD_GHOSTS == max(p.reach for p in _PAIRS.values())
+
+
+@pytest.mark.parametrize("variant,min_n", [(ModelVariant.UNFACTORIZED, 9),
+                                           (ModelVariant.FACTORIZED_ALL, 7),
+                                           (ModelVariant.FIFTH_ONLY_FACTORIZED, 7)])
+def test_minimum_grid_is_twice_the_widest_reach_plus_one(variant, min_n):
+    # Grid takes no fewer than 8 cells, so a smaller one is a stand-in
+    small = SimpleNamespace(n_cells=min_n - 1, dx=0.1)
+    with pytest.raises(ConfigurationError,
+                       match=f"{variant.value} needs at least {min_n} points, got {min_n - 1}"):
+        build_operators(small, PhysParams(0.1), variant)
+    assert build_operators(Grid(0.0, 1.0, max(min_n, 8)), PhysParams(0.1), variant)
 
 
 def test_apply_stencil_constant_is_zero():

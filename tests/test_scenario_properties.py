@@ -144,6 +144,14 @@ def configs(draw):
     kwargs["blowup_threshold"] = draw(st.floats(0.0, 1e300, exclude_min=True))
     kwargs["output_times"] = tuple(sorted(draw(
         st.lists(st.floats(0.0, kwargs["t_end"]), max_size=4))))
+    if kwargs["initial"] == "solitary":
+        # waves that can exist: 0 < a < 1, 0 <= eps <= 1 and a direction of +-1
+        kwargs["epsilon"] = draw(st.floats(0.0, 1.0))
+        waves = draw(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True,
+                                                  exclude_max=True),
+                                        FINITE, st.sampled_from([1.0, -1.0])), max_size=3))
+        for i, key in enumerate(("amplitudes", "centers", "directions")):
+            kwargs[key] = tuple(wave[i] for wave in waves)
     try:
         return ScenarioConfig(**kwargs)
     except ConfigurationError:
