@@ -118,9 +118,9 @@ def corrector_source(spec: SolitaryWaveSpec, t: float, x):
     dv = [profile_derivative(v_fun, x, n, step) for n in range(6)]
 
     advective = (dzeta * dv[2] + 2.0 / 3.0 * zeta_fun(x) * dv[3] + dv[5] / 45.0)
-    stress = lambda y: (base_wave(spec, t, y)[1] * profile_derivative(v_fun, y, 2, step)
-                        - profile_derivative(v_fun, y, 1, step) ** 2)
-    return -c_signed * advective + profile_derivative(stress, x, 1, step) / 3.0
+    # d_x(v1 v1_xx - v1_x^2) = v1 v1_xxx - v1_x v1_xx, by the product rule
+    stress = dv[0] * dv[3] - dv[1] * dv[2]
+    return -c_signed * advective + stress / 3.0
 
 
 def gaussian_corrector_profile(x, center: float = 0.0):

@@ -77,13 +77,12 @@ class PhysParams:
         require_finite(epsilon=self.epsilon, alpha=self.alpha,
                        gravity=self.gravity, depth=self.depth)
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.alpha <= 0.0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.gravity <= 0.0:
-            raise ConfigurationError(f"gravity must be positive, got {self.gravity}")
-        if self.depth <= 0.0:
-            raise ConfigurationError(f"depth must be positive, got {self.depth}")
+            raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}",
+                                     key="epsilon")
+        for key in ("alpha", "gravity", "depth"):
+            if getattr(self, key) <= 0.0:
+                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}",
+                                         key=key)
 
     @classmethod
     def dimensional(cls, gravity: float = 9.81, depth: float = 1.0,
@@ -124,11 +123,13 @@ class Grid:
     def __post_init__(self):
         require_finite(x_min=self.x_min, x_max=self.x_max)
         if not isinstance(self.n_cells, numbers.Integral) or isinstance(self.n_cells, bool):
-            raise ConfigurationError(f"n_cells must be an integer, got {self.n_cells!r}")
+            raise ConfigurationError(f"n_cells must be an integer, got {self.n_cells!r}",
+                                     key="n_cells")
         if self.x_max <= self.x_min:
-            raise ConfigurationError("x_max must exceed x_min")
+            raise ConfigurationError("x_max must exceed x_min", key="x_max")
         if self.n_cells < 8:
-            raise ConfigurationError(f"n_cells = {self.n_cells} is below the minimum of 8")
+            raise ConfigurationError(f"n_cells = {self.n_cells} is below the minimum of 8",
+                                     key="n_cells")
 
     @property
     def dx(self) -> float:

@@ -35,30 +35,25 @@ from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError, Mo
                    PhysParams, StallError, State, relative_l2_error, require_finite)
 from .dispersion import (DispersionInstabilityError, DispersionKind, DispersionModel,
                          require_magnitude, stokes_reference, velocities, weighted_error)
-from .splitting import RunState, StrangSolver, choose_dt
+from .splitting import CFL, RunState, StrangSolver, choose_dt
 
 FLOAT_FMT = "%.17g"
 
 # the ``initial`` selectors that ``initial_state`` dispatches on
 INITIAL_CONDITIONS = ("solitary", "heap_high_freq", "heap_low_freq", "dam_break")
 
-# the smallest ``cfl`` of a config: below it a run takes more than a thousand
-# steps for the fastest wave to cross one cell, and near 1e-300 its steps
-# round to zero or never reach t_end
-CFL_MIN = 1e-3
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run.
 
-    Every run takes the CFL step that ``cfl``, at least CFL_MIN, sets;
     ``ic_scale`` scales the heap or dam profile that ``initial`` selects.
-    ``n_disp``, the number of dispersive substeps per step, is a class
-    attribute rather than a field: no config key sets it. A solitary
-    config builds its waves here, so that a wave that cannot exist is
-    rejected with the config. A ConfigurationError's ``key`` names a
-    rejected field.
+    ``cfl``, the CFL number of every run (``splitting.CFL``), and
+    ``n_disp``, the number of dispersive substeps per step, are class
+    attributes rather than fields: no config key sets them. The physical
+    parameters, the grid and, for a solitary config, the waves are built
+    here, so that a config that cannot run is rejected with the config. A
+    ConfigurationError's ``key`` names a rejected field.
     """
 
     name: str
@@ -73,13 +68,13 @@ class ScenarioConfig:
     initial: str                    # initial-condition selector
     t_end: float
     output_times: tuple[float, ...]
-    cfl: float = 0.4
     blowup_threshold: float = 100.0
     expect_blowup: bool = False
     amplitudes: tuple[float, ...] = ()
     centers: tuple[float, ...] = ()
     directions: tuple[float, ...] = ()
     ic_scale: float = 1.0
+    cfl = CFL
     n_disp = 1
 
     def __post_init__(self):
@@ -101,11 +96,6 @@ class ScenarioConfig:
                     f"whitespace, got {value!r}", key=f.name)
             if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}", key=f.name)
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigurationError(f"cfl must be in (0, 1], got {self.cfl}", key="cfl")
-        if self.cfl < CFL_MIN:
-            raise ConfigurationError(
-                f"cfl = {self.cfl} is below the minimum of {CFL_MIN:g}", key="cfl")
         if self.blowup_threshold <= 0.0:
             raise ConfigurationError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}",
@@ -124,6 +114,8 @@ class ScenarioConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigurationError(
                     f"{key} must be one of {allowed}, got {getattr(self, key)!r}", key=key)
+        self.params()
+        self.grid()
         if self.initial == "solitary":
             _solitary_waves(self)
 
@@ -281,24 +273,25 @@ STALL_FRACTION = 1e-2
 STEP_LIMIT = 1e8
 
 
-def strang_steps(solver: StrangSolver, run: RunState, t_target: float,
-                 cfl: float = 0.4) -> Iterator[RunState]:
+def strang_steps(solver: StrangSolver, run: RunState,
+                 t_target: float) -> Iterator[RunState]:
     """Step ``run`` to ``t_target``, yielding the state after every step.
 
-    dt is the CFL step of the current state (``choose_dt``), and the last
-    step is clipped to land on ``t_target``. A study at a fixed dt calls
-    ``solver.strang_step(run, dt)`` directly. A CFL step, before clipping,
-    below STALL_FRACTION of the call's first one is not taken but raises a
-    StallError, since a growing signal speed can shrink dt without bound.
-    It and a BlowUpError from a step propagate, and the caller's loop
-    variable still holds the last state yielded before them. A target
-    more than STEP_LIMIT first steps away is a ConfigurationError, raised
-    before any step: with the stall rule, that bounds the steps of a call.
+    dt is the CFL step of the current state at ``splitting.CFL``
+    (``choose_dt``), and the last step is clipped to land on ``t_target``.
+    A study at a fixed dt calls ``solver.strang_step(run, dt)`` directly.
+    A CFL step, before clipping, below STALL_FRACTION of the call's first
+    one is not taken but raises a StallError, since a growing signal speed
+    can shrink dt without bound. It and a BlowUpError from a step
+    propagate, and the caller's loop variable still holds the last state
+    yielded before them. A target more than STEP_LIMIT first steps away is
+    a ConfigurationError, raised before any step: with the stall rule,
+    that bounds the steps of a call.
     """
     dx = solver.grid.dx
     dt_first = None
     while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
-        dt = choose_dt(run.cells, solver.params, dx, cfl)
+        dt = choose_dt(run.cells, solver.params, dx)
         if dt_first is None:
             dt_first = dt
             if t_target - run.t > STEP_LIMIT * dt:
@@ -345,7 +338,7 @@ def run_scenario(config: ScenarioConfig, outdir=None,
         targets.append(config.t_end)
     try:
         for t_target in targets:
-            for run in strang_steps(solver, run, t_target, config.cfl):
+            for run in strang_steps(solver, run, t_target):
                 pass
             if t_target in config.output_times or not config.output_times:
                 emit(run)
@@ -528,51 +521,6 @@ def local_maxima(zeta: np.ndarray, threshold: float = -np.inf,
 # bundled scenarios
 
 
-def _solitary() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="solitary", x_min=0.0, x_max=100.0, n_cells=1600,
-        epsilon=0.01, alpha=1.0, gravity=1.0, depth=1.0,
-        variant="factorized_all", initial="solitary",
-        t_end=70.0, output_times=(0.0, 10.0, 30.0, 50.0, 70.0),
-        amplitudes=(0.2,), centers=(20.0,), directions=(1.0,))
-
-
-def _head_on() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="head_on", x_min=-100.0, x_max=100.0, n_cells=1200,
-        epsilon=0.1, alpha=1.0, gravity=1.0, depth=1.0,
-        variant="factorized_all", initial="solitary",
-        t_end=70.0, output_times=(0.0, 43.0, 46.0, 49.0, 53.0, 55.0, 58.0, 60.0, 70.0),
-        amplitudes=(0.4, 0.2), centers=(-50.0, 50.0), directions=(1.0, -1.0))
-
-
-def _heap_hf(alpha: float, suffix: str = "") -> ScenarioConfig:
-    return ScenarioConfig(
-        name="heap_hf" + suffix, x_min=-2.0, x_max=2.0, n_cells=512,
-        epsilon=0.1, alpha=alpha, gravity=1.0, depth=1.0,
-        variant="factorized_all", initial="heap_high_freq",
-        t_end=3.0, output_times=(0.0, 3.0))
-
-
-def _heap_lf() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="heap_lf", x_min=-2.0, x_max=2.0, n_cells=512,
-        epsilon=0.5, alpha=1.0, gravity=1.0, depth=1.0,
-        variant="factorized_all", initial="heap_low_freq",
-        t_end=3.0, output_times=(0.0, 3.0))
-
-
-def _dam_break() -> ScenarioConfig:
-    # gravity and depth are not part of the published setup; g = 9.81 m/s^2
-    # and h0 = 1 m are the documented assumptions.
-    return ScenarioConfig(
-        name="dam_break", x_min=-700.0, x_max=700.0, n_cells=2800,
-        epsilon=1.0, alpha=1.0, gravity=9.81, depth=1.0,
-        variant="factorized_all", initial="dam_break",
-        t_end=65.0, output_times=(0.0, 20.0, 30.0, 65.0),
-        ic_scale=0.2091)
-
-
 def _stability(variant: ModelVariant) -> ScenarioConfig:
     # The high frequency heap scaled to peak deformation 0.6, run through the
     # fully nonlinear (dimensional, unit gravity/depth) system. Above the
@@ -587,17 +535,38 @@ def _stability(variant: ModelVariant) -> ScenarioConfig:
         expect_blowup=(variant is ModelVariant.FIFTH_ONLY_FACTORIZED))
 
 
-_BUILTINS = {
-    "solitary": _solitary,
-    "head_on": _head_on,
-    "heap_hf": lambda: _heap_hf(1.0555),
-    "heap_hf_alpha1": lambda: _heap_hf(1.0, "_alpha1"),
-    "heap_lf": _heap_lf,
-    "dam_break": _dam_break,
-    "stability_factorized_all": lambda: _stability(ModelVariant.FACTORIZED_ALL),
-    "stability_unfactorized": lambda: _stability(ModelVariant.UNFACTORIZED),
-    "stability_fifth_only_factorized": lambda: _stability(ModelVariant.FIFTH_ONLY_FACTORIZED),
-}
+_HEAP = dict(x_min=-2.0, x_max=2.0, n_cells=512, gravity=1.0, depth=1.0,
+             variant="factorized_all", t_end=3.0, output_times=(0.0, 3.0))
+
+# frozen and built once: ``builtin_scenario`` hands out these instances
+_BUILTINS = {config.name: config for config in (
+    ScenarioConfig(
+        name="solitary", x_min=0.0, x_max=100.0, n_cells=1600,
+        epsilon=0.01, alpha=1.0, gravity=1.0, depth=1.0,
+        variant="factorized_all", initial="solitary",
+        t_end=70.0, output_times=(0.0, 10.0, 30.0, 50.0, 70.0),
+        amplitudes=(0.2,), centers=(20.0,), directions=(1.0,)),
+    ScenarioConfig(
+        name="head_on", x_min=-100.0, x_max=100.0, n_cells=1200,
+        epsilon=0.1, alpha=1.0, gravity=1.0, depth=1.0,
+        variant="factorized_all", initial="solitary",
+        t_end=70.0, output_times=(0.0, 43.0, 46.0, 49.0, 53.0, 55.0, 58.0, 60.0, 70.0),
+        amplitudes=(0.4, 0.2), centers=(-50.0, 50.0), directions=(1.0, -1.0)),
+    ScenarioConfig(name="heap_hf", epsilon=0.1, alpha=1.0555, initial="heap_high_freq",
+                   **_HEAP),
+    ScenarioConfig(name="heap_hf_alpha1", epsilon=0.1, alpha=1.0, initial="heap_high_freq",
+                   **_HEAP),
+    ScenarioConfig(name="heap_lf", epsilon=0.5, alpha=1.0, initial="heap_low_freq", **_HEAP),
+    # gravity and depth are not part of the published setup; g = 9.81 m/s^2
+    # and h0 = 1 m are the documented assumptions.
+    ScenarioConfig(
+        name="dam_break", x_min=-700.0, x_max=700.0, n_cells=2800,
+        epsilon=1.0, alpha=1.0, gravity=9.81, depth=1.0,
+        variant="factorized_all", initial="dam_break",
+        t_end=65.0, output_times=(0.0, 20.0, 30.0, 65.0),
+        ic_scale=0.2091),
+    *(_stability(v) for v in ModelVariant),
+)}
 
 
 def builtin_names() -> list[str]:
@@ -608,7 +577,7 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     if name not in _BUILTINS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; built-ins: {', '.join(builtin_names())}")
-    return _BUILTINS[name]()
+    return _BUILTINS[name]
 
 
 def stability_demo(outdir=None) -> dict[str, ScenarioResult]:

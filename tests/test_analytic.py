@@ -109,6 +109,34 @@ def test_corrector_source_odd_about_crest():
     assert np.max(np.abs(right + left)) < 1e-9
 
 
+def nested_corrector_source(spec, t, x):
+    """The source with its stress term d_x(v1 v1_xx - v1_x^2) taken as a
+    nested difference of the differentiated profile (oracle for the
+    product-rule form)."""
+    import ebwave.analytic as analytic
+    c_signed = spec.direction * spec.speed
+    step = analytic._fd_step(spec)
+    zeta_fun = lambda y: base_wave(spec, t, y)[0]
+    v_fun = lambda y: base_wave(spec, t, y)[1]
+    dzeta = profile_derivative(zeta_fun, x, 1, step)
+    dv = [profile_derivative(v_fun, x, n, step) for n in range(6)]
+    advective = (dzeta * dv[2] + 2.0 / 3.0 * zeta_fun(x) * dv[3] + dv[5] / 45.0)
+    stress = lambda y: (v_fun(y) * profile_derivative(v_fun, y, 2, step)
+                        - profile_derivative(v_fun, y, 1, step) ** 2)
+    return -c_signed * advective + profile_derivative(stress, x, 1, step) / 3.0
+
+
+@pytest.mark.parametrize("spec,x", [
+    (SolitaryWaveSpec(0.2, 0.01, x0=20.0), np.linspace(0.0, 100.0, 401)),
+    (SolitaryWaveSpec(0.4, 0.1, x0=-50.0), np.linspace(-100.0, 100.0, 401)),
+    (SolitaryWaveSpec(0.2, 0.1, x0=50.0, direction=-1), np.linspace(-100.0, 100.0, 401))])
+def test_corrector_source_matches_the_nested_stress_difference(spec, x):
+    for t in (0.0, 1.3):
+        oracle = nested_corrector_source(spec, t, x)
+        assert np.max(np.abs(corrector_source(spec, t, x) - oracle)) \
+            <= 1e-9 * np.max(np.abs(oracle))
+
+
 def test_corrector_source_richardson_stability():
     import ebwave.analytic as analytic
     spec = SolitaryWaveSpec(0.2, 0.01, x0=0.0)

@@ -63,7 +63,7 @@ def test_simulate_bad_config_file(tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("n_cells", "64.5"), ("cfl", "abc"), ("units", "si"), ("corr_center", "abc"),
-    ("fixed_dt", "0.01"), ("n_disp", "2"), ("dam_amplitude", "0.2")])
+    ("fixed_dt", "0.01"), ("n_disp", "2"), ("dam_amplitude", "0.2"), ("cfl", "0.3")])
 def test_simulate_bad_entry_names_key_and_line(tmp_path, capsys, key, value):
     path = mini_config(tmp_path)
     lines = [line for line in path.read_text().splitlines()
@@ -71,8 +71,9 @@ def test_simulate_bad_entry_names_key_and_line(tmp_path, capsys, key, value):
     lines.append(f"{key} = {value}")
     path.write_text("\n".join(lines) + "\n")
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"line {len(lines)}: " in err and key in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: line {len(lines)}: ")
+    assert key in err[0]
     assert not (tmp_path / "mini.csv").exists()
 
 
@@ -158,7 +159,6 @@ def test_stability_demo_reports_a_dried_member_and_runs_the_others(tmp_path, cap
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("cfl", "2", "cfl must be in (0, 1], got 2.0"),
     ("blowup_threshold", "-1", "blowup_threshold must be positive, got -1.0"),
     ("output_times", "0.2,0.1", "output_times must be sorted"),
     ("output_times", "0,5", "output_times must lie in [0, t_end]"),
@@ -209,7 +209,13 @@ def test_converge_mismatched_solitary_lists_exit_code(tmp_path, capsys):
     ("heap_hf", dict(t_end="-1", output_times=""), "t_end must be nonnegative, got -1.0"),
     ("solitary", dict(amplitudes="200"),
      "amplitudes: need 0 <= a*eps < 1 for a real wave speed"),
-    ("solitary", dict(directions="0.5"), "directions: direction must be +1 or -1")])
+    ("solitary", dict(directions="0.5"), "directions: direction must be +1 or -1"),
+    # the model and grid rules, met before the waves: epsilon, not amplitudes
+    ("solitary", dict(epsilon="-0.5"), "epsilon must be in [0, 1], got -0.5"),
+    ("solitary", dict(epsilon="2"), "epsilon must be in [0, 1], got 2.0"),
+    ("heap_hf", dict(alpha="0"), "alpha must be positive, got 0.0"),
+    ("heap_hf", dict(n_cells="4"), "n_cells = 4 is below the minimum of 8"),
+    ("heap_hf", dict(x_max="-5"), "x_max must exceed x_min")])
 def test_config_that_cannot_run_names_its_line(tmp_path, capsys, name, edits, message):
     path, linenos = edited_config(tmp_path, name, **edits)
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -445,12 +451,11 @@ def run_configs(draw):
     them before the command does."""
     t_end = draw(st.floats(0.0, 0.05))
     return SimpleNamespace(
-        name="fuzz", x_min=-2.0, x_max=2.0, n_cells=draw(st.integers(8, 64)),
-        epsilon=0.5, alpha=1.0, gravity=1.0, depth=1.0,
+        name="fuzz", x_min=-2.0, x_max=2.0, n_cells=draw(st.integers(4, 64)),
+        epsilon=draw(st.floats(-0.5, 1.5)), alpha=1.0, gravity=1.0, depth=1.0,
         variant=draw(st.sampled_from([v.value for v in ModelVariant])),
         initial=draw(st.sampled_from(scenarios.INITIAL_CONDITIONS)),
         t_end=t_end, output_times=(0.0, t_end),
-        cfl=draw(st.floats(0.0, 1.0, exclude_min=True)),
         blowup_threshold=draw(st.floats(1.0, 1e3)), expect_blowup=False,
         amplitudes=(0.2,), centers=(0.0,), directions=(1.0,),
         ic_scale=draw(st.floats(-2.0, 2.0)))

@@ -140,13 +140,19 @@ def configs(draw):
     kwargs["variant"] = draw(st.sampled_from([v.value for v in ModelVariant]))
     kwargs["initial"] = draw(st.sampled_from(INITIAL_CONDITIONS))
     kwargs["t_end"] = draw(st.floats(0.0, 1e300))
-    kwargs["cfl"] = draw(st.floats(0.0, 1.0, exclude_min=True))
+    # a model and a grid that can exist: 0 <= eps <= 1, positive alpha,
+    # gravity and depth, at least 8 cells and x_max > x_min
+    kwargs["epsilon"] = draw(st.floats(0.0, 1.0))
+    for key in ("alpha", "gravity", "depth"):
+        kwargs[key] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    kwargs["n_cells"] = draw(st.integers(8, 2**70))
+    kwargs["x_min"] = draw(st.floats(-1e300, 1e299))
+    kwargs["x_max"] = draw(st.floats(kwargs["x_min"], 1e300, exclude_min=True))
     kwargs["blowup_threshold"] = draw(st.floats(0.0, 1e300, exclude_min=True))
     kwargs["output_times"] = tuple(sorted(draw(
         st.lists(st.floats(0.0, kwargs["t_end"]), max_size=4))))
     if kwargs["initial"] == "solitary":
-        # waves that can exist: 0 < a < 1, 0 <= eps <= 1 and a direction of +-1
-        kwargs["epsilon"] = draw(st.floats(0.0, 1.0))
+        # waves that can exist: 0 < a < 1 and a direction of +-1
         waves = draw(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True,
                                                   exclude_max=True),
                                         FINITE, st.sampled_from([1.0, -1.0])), max_size=3))

@@ -8,13 +8,14 @@ from ebwave import scenarios
 from ebwave.core import (BlowUpError, ConfigurationError, HyperbolicityError, PhysParams,
                          StallError)
 from ebwave.dispersion import DispersionKind
+from ebwave.hyperbolic import max_signal_speed
 from ebwave.scenarios import (ALPHA_SCAN, CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult,
                               Snapshot, builtin_names, builtin_scenario, choose_dt,
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
                               run_dispersion_report, run_scenario, strang_steps,
                               track_crest, write_config, write_snapshots_csv)
-from ebwave.splitting import RunState, StrangSolver
+from ebwave.splitting import CFL, RunState, StrangSolver
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -98,6 +99,29 @@ def test_builtin_scenario_parameters_match_published_setups():
     assert builtin_scenario("heap_lf").epsilon == 0.5
 
 
+def test_builtins_are_shared_frozen_values():
+    for name in builtin_names():
+        config = builtin_scenario(name)
+        assert builtin_scenario(name) is config
+        before = {f.name: getattr(config, f.name) for f in fields(config)}
+        changed = replace(config, n_cells=config.n_cells + 8, amplitudes=(0.1,) * 3,
+                          centers=(0.0,) * 3, directions=(1.0,) * 3)
+        assert changed.n_cells != config.n_cells
+        assert {f.name: getattr(config, f.name) for f in fields(config)} == before
+        with pytest.raises(AttributeError):
+            config.n_cells = 8
+
+
+def test_strang_steps_take_the_cfl_step_at_the_scheme_constant():
+    config = small_config()
+    grid = config.grid()
+    solver = StrangSolver(grid, config.params(), config.model_variant())
+    run = RunState.initial(initial_state(config), grid.dx)
+    first = next(strang_steps(solver, run, config.t_end))
+    speed = float(np.max(max_signal_speed(run.cells.zeta, run.cells.v, solver.params)))
+    assert first.t == choose_dt(run.cells, solver.params, grid.dx, CFL) == CFL * grid.dx / speed
+
+
 def test_unknown_builtin_raises():
     with pytest.raises(ConfigurationError):
         builtin_scenario("tsunami")
@@ -122,15 +146,17 @@ def test_parse_config_errors_name_the_line_and_key():
         parse_config("name = x\n# a comment\nx_min = abc")
     with pytest.raises(ConfigurationError, match=r"^line 2: expect_blowup: expected true"):
         parse_config("name = x\nexpect_blowup = 1")
-    for key in ("bogus_key", "units", "corr_center", "fixed_dt", "n_disp", "dam_amplitude"):
+    for key in ("bogus_key", "units", "corr_center", "fixed_dt", "n_disp", "dam_amplitude",
+                "cfl"):
         with pytest.raises(ConfigurationError, match=rf"^line 2: unknown config key '{key}'"):
             parse_config(f"name = x\n{key} = 1")
 
 
 def test_config_fields():
     names = {f.name for f in fields(ScenarioConfig)}
-    assert len(names) == 19
+    assert len(names) == 18 and "cfl" not in names
     assert ScenarioConfig.n_disp == 1 and builtin_scenario("head_on").n_disp == 1
+    assert ScenarioConfig.cfl == builtin_scenario("head_on").cfl == CFL
 
 
 def test_unknown_variant_is_a_configuration_error():
@@ -162,20 +188,33 @@ def test_config_rejects_mistyped_fields(name, value):
 
 
 @pytest.mark.parametrize("name,value,message", [
-    ("cfl", 0.0, r"cfl must be in \(0, 1\], got 0.0"),
-    ("cfl", -0.4, r"cfl must be in \(0, 1\], got -0.4"),
-    ("cfl", 1.5, r"cfl must be in \(0, 1\], got 1.5"),
-    ("cfl", 1e-300, "cfl = 1e-300 is below the minimum of 0.001"),
     ("blowup_threshold", 0.0, "blowup_threshold must be positive, got 0.0"),
     ("blowup_threshold", -1.0, "blowup_threshold must be positive, got -1.0")])
-def test_config_rejects_out_of_range_cfl_and_blowup_threshold(name, value, message):
+def test_config_rejects_out_of_range_blowup_threshold(name, value, message):
     with pytest.raises(ConfigurationError, match=message):
         small_config(**{name: value})
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("epsilon", -0.5, r"epsilon must be in \[0, 1\], got -0.5"),
+    ("epsilon", 2.0, r"epsilon must be in \[0, 1\], got 2.0"),
+    ("alpha", 0.0, "alpha must be positive, got 0.0"),
+    ("gravity", -1.0, "gravity must be positive, got -1.0"),
+    ("depth", 0.0, "depth must be positive, got 0.0"),
+    ("n_cells", 4, "n_cells = 4 is below the minimum of 8"),
+    ("x_max", -5.0, "x_max must exceed x_min")])
+def test_config_keys_the_model_and_grid_rules(name, value, message):
+    with pytest.raises(ConfigurationError, match=message) as error:
+        small_config(**{name: value})
+    assert error.value.key == name
+    # a solitary config meets them before its waves: epsilon, not amplitudes
+    with pytest.raises(ConfigurationError, match=message) as error:
+        replace(builtin_scenario("solitary"), **{name: value})
+    assert error.value.key == name
+
+
 def test_config_accepts_the_ends_of_the_ranges():
-    assert small_config(cfl=1.0).cfl == 1.0
-    assert small_config(cfl=1e-3, blowup_threshold=1e-300).blowup_threshold == 1e-300
+    assert small_config(blowup_threshold=1e-300).blowup_threshold == 1e-300
 
 
 def test_config_accepts_integers_and_reals_of_any_kind():
@@ -199,7 +238,7 @@ def test_config_rejects_non_finite_values(name, bad):
 
 
 def test_non_finite_field_lists_are_complete():
-    assert {"x_min", "t_end", "cfl", "ic_scale"} <= set(FLOAT_FIELDS)
+    assert {"x_min", "t_end", "ic_scale"} <= set(FLOAT_FIELDS)
     assert {"output_times", "amplitudes"} <= set(TUPLE_FIELDS)
 
 
@@ -312,7 +351,7 @@ def strang_loop(config):
     snapshots = []
     with pytest.raises(FloatingPointError) as error:
         for t_target in config.output_times:
-            for run in strang_steps(solver, run, t_target, config.cfl):
+            for run in strang_steps(solver, run, t_target):
                 pass
             snapshots.append((run.t, run.cells.zeta.tobytes(), run.cells.v.tobytes()))
     return run, snapshots, error.value
