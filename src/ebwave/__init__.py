@@ -10,8 +10,7 @@ from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError,
                    ModelVariant, PhysParams, StallError, State, relative_l2_error)
 from .dispersion import (DispersionInstabilityError, DispersionKind,
                          DispersionModel, omega, omega_squared, optimize_alpha,
-                         stability_bound, taylor_coefficients, velocities,
-                         weighted_error)
+                         stability_bound, velocities, weighted_error)
 from .analytic import (SolitaryWaveSpec, base_wave, corrected_solution,
                        corrector_source, dam_break_profile, heap_profile)
 from .splitting import ConversionOperator, RunState, StrangSolver, choose_dt

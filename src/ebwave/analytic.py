@@ -72,21 +72,23 @@ def base_wave(spec: SolitaryWaveSpec, t: float, x):
     return zeta1, v1
 
 
-def profile_derivative(fun, x, order: int, step: float) -> np.ndarray:
-    """Eighth-order centered difference of an analytic profile.
+# the widest offset, in steps, that ``profile_derivative`` reads (order 5)
+_MAX_OFFSET = (5 + 8) // 2
+
+
+def profile_derivative(sample, order: int, step: float) -> np.ndarray:
+    """Eighth-order centered difference of an analytic profile, given as
+    ``sample(m)``: the profile at x + m ``step`` for the integer offset m.
 
     ``half_width = (order + 8) // 2`` points on each side give formal
     accuracy of at least eight for every order up to five.
     """
-    if order == 0:
-        return fun(x)
     half_width = (order + 8) // 2
     w = central_weights(order, half_width)
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
+    acc = 0.0
     for m, c in zip(range(-half_width, half_width + 1), w):
         if c != 0.0:
-            acc += c * fun(x + m * step)
+            acc = acc + c * sample(m)
     return acc / step ** order
 
 
@@ -105,21 +107,22 @@ def corrector_source(spec: SolitaryWaveSpec, t: float, x):
             + 1/45 d_x^4 d_t v1 + 1/3 d_x(v1 v1_xx - v1_x^2),
 
     with every time derivative reduced through the traveling-wave identity
-    d_t = -(direction) c d_x.
+    d_t = -(direction) c d_x. Every derivative reads the base wave at the
+    offsets -6 .. 6 steps (_MAX_OFFSET), so it is evaluated there once.
     """
     x = np.asarray(x, dtype=float)
     c_signed = spec.direction * spec.speed
     step = _fd_step(spec)
 
-    zeta_fun = lambda y: base_wave(spec, t, y)[0]
-    v_fun = lambda y: base_wave(spec, t, y)[1]
+    table = {m: base_wave(spec, t, x + m * step)
+             for m in range(-_MAX_OFFSET, _MAX_OFFSET + 1)}
+    zeta1, v1 = table[0]
+    dzeta = profile_derivative(lambda m: table[m][0], 1, step)
+    dv = {n: profile_derivative(lambda m: table[m][1], n, step) for n in (1, 2, 3, 5)}
 
-    dzeta = profile_derivative(zeta_fun, x, 1, step)
-    dv = [profile_derivative(v_fun, x, n, step) for n in range(6)]
-
-    advective = (dzeta * dv[2] + 2.0 / 3.0 * zeta_fun(x) * dv[3] + dv[5] / 45.0)
+    advective = (dzeta * dv[2] + 2.0 / 3.0 * zeta1 * dv[3] + dv[5] / 45.0)
     # d_x(v1 v1_xx - v1_x^2) = v1 v1_xxx - v1_x v1_xx, by the product rule
-    stress = dv[0] * dv[3] - dv[1] * dv[2]
+    stress = v1 * dv[3] - dv[1] * dv[2]
     return -c_signed * advective + stress / 3.0
 
 

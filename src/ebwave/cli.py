@@ -2,19 +2,22 @@
 
 Exit codes: 0 success, 2 configuration error (including an unknown config
 key such as ``cfl``, whose value is the fixed ``splitting.CFL``, non-finite
-config values, a negative ``t_end``, an ``epsilon``, ``alpha``, ``gravity``,
-``depth``, ``n_cells`` or ``x_max`` that the model or grid rejects, each
-named with its line, a solitary wave that cannot exist, a run whose end
-lies more than ``scenarios.STEP_LIMIT`` CFL steps away, analysis arguments
-outside ``dispersion.MAGNITUDES``, ``dispersion`` parameters whose model
-has no real frequency branch up to ``--kmax``, an ``optimize-alpha``
-optimum at the edge of its bracket and a config or output path that the
-operating system refuses), 3 unexpected numerical blow-up (including a
-member of a ``converge`` study), a dry bed (h0 + eps*zeta reached zero) or
-a stall (the CFL step fell below ``scenarios.STALL_FRACTION`` of its first
-value), 4 self-test failure. A failed run still writes its CSV. The output
-directory defaults to the EBWAVE_OUTDIR environment variable, then to the
-current directory, and is created before any run.
+config values, a negative ``t_end``, an ``epsilon``, ``alpha``,
+``gravity``, ``depth``, ``n_cells`` or ``x_max`` that the model, the grid
+or the variant rejects (the fifth-only variant takes alpha = 1 only, the
+unfactorized one at least 9 cells), each named with its line, a solitary
+wave that cannot exist, a run whose end lies more than
+``scenarios.STEP_LIMIT`` CFL steps away, found before its first step,
+analysis arguments outside ``dispersion.MAGNITUDES``, ``dispersion``
+parameters whose model has no real frequency branch up to ``--kmax``, an
+``optimize-alpha`` optimum at the edge of its bracket and a config or
+output path that the operating system refuses), 3 unexpected numerical
+blow-up (including a member of a ``converge`` study), a dry bed (h0 +
+eps*zeta reached zero) or a stall (the CFL step fell below
+``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A
+failed run still writes its CSV. The output directory defaults to the
+EBWAVE_OUTDIR environment variable, then to the current directory, and is
+created before any run.
 """
 
 from __future__ import annotations

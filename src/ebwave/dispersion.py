@@ -10,9 +10,12 @@ model has
 
 the factorized one replaces the k^4 numerator weight by
 (a - 1 + 2/(1 + a k^2/3))/45, and the reference is the water-wave relation
-w^2 = g h0 |k| tanh|k|. The linearized-at-state variants describe small
-perturbations of a constant state (zeta_b, v_b) and can turn negative,
-which signals a high frequency instability.
+w^2 = g h0 |k| tanh|k|.
+
+The stability bounds of the three model variants (``stability_bound``) are
+the paper's closed forms, derived by linearizing each variant about a
+constant state; those linearizations are not evaluated here. The tests
+check the closed forms against them (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,14 +37,7 @@ class DispersionKind(enum.Enum):
     EB_UNFACTORIZED = "eb_unfactorized"
     EB_FACTORIZED = "eb_factorized"
     FULL_EULER = "full_euler"
-    LIN_UNFACTORIZED = "linearized_unfactorized"
-    LIN_FIFTH_ONLY = "linearized_fifth_only"
-    LIN_FACTORIZED = "linearized_factorized"
 
-
-_LINEARIZED = (DispersionKind.LIN_UNFACTORIZED,
-               DispersionKind.LIN_FIFTH_ONLY,
-               DispersionKind.LIN_FACTORIZED)
 
 # The wavenumbers k and K and the alphas that the analysis entry points
 # (``stability_bound``, ``weighted_error``, ``scenarios.run_dispersion_report``)
@@ -61,39 +57,20 @@ def require_magnitude(**values) -> None:
             raise ConfigurationError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
 
 
-# The linearized relations for the unfactorized and fifth-only models are
-# derived with alpha = 1; only the fully factorized one keeps alpha free.
-_ALPHA_ONE_ONLY = (DispersionKind.LIN_UNFACTORIZED, DispersionKind.LIN_FIFTH_ONLY)
-
-
 @dataclass(frozen=True)
 class DispersionModel:
-    """A dispersion relation plus the parameters it is evaluated with.
-
-    ``background`` is the constant state (zeta_b, v_b) for the
-    linearized-at-state kinds and is ignored otherwise.
-    """
+    """A dispersion relation plus the parameters it is evaluated with."""
 
     kind: DispersionKind
     params: PhysParams
-    background: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.kind in _ALPHA_ONE_ONLY and self.params.alpha != 1.0:
-            raise ValueError(f"{self.kind.value} is defined for alpha = 1 only")
 
     def with_alpha(self, alpha: float) -> "DispersionModel":
         return replace(self, params=replace(self.params, alpha=alpha))
 
 
 def omega_squared(model: DispersionModel, k):
-    """Squared frequency of the model at wavenumber k (vectorized).
-
-    For the rest-state relations this is w(k)^2 >= 0. For the
-    linearized-at-state kinds the returned value is the squared deviation
-    (w - k v_b)^2 as given by the closed forms; a negative value means the
-    roots are complex, i.e. the state is linearly unstable at this k.
-    """
+    """Squared frequency w(k)^2 >= 0 of the model about the state of rest
+    at wavenumber k (vectorized)."""
     k = np.asarray(k, dtype=float)
     p = model.params
     g, h0, a = p.gravity, p.depth, p.alpha
@@ -104,43 +81,25 @@ def omega_squared(model: DispersionModel, k):
         return g * h0 * np.abs(k) * np.tanh(np.abs(k))
 
     den = 1.0 + a / 3.0 * k2 + a / 45.0 * k4
-    zb = model.background[0] if model.kind in _LINEARIZED else 0.0
-    h = h0 + zb
-    if h <= 0.0:
-        raise ValueError("background water column h0 + zeta_b must be positive")
-
     if model.kind is DispersionKind.EB_UNFACTORIZED:
         num = 1.0 + (a - 1.0) / 3.0 * k2 + (a + 1.0) / 45.0 * k4
-    elif model.kind is DispersionKind.EB_FACTORIZED:
+    else:
         num = 1.0 + (a - 1.0) / 3.0 * k2 \
             + k4 / 45.0 * (a - 1.0 + 2.0 / (1.0 + a * k2 / 3.0))
-    elif model.kind is DispersionKind.LIN_UNFACTORIZED:
-        num = 1.0 - 2.0 / 3.0 * k2 * zb + 2.0 / 45.0 * k4
-    elif model.kind is DispersionKind.LIN_FIFTH_ONLY:
-        num = 1.0 - 2.0 / 3.0 * k2 * zb + k4 / 45.0 * (2.0 / (1.0 + k2 / 3.0))
-    elif model.kind is DispersionKind.LIN_FACTORIZED:
-        screen = 1.0 + a * k2 / 3.0
-        num = (1.0 + (a - 1.0) / 3.0 * k2 - 2.0 * k2 * zb / (3.0 * screen)
-               + (a - 1.0) / 45.0 * k4 + 2.0 * k4 / (45.0 * screen))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {model.kind}")
-    return g * h * k2 * num / den
+    return g * h0 * k2 * num / den
 
 
 def omega(model: DispersionModel, k):
-    """Frequency of the right-moving branch, odd in k.
+    """Frequency of the right-moving branch, sign(k) sqrt(w^2), odd in k.
 
-    For the linearized kinds, w = k v_b + sign(k) sqrt((w - k v_b)^2).
-    Returns NaN where the squared frequency is negative; callers that
-    require a real branch should use :func:`velocities`.
+    Returns NaN where the squared frequency is negative (an alpha at which
+    the model loses its real branch); callers that require a real branch
+    should use :func:`velocities`.
     """
     k = np.asarray(k, dtype=float)
     w2 = omega_squared(model, np.abs(k))
     with np.errstate(invalid="ignore"):
-        w = np.sign(k) * np.sqrt(w2)
-    if model.kind in _LINEARIZED:
-        w = w + k * model.background[1]
-    return w
+        return np.sign(k) * np.sqrt(w2)
 
 
 def velocities(model: DispersionModel, k):
@@ -163,27 +122,6 @@ def velocities(model: DispersionModel, k):
         raise DispersionInstabilityError(
             f"complex frequency (instability) near k = {float(np.atleast_1d(bad)[0]):g}")
     return phase, group
-
-
-def taylor_coefficients(model: DispersionModel) -> tuple[float, float, float]:
-    """Coefficients (c2, c4, c6) of k^2, k^4, k^6 in w^2/(g h0) at small k.
-
-    Obtained by exact series division of the rational relation (resp. the
-    tanh series for the water-wave reference), so both expansions satisfy
-    c2 = 1 and c4 = -1/3, and the k^6 terms agree exactly when alpha = 1.
-    """
-    if model.kind is DispersionKind.FULL_EULER:
-        # |k| tanh|k| = k^2 (1 - k^2/3 + 2 k^4/15 - ...)
-        return 1.0, -1.0 / 3.0, 2.0 / 15.0
-    if model.kind is not DispersionKind.EB_UNFACTORIZED:
-        raise ValueError("small-k expansion is provided for the unfactorized "
-                         "model and the water-wave reference only")
-    a = model.params.alpha
-    n1, n2 = (a - 1.0) / 3.0, (a + 1.0) / 45.0
-    d1, d2 = a / 3.0, a / 45.0
-    q1 = n1 - d1
-    q2 = n2 - d2 - d1 * q1
-    return 1.0, q1, q2
 
 
 def stokes_reference(model: DispersionModel) -> DispersionModel:
@@ -272,6 +210,9 @@ def stability_bound(variant: ModelVariant, k: float, alpha: float = 1.0):
     """Largest background deformation zeta_b that keeps wavenumber k
     linearly stable for the given model variant.
 
+    These are the paper's closed forms, from the linearization of each
+    variant about a constant state (zeta_b, v_b); the tests check them
+    against those linearizations, which live in ``tests/oracles.py``.
     UNFACTORIZED and FIFTH_ONLY_FACTORIZED bounds hold for alpha = 1 (the
     only case their linearizations are stated for); the FACTORIZED_ALL
     bound is valid for any alpha > 0. Raises ValueError for alpha <= 0 and

@@ -360,6 +360,31 @@ class DispersiveOperators:
     conversion: ConversionOperator
 
 
+# Each variant's bracket: for its plain, times-zeta and times-gradient term
+# in turn, the order of the stencil and whether it acts on u (True) or zeta
+_BRACKETS = {
+    ModelVariant.FACTORIZED_ALL: ((4, True), (2, True), (1, True)),
+    ModelVariant.UNFACTORIZED: ((5, False), (3, False), (2, False)),
+    ModelVariant.FIFTH_ONLY_FACTORIZED: ((4, True), (3, False), (2, False)),
+}
+
+
+def check_variant(variant: ModelVariant, alpha: float, n_cells: int) -> None:
+    """The rules of a variant, each a ConfigurationError keyed by the config
+    field at fault: the fifth-only variant is defined for alpha = 1
+    (``alpha``), and the 2 reach + 1 points of every stencil of its bracket
+    must be distinct cells (``n_cells``). ``build_operators`` and
+    ``ScenarioConfig`` both call it; it reads the stencil reaches only, so a
+    config is checked without building an operator."""
+    if variant is ModelVariant.FIFTH_ONLY_FACTORIZED and alpha != 1.0:
+        raise ConfigurationError(
+            "the fifth-only factorized variant is defined for alpha = 1", key="alpha")
+    min_n = 2 * max(_PAIRS[order].reach for order, _ in _BRACKETS[variant]) + 1
+    if n_cells < min_n:
+        raise ConfigurationError(f"{variant.value} needs at least {min_n} points, "
+                                 f"got {n_cells}", key="n_cells")
+
+
 def build_operators(grid: Grid, params: PhysParams,
                     variant: ModelVariant) -> DispersiveOperators:
     """Assemble the stencils and factorize J, P, K and the cell-to-nodal map
@@ -384,13 +409,9 @@ def build_operators(grid: Grid, params: PhysParams,
         fifth_only:      2/45 eps^2 alpha D4 u + zeta 2/3 eps^2 g D3 zeta
                          + gradient eps^2 alpha D2 zeta
     """
-    n = grid.n_cells
-    if variant is ModelVariant.FIFTH_ONLY_FACTORIZED and params.alpha != 1.0:
-        raise ConfigurationError(
-            "the fifth-only factorized variant is defined for alpha = 1")
-
+    n, dx = grid.n_cells, grid.dx
+    check_variant(variant, params.alpha, n)
     g, eps, alpha = params.gravity, params.epsilon, params.alpha
-    dx = grid.dx
 
     def stencil(order: int, scale: float) -> PairStencil:
         return _PAIRS[order].scaled(scale / dx ** order)
@@ -400,24 +421,15 @@ def build_operators(grid: Grid, params: PhysParams,
         p_stencil = IDENTITY + stencil(2, -eps * alpha / 3.0)
         j_stencil = p_stencil + stencil(4, eps ** 2 * alpha / 45.0)
 
-    if variant is ModelVariant.UNFACTORIZED:
-        zeta_terms = ((stencil(5, 2.0 / 45.0 * eps ** 2 * g), _PLAIN),)
-        u_terms = ()
-    else:
-        zeta_terms = ()
-        u_terms = ((stencil(4, 2.0 / 45.0 * eps ** 2 * alpha), _PLAIN),)
-    if variant is ModelVariant.FACTORIZED_ALL:
-        u_terms += ((stencil(2, 2.0 / 3.0 * eps ** 2 * alpha), _TIMES_ZETA),
-                    (stencil(1, eps ** 2 * alpha ** 2 / g), _TIMES_GRADIENT))
-    else:
-        zeta_terms += ((stencil(3, 2.0 / 3.0 * eps ** 2 * g), _TIMES_ZETA),
-                       (stencil(2, eps ** 2 * alpha), _TIMES_GRADIENT))
-
-    # the 2 reach + 1 points of every stencil must be distinct cells
-    min_n = 2 * max(term.reach for term, _ in zeta_terms + u_terms) + 1
-    if n < min_n:
-        raise ConfigurationError(
-            f"{variant.value} needs at least {min_n} points, got {n}")
+    terms = ([], [])                        # on zeta, on u
+    for weight, (order, on_u) in enumerate(_BRACKETS[variant]):
+        if weight == _TIMES_GRADIENT:
+            scale = eps ** 2 * alpha ** 2 / g if on_u else eps ** 2 * alpha
+        else:
+            scale = (2.0 / 45.0 if weight == _PLAIN else 2.0 / 3.0) * eps ** 2 \
+                * (alpha if on_u else g)
+        terms[on_u].append((stencil(order, scale), weight))
+    zeta_terms, u_terms = map(tuple, terms)
 
     j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
     harmonics = fourier_harmonics(n)

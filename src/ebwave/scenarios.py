@@ -35,6 +35,7 @@ from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError, Mo
                    PhysParams, StallError, State, relative_l2_error, require_finite)
 from .dispersion import (DispersionInstabilityError, DispersionKind, DispersionModel,
                          require_magnitude, stokes_reference, velocities, weighted_error)
+from .dispersive import check_variant
 from .splitting import CFL, RunState, StrangSolver, choose_dt
 
 FLOAT_FMT = "%.17g"
@@ -52,7 +53,8 @@ class ScenarioConfig:
     ``n_disp``, the number of dispersive substeps per step, are class
     attributes rather than fields: no config key sets them. The physical
     parameters, the grid and, for a solitary config, the waves are built
-    here, so that a config that cannot run is rejected with the config. A
+    here, and the variant's rules (``dispersive.check_variant``) checked,
+    so that a config that cannot run is rejected with the config. A
     ConfigurationError's ``key`` names a rejected field.
     """
 
@@ -116,6 +118,7 @@ class ScenarioConfig:
                     f"{key} must be one of {allowed}, got {getattr(self, key)!r}", key=key)
         self.params()
         self.grid()
+        check_variant(self.model_variant(), self.alpha, self.n_cells)
         if self.initial == "solitary":
             _solitary_waves(self)
 
@@ -269,12 +272,12 @@ class ScenarioResult:
 STALL_FRACTION = 1e-2
 
 # the most CFL steps of the first size that a ``strang_steps`` call may need
-# to reach its target; the longest built-in takes 2811 steps in all
+# to reach its last target; the longest built-in takes 2811 steps in all
 STEP_LIMIT = 1e8
 
 
-def strang_steps(solver: StrangSolver, run: RunState,
-                 t_target: float) -> Iterator[RunState]:
+def strang_steps(solver: StrangSolver, run: RunState, t_target: float, *,
+                 t_last: float | None = None) -> Iterator[RunState]:
     """Step ``run`` to ``t_target``, yielding the state after every step.
 
     dt is the CFL step of the current state at ``splitting.CFL``
@@ -284,19 +287,22 @@ def strang_steps(solver: StrangSolver, run: RunState,
     one is not taken but raises a StallError, since a growing signal speed
     can shrink dt without bound. It and a BlowUpError from a step
     propagate, and the caller's loop variable still holds the last state
-    yielded before them. A target more than STEP_LIMIT first steps away is
-    a ConfigurationError, raised before any step: with the stall rule,
-    that bounds the steps of a call.
+    yielded before them. A last target ``t_last`` (by default ``t_target``;
+    ``run_scenario`` passes the end of the run) more than STEP_LIMIT first
+    steps away is a ConfigurationError, raised before any step: with the
+    stall rule, that bounds the steps of a call, and a run that cannot end
+    fails before its first output time.
     """
     dx = solver.grid.dx
+    t_last = t_target if t_last is None else t_last
     dt_first = None
     while run.t < t_target - 1e-12 * max(1.0, abs(t_target)):
         dt = choose_dt(run.cells, solver.params, dx)
         if dt_first is None:
             dt_first = dt
-            if t_target - run.t > STEP_LIMIT * dt:
+            if t_last - run.t > STEP_LIMIT * dt:
                 raise ConfigurationError(
-                    f"the remaining time {t_target - run.t:g} to t = {t_target:g} "
+                    f"the remaining time {t_last - run.t:g} to t = {t_last:g} "
                     f"needs more than STEP_LIMIT = {STEP_LIMIT:g} CFL steps of {dt:g}")
         if dt < STALL_FRACTION * dt_first:
             raise StallError(f"CFL step {dt:g} fell below {STALL_FRACTION:g} of the first, "
@@ -338,7 +344,7 @@ def run_scenario(config: ScenarioConfig, outdir=None,
         targets.append(config.t_end)
     try:
         for t_target in targets:
-            for run in strang_steps(solver, run, t_target):
+            for run in strang_steps(solver, run, t_target, t_last=targets[-1]):
                 pass
             if t_target in config.output_times or not config.output_times:
                 emit(run)

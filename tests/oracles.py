@@ -9,6 +9,9 @@ finite-difference section at the end is the allocating dispersive kernel
 (stencils summed offset by offset, symbols by rfft, one fresh array per
 operation), kept verbatim as the reference the workspace kernel, its
 pair-form stencils and its closed-form symbols must match to round-off.
+The last section holds the dispersion relations of each model variant
+linearized about a constant state, from which ``dispersion.stability_bound``
+is derived, and the small-k series of the rest-state relations.
 """
 
 from dataclasses import dataclass
@@ -341,15 +344,7 @@ def rk4_fv_step(state: State, dt: float, params: PhysParams, dx: float) -> State
 
 # --- allocating finite-difference kernel (reference) ------------------------
 
-# fourth-order centered stencils, offset -> coefficient, to be scaled by dx^-order
-_D1 = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
-_D2 = {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12}
-_D3 = {-3: 1 / 8, -2: -8 / 8, -1: 13 / 8, 1: -13 / 8, 2: 8 / 8, 3: -1 / 8}
-_D4 = {-3: -1 / 6, -2: 12 / 6, -1: -39 / 6, 0: 56 / 6, 1: -39 / 6, 2: 12 / 6, 3: -1 / 6}
-_D5 = {-4: 1 / 6, -3: -9 / 6, -2: 26 / 6, -1: -29 / 6,
-       1: 29 / 6, 2: -26 / 6, 3: 9 / 6, 4: -1 / 6}
-
-_STENCILS = {1: _D1, 2: _D2, 3: _D3, 4: _D4, 5: _D5}
+# the fourth-order centered stencils are STENCILS, scaled by dx^-order
 
 
 @dataclass(frozen=True)
@@ -367,7 +362,7 @@ class StencilOperator:
 
     @classmethod
     def centered(cls, order: int) -> "StencilOperator":
-        table = _STENCILS[order]
+        table = STENCILS[order]
         offs = tuple(sorted(table))
         return cls(order=order, offsets=offs,
                    coefficients=tuple(table[m] for m in offs))
@@ -479,10 +474,10 @@ def build_operators(grid: Grid, params: PhysParams,
     eps, alpha = params.epsilon, params.alpha
     dx = grid.dx
     j_stencil = _combine([(1.0, {0: 1.0}),
-                          (-eps * alpha / (3.0 * dx ** 2), _D2),
-                          (eps ** 2 * alpha / (45.0 * dx ** 4), _D4)])
+                          (-eps * alpha / (3.0 * dx ** 2), STENCILS[2]),
+                          (eps ** 2 * alpha / (45.0 * dx ** 4), STENCILS[4])])
     p_stencil = _combine([(1.0, {0: 1.0}),
-                          (-eps * alpha / (3.0 * dx ** 2), _D2)])
+                          (-eps * alpha / (3.0 * dx ** 2), STENCILS[2])])
     if eps == 0.0:
         j_stencil = {0: 1.0}
         p_stencil = {0: 1.0}
@@ -544,13 +539,6 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray,
     return zeta_source - ops.j_solver.solve(nonlinear)
 
 
-def dispersive_rhs(state: State, ops: DispersiveOperators):
-    """Full rate of the dispersive part: (d zeta/dt, dv/dt) with
-    d zeta/dt identically zero."""
-    source = zeta_source_term(ops, state.zeta)
-    return np.zeros_like(state.zeta), velocity_rate(ops, state.v, source)
-
-
 def rk4_fd_step(state: State, dt: float, ops: DispersiveOperators) -> State:
     """Advance the nodal velocity by one RK4 step of the dispersive part.
 
@@ -563,3 +551,47 @@ def rk4_fd_step(state: State, dt: float, ops: DispersiveOperators) -> State:
     source = zeta_source_term(ops, state.zeta)
     v_new = rk4_step(state.v, dt, lambda v: velocity_rate(ops, v, source))
     return State(state.zeta.copy(), v_new)
+
+
+# ---------------------------------------------------------------------------
+# linearized dispersion relations (g = h0 = 1)
+
+
+def _linearized(numerator):
+    """The squared deviation (w - k v_b)^2 = (1 + zeta_b) k^2 num / den of a
+    variant linearized about the constant state (zeta_b, v_b), with
+    den = 1 + alpha k^2/3 + alpha k^4/45 and num = numerator(k^2, k^4,
+    zeta_b, alpha), as a function of (k, zeta_b, alpha). v_b drops out; a
+    negative value means complex roots, a state linearly unstable at k."""
+    def omega_squared(k, zeta_b, alpha=1.0):
+        k2 = k * k
+        k4 = k2 * k2
+        den = 1.0 + alpha / 3.0 * k2 + alpha / 45.0 * k4
+        return (1.0 + zeta_b) * k2 * numerator(k2, k4, zeta_b, alpha) / den
+    return omega_squared
+
+
+# the unfactorized and fifth-only linearizations are stated for alpha = 1 only
+LINEARIZED = {
+    ModelVariant.UNFACTORIZED: _linearized(
+        lambda k2, k4, zb, a: 1.0 - 2.0 / 3.0 * k2 * zb + 2.0 / 45.0 * k4),
+    ModelVariant.FIFTH_ONLY_FACTORIZED: _linearized(
+        lambda k2, k4, zb, a: 1.0 - 2.0 / 3.0 * k2 * zb + k4 / 45.0 * (2.0 / (1.0 + k2 / 3.0))),
+    ModelVariant.FACTORIZED_ALL: _linearized(
+        lambda k2, k4, zb, a: (1.0 + (a - 1.0) / 3.0 * k2
+                               - 2.0 * k2 * zb / (3.0 * (1.0 + a * k2 / 3.0))
+                               + (a - 1.0) / 45.0 * k4
+                               + 2.0 * k4 / (45.0 * (1.0 + a * k2 / 3.0)))),
+}
+
+# |k| tanh|k| = k^2 (1 - k^2/3 + 2 k^4/15 - ...)
+FULL_EULER_TAYLOR = (1.0, -1.0 / 3.0, 2.0 / 15.0)
+
+
+def taylor_coefficients(alpha: float) -> tuple[float, float, float]:
+    """Coefficients (c2, c4, c6) of k^2, k^4, k^6 in w^2/(g h0) of the
+    unfactorized relation at small k, by exact series division of its
+    rational form: c2 = 1 and c4 = -1/3 for every alpha, and c6 equals the
+    water-wave 2/15 exactly when alpha = 1."""
+    c4 = (alpha - 1.0) / 3.0 - alpha / 3.0
+    return 1.0, c4, (alpha + 1.0) / 45.0 - alpha / 45.0 - alpha / 3.0 * c4

@@ -11,16 +11,16 @@ from dataclasses import replace
 
 from ebwave.analytic import SolitaryWaveSpec, corrected_solution
 from ebwave.core import Grid, ModelVariant, PhysParams, State
-from ebwave.dispersion import (DispersionKind, DispersionModel, omega_squared,
-                               optimize_alpha, stability_bound, taylor_coefficients)
+from ebwave.dispersion import (DispersionKind, DispersionModel, optimize_alpha,
+                               stability_bound)
 from ebwave.dispersive import build_operators, velocity_rate, zeta_source_term
 from ebwave.hyperbolic import Workspace
 from ebwave.scenarios import (builtin_scenario, local_maxima, run_convergence,
                               run_scenario, track_crest)
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 from drivers import stencil
-from oracles import (cell_averages_of_sin, dense_conversion_matrix,
-                     dense_dispersive_rhs)
+from oracles import (LINEARIZED, cell_averages_of_sin, dense_conversion_matrix,
+                     dense_dispersive_rhs, taylor_coefficients)
 
 UNIT = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
 
@@ -42,14 +42,10 @@ def test_criterion_01_alpha_optimization():
 
 
 def test_criterion_02_taylor_equivalence():
-    c6_at_one = taylor_coefficients(
-        DispersionModel(DispersionKind.EB_UNFACTORIZED, UNIT))[2]
-    gap_at_one = abs(c6_at_one - 2.0 / 15.0)
+    gap_at_one = abs(taylor_coefficients(1.0)[2] - 2.0 / 15.0)
     gaps_off_one = []
     for alpha in (0.8351, 1.0555, 0.5):
-        params = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=alpha)
-        c6 = taylor_coefficients(
-            DispersionModel(DispersionKind.EB_UNFACTORIZED, params))[2]
+        c6 = taylor_coefficients(alpha)[2]
         gaps_off_one.append(abs(c6 - 2.0 / 15.0))
     ok = gap_at_one <= 1e-10 and min(gaps_off_one) > 1e-10
     report(2, "sixth-order Taylor equivalence", ok,
@@ -57,11 +53,9 @@ def test_criterion_02_taylor_equivalence():
            f"min gap {min(gaps_off_one):.2e} off alpha=1")
 
 
-def _sign_flip_location(kind, alpha, k, lo, hi, iters=60):
+def _sign_flip_location(variant, alpha, k, lo, hi, iters=60):
     def unstable(zb):
-        params = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=alpha)
-        m = DispersionModel(kind, params, background=(zb, 0.0))
-        return omega_squared(m, k) < 0.0
+        return LINEARIZED[variant](k, zb, alpha) < 0.0
 
     assert not unstable(lo) and unstable(hi)
     for _ in range(iters):
@@ -75,16 +69,16 @@ def _sign_flip_location(kind, alpha, k, lo, hi, iters=60):
 
 def test_criterion_03_stability_thresholds():
     cases = [
-        (DispersionKind.LIN_UNFACTORIZED, ModelVariant.UNFACTORIZED, 1.0),
-        (DispersionKind.LIN_FIFTH_ONLY, ModelVariant.FIFTH_ONLY_FACTORIZED, 1.0),
-        (DispersionKind.LIN_FACTORIZED, ModelVariant.FACTORIZED_ALL, 1.0),
-        (DispersionKind.LIN_FACTORIZED, ModelVariant.FACTORIZED_ALL, 1.0555),
+        (ModelVariant.UNFACTORIZED, 1.0),
+        (ModelVariant.FIFTH_ONLY_FACTORIZED, 1.0),
+        (ModelVariant.FACTORIZED_ALL, 1.0),
+        (ModelVariant.FACTORIZED_ALL, 1.0555),
     ]
     worst = 0.0
-    for kind, variant, alpha in cases:
+    for variant, alpha in cases:
         for k in (0.5, 1.0, 2.0, 5.0, 10.0):
             bound = float(stability_bound(variant, k, alpha))
-            flip = _sign_flip_location(kind, alpha, k, lo=max(-0.9, bound - 5.0),
+            flip = _sign_flip_location(variant, alpha, k, lo=max(-0.9, bound - 5.0),
                                        hi=bound + 5.0)
             worst = max(worst, abs(flip - bound))
     ok = worst <= 1e-8

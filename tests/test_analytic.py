@@ -7,6 +7,11 @@ from ebwave.analytic import (SolitaryWaveSpec, base_wave, corrected_solution,
                              profile_derivative)
 
 
+def at(fun, x, step):
+    """``fun`` sampled by offset, as ``profile_derivative`` takes it."""
+    return lambda m: fun(x + m * step)
+
+
 def test_wave_speed_examples():
     assert SolitaryWaveSpec(0.4, 0.1).speed == pytest.approx(1.0206, abs=5e-5)
     assert SolitaryWaveSpec(0.2, 0.1).speed == pytest.approx(1.0102, abs=5e-5)
@@ -58,9 +63,9 @@ def test_mass_flux_identity_is_exact():
         z, v = base_wave(spec, 0.0, y)
         return (1.0 + spec.epsilon * z) * v
 
-    dflux = profile_derivative(flux, x, 1, step)
-    dz_dt = spec.speed * profile_derivative(lambda y: base_wave(spec, 0.0, y)[0],
-                                            x, 1, step)
+    dflux = profile_derivative(at(flux, x, step), 1, step)
+    dz_dt = spec.speed * profile_derivative(at(lambda y: base_wave(spec, 0.0, y)[0],
+                                               x, step), 1, step)
     assert np.max(np.abs(-dz_dt + dflux)) < 1e-11
 
 
@@ -75,11 +80,11 @@ def test_momentum_residual_second_order_in_epsilon():
         spec = SolitaryWaveSpec(0.2, eps, x0=0.0)
         v_fun = lambda y: base_wave(spec, 0.0, y)[1]
         zeta_fun = lambda y: base_wave(spec, 0.0, y)[0]
-        dt_v = -spec.speed * profile_derivative(v_fun, x, 1, step)
-        dt_v_xx = -spec.speed * profile_derivative(v_fun, x, 3, step)
+        dt_v = -spec.speed * profile_derivative(at(v_fun, x, step), 1, step)
+        dt_v_xx = -spec.speed * profile_derivative(at(v_fun, x, step), 3, step)
         res = (dt_v - eps / 3.0 * dt_v_xx
-               + profile_derivative(zeta_fun, x, 1, step)
-               + eps * v_fun(x) * profile_derivative(v_fun, x, 1, step))
+               + profile_derivative(at(zeta_fun, x, step), 1, step)
+               + eps * v_fun(x) * profile_derivative(at(v_fun, x, step), 1, step))
         residuals.append(np.max(np.abs(res)))
     slopes = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     assert min(slopes) > 1.9
@@ -88,7 +93,7 @@ def test_momentum_residual_second_order_in_epsilon():
 def test_profile_derivative_accuracy():
     x = np.linspace(-1.0, 1.0, 11)
     for order in range(1, 6):
-        got = profile_derivative(np.sin, x, order, 0.05)
+        got = profile_derivative(at(np.sin, x, 0.05), order, 0.05)
         want = np.sin(x + order * np.pi / 2)
         assert np.allclose(got, want, atol=1e-8)
 
@@ -118,12 +123,12 @@ def nested_corrector_source(spec, t, x):
     step = analytic._fd_step(spec)
     zeta_fun = lambda y: base_wave(spec, t, y)[0]
     v_fun = lambda y: base_wave(spec, t, y)[1]
-    dzeta = profile_derivative(zeta_fun, x, 1, step)
-    dv = [profile_derivative(v_fun, x, n, step) for n in range(6)]
+    dzeta = profile_derivative(at(zeta_fun, x, step), 1, step)
+    dv = [profile_derivative(at(v_fun, x, step), n, step) for n in range(6)]
     advective = (dzeta * dv[2] + 2.0 / 3.0 * zeta_fun(x) * dv[3] + dv[5] / 45.0)
-    stress = lambda y: (v_fun(y) * profile_derivative(v_fun, y, 2, step)
-                        - profile_derivative(v_fun, y, 1, step) ** 2)
-    return -c_signed * advective + profile_derivative(stress, x, 1, step) / 3.0
+    stress = lambda y: (v_fun(y) * profile_derivative(at(v_fun, y, step), 2, step)
+                        - profile_derivative(at(v_fun, y, step), 1, step) ** 2)
+    return -c_signed * advective + profile_derivative(at(stress, x, step), 1, step) / 3.0
 
 
 @pytest.mark.parametrize("spec,x", [

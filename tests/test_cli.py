@@ -12,6 +12,7 @@ from ebwave import scenarios
 from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
 from ebwave.core import ModelVariant
 from ebwave.scenarios import ScenarioConfig, builtin_scenario, write_config
+from ebwave.splitting import StrangSolver
 
 
 def mini_config(tmp_path, **overrides):
@@ -215,7 +216,11 @@ def test_converge_mismatched_solitary_lists_exit_code(tmp_path, capsys):
     ("solitary", dict(epsilon="2"), "epsilon must be in [0, 1], got 2.0"),
     ("heap_hf", dict(alpha="0"), "alpha must be positive, got 0.0"),
     ("heap_hf", dict(n_cells="4"), "n_cells = 4 is below the minimum of 8"),
-    ("heap_hf", dict(x_max="-5"), "x_max must exceed x_min")])
+    ("heap_hf", dict(x_max="-5"), "x_max must exceed x_min"),
+    # the variant's rules, which the operators of a run rely on
+    ("stability_fifth_only_factorized", dict(alpha="1.1"),
+     "the fifth-only factorized variant is defined for alpha = 1"),
+    ("stability_unfactorized", dict(n_cells="8"), "unfactorized needs at least 9 points, got 8")])
 def test_config_that_cannot_run_names_its_line(tmp_path, capsys, name, edits, message):
     path, linenos = edited_config(tmp_path, name, **edits)
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -236,13 +241,20 @@ def test_solitary_config_without_centers_names_the_key(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["converge", "solitary", "--n", "64,128", "--t-final", "1e300"],
     ["simulate", "heap_hf"]])
-def test_run_past_the_step_limit_is_a_configuration_error(tmp_path, capsys, argv):
+def test_run_past_the_step_limit_is_a_configuration_error(tmp_path, capsys, monkeypatch, argv):
+    # found before the first step: heap_hf does not step to its output time
+    # t = 3 first, only to throw those steps away
+    steps = []
+    step = StrangSolver.strang_step
+    monkeypatch.setattr(StrangSolver, "strang_step",
+                        lambda *args: steps.append(args) or step(*args))
     if argv[0] == "simulate":
         argv = ["simulate", str(edited_config(tmp_path, "heap_hf", t_end="1e300")[0])]
     assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: the remaining time 1e+300")
     assert f"STEP_LIMIT = {scenarios.STEP_LIMIT:g} CFL steps" in err[0]
+    assert steps == []
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):

@@ -5,17 +5,15 @@ import pytest
 
 from ebwave.core import ConfigurationError, ModelVariant, PhysParams
 from ebwave.dispersion import (DispersionInstabilityError, DispersionKind,
-                               DispersionModel, omega,
-                               omega_squared, optimize_alpha, stability_bound,
-                               stokes_reference, taylor_coefficients, velocities,
+                               DispersionModel, omega_squared, optimize_alpha,
+                               stability_bound, stokes_reference, velocities,
                                weighted_error)
+from oracles import FULL_EULER_TAYLOR, LINEARIZED, taylor_coefficients
 
-UNIT = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
 
-
-def model(kind, alpha=1.0, background=(0.0, 0.0), gravity=1.0, depth=1.0):
+def model(kind, alpha=1.0, gravity=1.0, depth=1.0):
     params = PhysParams.dimensional(gravity=gravity, depth=depth, alpha=alpha)
-    return DispersionModel(kind, params, background)
+    return DispersionModel(kind, params)
 
 
 def rational_eb_omega2(k: Fraction, alpha: Fraction) -> Fraction:
@@ -48,47 +46,49 @@ def test_omega_squared_full_euler():
 
 def test_long_wave_limit_is_zero():
     for kind in DispersionKind:
-        m = model(kind, background=(0.05, 0.0))
-        assert omega_squared(m, 0.0) == 0.0
+        assert omega_squared(model(kind), 0.0) == 0.0
+    for linearized in LINEARIZED.values():
+        assert linearized(0.0, 0.05) == 0.0
 
 
 def test_rest_state_always_stable():
     k = np.linspace(0.01, 50.0, 800)
     for kind in DispersionKind:
-        m = model(kind, background=(0.0, 0.0))
-        assert np.all(omega_squared(m, k) >= 0.0)
+        assert np.all(omega_squared(model(kind), k) >= 0.0)
+    for linearized in LINEARIZED.values():
+        assert np.all(linearized(k, 0.0) >= 0.0)
 
 
 def test_taylor_coefficients_printed_values():
-    c2, c4, c6 = taylor_coefficients(model(DispersionKind.EB_UNFACTORIZED))
+    c2, c4, c6 = taylor_coefficients(1.0)
     assert (c2, c4) == (1.0, pytest.approx(-1.0 / 3.0, abs=1e-15))
     assert c6 == pytest.approx(2.0 / 15.0, abs=1e-15)
-    assert taylor_coefficients(model(DispersionKind.EB_UNFACTORIZED, alpha=0.5))[2] \
-        == pytest.approx(7.0 / 90.0, abs=1e-15)
-    assert taylor_coefficients(model(DispersionKind.FULL_EULER))[2] \
-        == pytest.approx(2.0 / 15.0, abs=1e-15)
+    assert taylor_coefficients(0.5)[2] == pytest.approx(7.0 / 90.0, abs=1e-15)
+    assert FULL_EULER_TAYLOR[2] == pytest.approx(2.0 / 15.0, abs=1e-15)
 
 
 def test_taylor_coefficients_against_small_k_fit():
-    # independent oracle: least-squares fit of w^2/k^2 in powers of k^2
-    for kind, alpha in [(DispersionKind.EB_UNFACTORIZED, 1.0),
-                        (DispersionKind.EB_UNFACTORIZED, 0.8351),
-                        (DispersionKind.FULL_EULER, 1.0)]:
+    # the oracle's series against a least-squares fit of the package's
+    # w^2/k^2 in powers of k^2
+    for kind, alpha, series in [
+            (DispersionKind.EB_UNFACTORIZED, 1.0, taylor_coefficients(1.0)),
+            (DispersionKind.EB_UNFACTORIZED, 0.8351, taylor_coefficients(0.8351)),
+            (DispersionKind.FULL_EULER, 1.0, FULL_EULER_TAYLOR)]:
         m = model(kind, alpha=alpha)
         k = np.linspace(1e-3, 2e-2, 40)
         u = k * k
         g = omega_squared(m, k) / u
         coef = np.polyfit(u, g, 3)
-        c2, c4, c6 = taylor_coefficients(m)
+        c2, c4, c6 = series
         assert coef[3] == pytest.approx(c2, abs=1e-9)
         assert coef[2] == pytest.approx(c4, abs=1e-8)
         assert coef[1] == pytest.approx(c6, abs=1e-5)
 
 
 def test_taylor_equivalence_only_at_alpha_one():
-    fe = taylor_coefficients(model(DispersionKind.FULL_EULER))
+    fe = FULL_EULER_TAYLOR
     for alpha in [0.3, 0.8351, 1.0, 1.0555, 1.7]:
-        eb = taylor_coefficients(model(DispersionKind.EB_UNFACTORIZED, alpha=alpha))
+        eb = taylor_coefficients(alpha)
         assert abs(eb[0] - fe[0]) < 1e-10
         assert abs(eb[1] - fe[1]) < 1e-10
         if alpha == 1.0:
@@ -183,43 +183,25 @@ def test_stability_bound_printed_values():
                          rel=1e-12)
 
 
-_LIN_PAIRS = [
-    (DispersionKind.LIN_UNFACTORIZED, ModelVariant.UNFACTORIZED, 1.0),
-    (DispersionKind.LIN_FIFTH_ONLY, ModelVariant.FIFTH_ONLY_FACTORIZED, 1.0),
-    (DispersionKind.LIN_FACTORIZED, ModelVariant.FACTORIZED_ALL, 1.0),
-    (DispersionKind.LIN_FACTORIZED, ModelVariant.FACTORIZED_ALL, 1.0555),
-]
-
-
-@pytest.mark.parametrize("kind,variant,alpha", _LIN_PAIRS)
-def test_instability_flag_matches_bound(kind, variant, alpha):
-    # brute-force sign equivalence on a (k, zeta_b) grid
+@pytest.mark.parametrize("variant,alpha", [
+    (ModelVariant.UNFACTORIZED, 1.0),
+    (ModelVariant.FIFTH_ONLY_FACTORIZED, 1.0),
+    (ModelVariant.FACTORIZED_ALL, 1.0),
+    (ModelVariant.FACTORIZED_ALL, 1.0555),
+])
+def test_instability_flag_matches_bound(variant, alpha):
+    # brute-force sign equivalence of the linearized relation on a (k, zeta_b) grid
     for k in [0.5, 1.0, 2.0, 5.0, 10.0]:
         bound = float(stability_bound(variant, k, alpha))
         for zb in np.linspace(-0.5, 2.0 * min(bound, 4.0), 23):
             if abs(zb - bound) < 1e-9 or zb <= -1.0:
                 continue
-            m = model(kind, alpha=alpha, background=(zb, 0.0))
-            unstable = omega_squared(m, k) < 0.0
-            assert unstable == (zb > bound), (kind, k, zb, bound)
+            unstable = LINEARIZED[variant](k, zb, alpha) < 0.0
+            assert unstable == (zb > bound), (variant, k, zb, bound)
 
 
 def test_velocities_signal_instability():
-    m = model(DispersionKind.LIN_FIFTH_ONLY, background=(0.6, 0.0))
+    # at alpha = 0.05 the unfactorized w^2 is -0.369 at k = 2.5
+    m = model(DispersionKind.EB_UNFACTORIZED, alpha=0.05)
     with pytest.raises(DispersionInstabilityError):
-        velocities(m, np.array([10.0]))
-
-
-def test_linearized_doppler_shift():
-    m = model(DispersionKind.LIN_UNFACTORIZED, background=(0.1, 0.3))
-    m0 = model(DispersionKind.LIN_UNFACTORIZED, background=(0.1, 0.0))
-    k = 2.0
-    assert omega(m, k) == pytest.approx(omega(m0, k) + k * 0.3, rel=1e-12)
-
-
-def test_linearized_relations_require_alpha_one():
-    with pytest.raises(ValueError):
-        model(DispersionKind.LIN_UNFACTORIZED, alpha=1.2)
-    with pytest.raises(ValueError):
-        model(DispersionKind.LIN_FIFTH_ONLY, alpha=0.9)
-    model(DispersionKind.LIN_FACTORIZED, alpha=1.2)  # allowed
+        velocities(m, np.array([2.5]))

@@ -189,7 +189,7 @@ def test_public_stencils_and_symbols_match_allocating_kernel():
             assert_close(drivers.stencil(order, u, 0.3), oracles.apply_stencil(op, u, 0.3), 1e-12)
         # symmetric and antisymmetric
         harmonics = fourier_harmonics(n, 4)
-        for stencil in (*oracles._STENCILS.values(), _CONVERSION):
+        for stencil in (*oracles.STENCILS.values(), _CONVERSION):
             total = 1.0 if stencil is _CONVERSION else 0.0
             got = PairStencil.of(stencil, total).symbol(harmonics)
             assert_close(np.asarray(got, dtype=complex),

@@ -141,11 +141,14 @@ def configs(draw):
     kwargs["initial"] = draw(st.sampled_from(INITIAL_CONDITIONS))
     kwargs["t_end"] = draw(st.floats(0.0, 1e300))
     # a model and a grid that can exist: 0 <= eps <= 1, positive alpha,
-    # gravity and depth, at least 8 cells and x_max > x_min
+    # gravity and depth, at least 8 cells and x_max > x_min; the variant's
+    # rules: alpha = 1 for the fifth-only one, 9 cells for the unfactorized one
     kwargs["epsilon"] = draw(st.floats(0.0, 1.0))
     for key in ("alpha", "gravity", "depth"):
         kwargs[key] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
-    kwargs["n_cells"] = draw(st.integers(8, 2**70))
+    if kwargs["variant"] == "fifth_only_factorized":
+        kwargs["alpha"] = 1.0
+    kwargs["n_cells"] = draw(st.integers(9 if kwargs["variant"] == "unfactorized" else 8, 2**70))
     kwargs["x_min"] = draw(st.floats(-1e300, 1e299))
     kwargs["x_max"] = draw(st.floats(kwargs["x_min"], 1e300, exclude_min=True))
     kwargs["blowup_threshold"] = draw(st.floats(0.0, 1e300, exclude_min=True))
