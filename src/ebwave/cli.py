@@ -4,11 +4,13 @@ Exit codes: 0 success, 2 configuration error (including an unknown config
 key such as ``cfl``, whose value is the fixed ``splitting.CFL``, non-finite
 config values, a negative ``t_end``, an ``epsilon``, ``alpha``,
 ``gravity``, ``depth``, ``n_cells`` or ``x_max`` that the model, the grid
-or the variant rejects (the fifth-only variant takes alpha = 1 only, the
-unfactorized one at least 9 cells), each named with its line, a solitary
-wave that cannot exist, a run whose end lies more than
-``scenarios.STEP_LIMIT`` CFL steps away, found before its first step,
-analysis arguments outside ``dispersion.MAGNITUDES``, ``dispersion``
+or the variant rejects (``alpha``, ``gravity``, ``depth`` and the cell
+size outside ``core.MAGNITUDES``, the cell size keyed ``x_max``; the
+fifth-only variant takes alpha = 1 only, the unfactorized one at least 9
+cells), each named with its line, a solitary wave that cannot exist, a
+run whose end lies more than ``scenarios.STEP_LIMIT`` CFL steps away,
+found before its first step, analysis arguments outside
+``core.MAGNITUDES``, ``dispersion``
 parameters whose model has no real frequency branch up to ``--kmax``, an
 ``optimize-alpha`` optimum at the edge of its bracket and a config or
 output path that the operating system refuses), 3 unexpected numerical

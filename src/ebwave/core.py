@@ -32,6 +32,33 @@ def require_finite(**values) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+# The magnitudes that alpha, gravity, depth and the cell size of a run may
+# take, and the wavenumbers k and K and the alphas that the analysis entry
+# points (``dispersion.stability_bound``, ``dispersion.weighted_error``,
+# ``scenarios.run_dispersion_report``) accept. Inside this range the largest
+# terms of the closed forms, alpha k^6 in ``dispersion.omega_squared`` and
+# alpha^2 k^4 in ``dispersion.stability_bound``, stay below 1e210 and the
+# smallest denominator, k^2, above 1e-60, so every relation, bound and
+# velocity is finite; and the scales that ``dispersive.build_operators``
+# folds into its stencils, such as eps^2 alpha^2 / g and dx^-5, stay finite
+# and nonzero.
+MAGNITUDES = (1e-30, 1e30)
+
+
+def require_magnitude(**values) -> None:
+    """Raise a ConfigurationError, keyed by its name, for the first of
+    ``values`` (a number, or an ndarray checked entry by entry) that is not
+    finite, with ``require_finite``'s message, or lies outside MAGNITUDES."""
+    require_finite(**values)
+    lo, hi = MAGNITUDES
+    for name, value in values.items():
+        inside = (np.all((lo <= value) & (value <= hi)) if isinstance(value, np.ndarray)
+                  else lo <= value <= hi)
+        if not inside:
+            raise ConfigurationError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}",
+                                     key=name)
+
+
 class HyperbolicityError(FloatingPointError):
     """Water column h0 + eps*zeta reached zero or below."""
 
@@ -66,6 +93,10 @@ class PhysParams:
 
     ``alpha`` is the dispersion correction parameter; it does not change the
     formal accuracy of the model, only its linear dispersion.
+
+    ``epsilon`` lies in [0, 1]; ``alpha``, ``gravity`` and ``depth`` are
+    positive and lie in MAGNITUDES. Each rule is a ConfigurationError keyed
+    by its field.
     """
 
     epsilon: float
@@ -79,10 +110,15 @@ class PhysParams:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}",
                                      key="epsilon")
+        lo, hi = MAGNITUDES
         for key in ("alpha", "gravity", "depth"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}",
-                                         key=key)
+            value = getattr(self, key)
+            if value <= 0.0:
+                raise ConfigurationError(f"{key} must be positive, got {value}", key=key)
+            # a plain comparison, as set-up builds PhysParams twice per run;
+            # require_magnitude raises with the shared message
+            if not lo <= value <= hi:
+                require_magnitude(**{key: value})
 
     @classmethod
     def dimensional(cls, gravity: float = 9.81, depth: float = 1.0,
@@ -114,6 +150,10 @@ class Grid:
     Finite-volume unknowns are cell averages; finite-difference (nodal)
     unknowns are point values at the same cell centers, so both
     representations share one index set.
+
+    At least 8 cells, and a cell size dx = (x_max - x_min) / n_cells in
+    MAGNITUDES; each rule is a ConfigurationError keyed by its field, the
+    cell size by ``x_max``.
     """
 
     x_min: float
@@ -130,6 +170,10 @@ class Grid:
         if self.n_cells < 8:
             raise ConfigurationError(f"n_cells = {self.n_cells} is below the minimum of 8",
                                      key="n_cells")
+        lo, hi, dx = *MAGNITUDES, self.dx
+        if not lo <= dx <= hi:
+            raise ConfigurationError(f"x_max - x_min gives a cell size of {dx:g}, "
+                                     f"outside [{lo:g}, {hi:g}]", key="x_max")
 
     @property
     def dx(self) -> float:

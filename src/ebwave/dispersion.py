@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ConfigurationError, ModelVariant, PhysParams, require_finite,
-                   simpson_weights)
+from .core import ConfigurationError, ModelVariant, PhysParams, require_magnitude, simpson_weights
 
 
 class DispersionInstabilityError(ArithmeticError):
@@ -37,24 +36,6 @@ class DispersionKind(enum.Enum):
     EB_UNFACTORIZED = "eb_unfactorized"
     EB_FACTORIZED = "eb_factorized"
     FULL_EULER = "full_euler"
-
-
-# The wavenumbers k and K and the alphas that the analysis entry points
-# (``stability_bound``, ``weighted_error``, ``scenarios.run_dispersion_report``)
-# accept. Inside this range the largest terms of the closed forms, alpha k^6
-# in ``omega_squared`` and alpha^2 k^4 in ``stability_bound``, stay below
-# 1e210 and the smallest denominator, k^2, above 1e-60, so every relation,
-# bound and velocity is finite.
-MAGNITUDES = (1e-30, 1e30)
-
-
-def require_magnitude(**values) -> None:
-    """Raise a ConfigurationError that names the first of ``values`` (a
-    number, or an ndarray checked entry by entry) outside MAGNITUDES."""
-    lo, hi = MAGNITUDES
-    for name, value in values.items():
-        if not np.all((lo <= value) & (value <= hi)):
-            raise ConfigurationError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,10 +125,9 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
     errors vanish as k -> 0 so the missing sliver is O(K_LOW^5). Raises
     DispersionInstabilityError where the model has no real branch in the
     range (this alpha is inadmissible on [0, K]), and a ConfigurationError
-    for an alpha or K that is not finite or lies outside MAGNITUDES, or a
-    K at or below K_LOW.
+    for an alpha or K that is not finite or lies outside
+    ``core.MAGNITUDES``, or a K at or below K_LOW.
     """
-    require_finite(K=K)
     require_magnitude(alpha=alpha, K=K)
     if K <= K_LOW:
         raise ConfigurationError(f"K must exceed {K_LOW:g}, the lower limit of the "
@@ -217,12 +197,11 @@ def stability_bound(variant: ModelVariant, k: float, alpha: float = 1.0):
     only case their linearizations are stated for); the FACTORIZED_ALL
     bound is valid for any alpha > 0. Raises ValueError for alpha <= 0 and
     a ConfigurationError for a value that is not finite or lies outside
-    MAGNITUDES.
+    ``core.MAGNITUDES``.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha:g}")
     k = np.asarray(k, dtype=float)
-    require_finite(alpha=alpha, k=k)
     require_magnitude(alpha=alpha, k=k)
     k2 = k * k
     k4 = k2 * k2

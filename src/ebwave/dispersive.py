@@ -49,7 +49,10 @@ applied in one of two forms:
 
 J, P, K and the conversion are all ``CirculantSolver``s: the conversion
 is the subclass whose ``forward`` applies its stencil in pair form and
-whose ``inverse`` is the inherited ``solve``. ``StrangSolver.strang_step``
+whose ``inverse`` is the inherited ``solve``. ``build_operators`` alone
+builds them, and each is invertible by construction: the symbols of J, P
+and the conversion are at least 1 on every mode of every grid, so no
+build checks for a vanishing one. ``StrangSolver.strang_step``
 converts zeta and v to point values one field at a time, steps v alone
 over the frozen zeta with ``rk4_fd_step``, which takes and returns bare
 arrays, and converts only v back.
@@ -114,18 +117,13 @@ class PairStencil:
 
     @classmethod
     def of(cls, stencil: dict[int, float], total: float = 0.0) -> "PairStencil":
-        """Pair form of ``stencil`` (offset -> coefficient), whose
-        coefficients sum to ``total`` up to their rounding."""
+        """Pair form of ``stencil`` (offset -> coefficient), a symmetric or
+        antisymmetric table whose coefficients sum to ``total``: one of the
+        module's constant tables, D1-D5 and the cell-to-nodal map."""
         reach = max(abs(m) for m in stencil)
         right = [stencil.get(m, 0.0) for m in range(1, reach + 1)]
-        left = [stencil.get(-m, 0.0) for m in range(1, reach + 1)]
-        if left == [-c for c in right] and stencil.get(0, 0.0) == 0.0:
+        if [stencil.get(-m, 0.0) for m in range(1, reach + 1)] == [-c for c in right]:
             return cls(total=0.0, antisymmetric=True, pairs=tuple(enumerate(right, 1)))
-        if left != right:
-            raise ConfigurationError(f"stencil {stencil} is neither symmetric "
-                                     "nor antisymmetric")
-        if abs(math.fsum(stencil.values()) - total) > 1e-14 * sum(map(abs, stencil.values())):
-            raise ConfigurationError(f"stencil {stencil} does not sum to {total}")
         return cls(total=total, antisymmetric=False,
                    pairs=tuple((k, math.fsum(right[k:])) for k in range(reach)))
 
@@ -139,9 +137,8 @@ class PairStencil:
                            pairs=tuple((m, factor * c) for m, c in self.pairs))
 
     def __add__(self, other: "PairStencil") -> "PairStencil":
-        """The sum of two stencils of the same symmetry."""
-        if other.antisymmetric != self.antisymmetric:
-            raise ConfigurationError("cannot add a symmetric and an antisymmetric stencil")
+        """The sum of two stencils of the same symmetry (``build_operators``
+        adds symmetric ones only)."""
         pairs = dict(self.pairs)
         for m, c in other.pairs:
             pairs[m] = pairs.get(m, 0.0) + c
@@ -171,7 +168,9 @@ class PairStencil:
         ghost cells on each side (``Workspace.pad``), so that it has
         len(out) + 2g entries; ``tmp`` is scratch of len(out) and ``diffs``
         of at least len(padded) - 1, for the first differences that a
-        symmetric stencil reads. Returns out.
+        symmetric stencil reads. Returns out. ``total`` is 0 or 1 for every
+        stencil applied (a derivative or the cell-to-nodal map), so the
+        field is added unscaled.
 
         Every term is a difference of two neighbors, or of two first
         differences, which is exact where they are close: a derivative of a
@@ -193,10 +192,7 @@ class PairStencil:
             if i:
                 out += term
         if self.total:
-            u = padded[g:g + n]
-            if self.total != 1.0:
-                u = np.multiply(u, self.total, out=tmp)
-            out += u
+            out += padded[g:g + n]
         return out
 
 
@@ -246,30 +242,25 @@ class CirculantSolver:
     A^{-1} N b when a ``numerator`` stencil N is given: one rfft, one
     product with the precomputed multiplier sigma_N / sigma_A (1 / sigma_A
     without a numerator) and one irfft. The symbols are read from
-    ``harmonics``, a ``fourier_harmonics`` table for n points that reaches
-    as far as both stencils (a new one of reach 3 or more when None).
-    Multipliers are stored complex even where they are real, because numpy
-    multiplies a complex array by a complex one several times faster than
-    by a real one. The symbol sigma_A is checked at construction; a (near)
-    zero eigenvalue at any discrete frequency makes A singular on this grid.
-    sigma_A itself is ``stencil.symbol`` of the table.
+    ``harmonics``, the ``fourier_harmonics`` table of the build for n
+    points, which reaches as far as both stencils. Multipliers are stored
+    complex even where they are real, because numpy multiplies a complex
+    array by a complex one several times faster than by a real one.
+
+    Only ``build_operators`` builds one (``tests/test_workspace_owner.py``
+    holds that), and every A it builds is invertible by construction: J and
+    P are I plus stencils with nonnegative symbols, and the cell-to-nodal
+    map's symbol lies in [1, 149/120], so |sigma_A| >= 1 on every mode of
+    every grid (``test_dispersive.py::test_built_symbols_are_at_least_one``
+    draws random builds of every variant). sigma_A itself is
+    ``stencil.symbol`` of the table.
     """
 
-    def __init__(self, stencil: PairStencil, n: int, name: str = "operator", *,
-                 numerator: PairStencil | None = None,
-                 harmonics: np.ndarray | None = None):
+    def __init__(self, stencil: PairStencil, n: int, *, harmonics: np.ndarray,
+                 numerator: PairStencil | None = None):
         self.n = n
         self.stencil = stencil
-        if harmonics is None:
-            reach = max(3, stencil.reach, numerator.reach if numerator else 0)
-            harmonics = fourier_harmonics(n, reach)
         symbol = stencil.symbol(harmonics)
-        magnitude = np.abs(symbol)
-        if magnitude.min() < 1e-12:
-            mode = int(np.argmax(magnitude < 1e-12))
-            raise ConfigurationError(
-                f"{name} is singular on N = {n}: symbol vanishes at "
-                f"Fourier mode {mode}")
         self._identity = stencil == IDENTITY and numerator is None
         multiplier = 1.0 / symbol
         if numerator is not None:
@@ -317,14 +308,13 @@ class ConversionOperator(CirculantSolver):
     caller's ``Workspace``; ``inverse`` is the inherited ``solve``, whose
     complex scratch is passed as ``spectrum``.
     Given their scratch, both allocate only their result. ``harmonics`` is
-    the table of the symbol, as for ``CirculantSolver``.
+    the table of the symbol, as for ``CirculantSolver``. ``build_operators``
+    builds the one conversion of a grid, after ``check_variant`` has ruled
+    out grids too small for the five-point stencil.
     """
 
-    def __init__(self, n_cells: int, *, harmonics: np.ndarray | None = None):
-        if n_cells < 5:
-            raise ValueError("conversion stencil needs at least 5 cells")
-        super().__init__(_CONVERSION_PAIRS, n_cells, "cell-to-nodal map",
-                         harmonics=harmonics)
+    def __init__(self, n_cells: int, *, harmonics: np.ndarray):
+        super().__init__(_CONVERSION_PAIRS, n_cells, harmonics=harmonics)
 
     def forward(self, field: np.ndarray, workspace: Workspace) -> np.ndarray:
         ws = workspace_for(self.n, workspace)
@@ -389,13 +379,15 @@ def build_operators(grid: Grid, params: PhysParams,
                     variant: ModelVariant) -> DispersiveOperators:
     """Assemble the stencils and factorize J, P, K and the cell-to-nodal map
     once for the whole run, all from one ``fourier_harmonics`` table, which
-    is freed when the build returns.
+    is freed when the build returns. It is the only builder of
+    ``CirculantSolver``s and of the ``ConversionOperator``.
 
     J = I - (eps alpha/3) D2 + (eps^2 alpha/45) D4 and
     P = I - (eps alpha/3) D2. Both symbols are >= 1 for eps, alpha >= 0
-    because -D2 and +D4 have nonnegative symbols, so the factorizations
-    cannot fail for physical parameters. With eps = 0 both operators reduce
-    to the identity and their solves return the input unchanged.
+    because -D2 and +D4 have nonnegative symbols, and the conversion's lies
+    in [1, 149/120], so no factorization can be singular and none is
+    checked. With eps = 0 both operators reduce to the identity and their
+    solves return the input unchanged.
 
     With gradient = g/alpha D1 zeta, the solve of P on g D1 zeta is alpha u
     with u = P^{-1} gradient, and eps^2 g D1 zeta = eps^2 alpha gradient,
@@ -431,15 +423,13 @@ def build_operators(grid: Grid, params: PhysParams,
         terms[on_u].append((stencil(order, scale), weight))
     zeta_terms, u_terms = map(tuple, terms)
 
-    j_name = "J = I - eps*alpha/3 D2 + eps^2*alpha/45 D4"
     harmonics = fourier_harmonics(n)
     return DispersiveOperators(
         grid=grid, d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
         zeta_terms=zeta_terms, u_terms=u_terms,
-        j_solver=CirculantSolver(j_stencil, n, j_name, harmonics=harmonics),
-        p_solver=CirculantSolver(p_stencil, n, "P = I - eps*alpha/3 D2",
-                                 harmonics=harmonics),
-        k_solver=CirculantSolver(j_stencil, n, j_name, harmonics=harmonics,
+        j_solver=CirculantSolver(j_stencil, n, harmonics=harmonics),
+        p_solver=CirculantSolver(p_stencil, n, harmonics=harmonics),
+        k_solver=CirculantSolver(j_stencil, n, harmonics=harmonics,
                                  numerator=stencil(1, 2.0 / 3.0 * eps ** 2)),
         conversion=ConversionOperator(n, harmonics=harmonics),
     )

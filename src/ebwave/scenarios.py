@@ -32,9 +32,9 @@ import numpy as np
 from .analytic import (SolitaryWaveSpec, corrected_solution, dam_break_profile,
                        heap_profile)
 from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError, ModelVariant,
-                   PhysParams, StallError, State, relative_l2_error, require_finite)
+                   PhysParams, StallError, State, relative_l2_error, require_magnitude)
 from .dispersion import (DispersionInstabilityError, DispersionKind, DispersionModel,
-                         require_magnitude, stokes_reference, velocities, weighted_error)
+                         stokes_reference, velocities, weighted_error)
 from .dispersive import check_variant
 from .splitting import CFL, RunState, StrangSolver, choose_dt
 
@@ -461,12 +461,13 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
     Returns (curves, scan) where curves has columns k, Cp_model, Cg_model,
     Cp_stokes, Cg_stokes, ratio_p, ratio_g and scan has columns alpha (the
     ALPHA_SCAN grid), error (NaN where the model loses its real branch).
+    ``k_max`` is checked against ``core.MAGNITUDES`` before the model is
+    built, and ``alpha`` by ``PhysParams``.
     """
     if samples < 1:
         raise ConfigurationError(f"need at least one sample, got {samples}")
-    require_finite(k_max=k_max)
+    require_magnitude(k_max=k_max)
     model = dispersion_model(kind_name, alpha)
-    require_magnitude(alpha=alpha, k_max=k_max)
     k = np.linspace(k_max / samples, k_max, samples)
     cp, cg = velocities(model, k)
     cp_s, cg_s = velocities(stokes_reference(model), k)

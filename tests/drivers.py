@@ -7,12 +7,15 @@ its own, and returns arrays that the caller owns:
   on a ``Workspace``;
 * ``faces``: the limited faces, as ``_FaceKernel.faces`` on the strips of
   a ``Workspace``;
-* ``flux``: the Rusanov flux, as ``_rusanov`` on five scratch rows.
+* ``flux``: the Rusanov flux, as ``_rusanov`` on five scratch rows;
+* ``conversion``: the cell-to-nodal map of a grid, as ``build_operators``
+  builds it.
 """
 
 import numpy as np
 
-from ebwave.dispersive import _PAIRS
+from ebwave.core import Grid, ModelVariant, PhysParams
+from ebwave.dispersive import _PAIRS, ConversionOperator, build_operators
 from ebwave.hyperbolic import Workspace, _face_outputs, _FaceKernel, _rusanov
 
 
@@ -40,3 +43,10 @@ def flux(zeta_l, v_l, zeta_r, v_r, params) -> tuple:
     shape, size = sides[0].shape, sides[0].size
     fluxes = _rusanov(*(a.ravel() for a in sides), params, tuple(np.empty((5, size))))
     return tuple(f.reshape(shape)[()] for f in fluxes)
+
+
+def conversion(n: int) -> ConversionOperator:
+    """The ``ConversionOperator`` of an n-cell grid, from ``build_operators``;
+    it depends on n alone."""
+    return build_operators(Grid(0.0, 1.0, n), PhysParams(0.0),
+                           ModelVariant.FACTORIZED_ALL).conversion

@@ -17,8 +17,8 @@ from ebwave.dispersive import build_operators, velocity_rate, zeta_source_term
 from ebwave.hyperbolic import Workspace
 from ebwave.scenarios import (builtin_scenario, local_maxima, run_convergence,
                               run_scenario, track_crest)
-from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
-from drivers import stencil
+from ebwave.splitting import RunState, StrangSolver, choose_dt
+from drivers import conversion, stencil
 from oracles import (LINEARIZED, cell_averages_of_sin, dense_conversion_matrix,
                      dense_dispersive_rhs, taylor_coefficients)
 
@@ -130,7 +130,7 @@ def test_criterion_06_dense_oracle_equivalence():
     n = 32
     grid = Grid(0.0, 3.0, n)
     rng = np.random.default_rng(2024)
-    conv, ws = ConversionOperator(n), Workspace(n)
+    conv, ws = conversion(n), Workspace(n)
     conv_mat = dense_conversion_matrix(n)
 
     worst_rhs = 0.0
@@ -235,7 +235,7 @@ def test_criterion_10_discretization_orders():
     # (b) cell-average -> point-value conversion
     errs = []
     for n in (32, 64, 128):
-        pts = ConversionOperator(n).forward(cell_averages_of_sin(n, length), Workspace(n))
+        pts = conversion(n).forward(cell_averages_of_sin(n, length), Workspace(n))
         centers = (np.arange(n) + 0.5) * length / n
         errs.append(np.max(np.abs(pts - np.sin(centers))))
     conv_order = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))

@@ -220,7 +220,13 @@ def test_converge_mismatched_solitary_lists_exit_code(tmp_path, capsys):
     # the variant's rules, which the operators of a run rely on
     ("stability_fifth_only_factorized", dict(alpha="1.1"),
      "the fifth-only factorized variant is defined for alpha = 1"),
-    ("stability_unfactorized", dict(n_cells="8"), "unfactorized needs at least 9 points, got 8")])
+    ("stability_unfactorized", dict(n_cells="8"), "unfactorized needs at least 9 points, got 8"),
+    # magnitudes whose operators would overflow or divide by zero
+    ("heap_hf", dict(alpha="1e200"), "alpha must lie in [1e-30, 1e+30], got 1e+200"),
+    ("heap_hf", dict(x_max="1e-298", x_min="0"),
+     "x_max - x_min gives a cell size of 1.95312e-301, outside [1e-30, 1e+30]"),
+    ("heap_hf", dict(x_max="1e300", x_min="-1e300"),
+     "x_max - x_min gives a cell size of 3.90625e+297, outside [1e-30, 1e+30]")])
 def test_config_that_cannot_run_names_its_line(tmp_path, capsys, name, edits, message):
     path, linenos = edited_config(tmp_path, name, **edits)
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
@@ -473,9 +479,7 @@ def run_configs(draw):
         ic_scale=draw(st.floats(-2.0, 2.0)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(run_configs())
-def test_simulate_exits_0_2_or_3_with_one_line(config):
+def assert_simulate_exits_0_2_or_3_with_one_line(config):
     err = io.StringIO()
     with (tempfile.TemporaryDirectory() as outdir,
           warnings.catch_warnings(record=True) as caught):
@@ -487,6 +491,38 @@ def test_simulate_exits_0_2_or_3_with_one_line(config):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP)
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught] == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_configs())
+def test_simulate_exits_0_2_or_3_with_one_line(config):
+    assert_simulate_exits_0_2_or_3_with_one_line(config)
+
+
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def setup_configs(draw):
+    """Small configs of every variant and initial condition whose alpha,
+    gravity, depth and domain length are drawn log-uniformly over
+    1e-300 .. 1e300, with t_end = 0: the run takes no step but builds its
+    solver, so every magnitude reaches the operators' set-up."""
+    length = draw(LOG_UNIFORM)
+    return SimpleNamespace(
+        name="setup", x_min=-0.5 * length, x_max=0.5 * length,
+        n_cells=draw(st.integers(8, 64)), epsilon=draw(st.floats(0.0, 1.0)),
+        alpha=draw(LOG_UNIFORM), gravity=draw(LOG_UNIFORM), depth=draw(LOG_UNIFORM),
+        variant=draw(st.sampled_from([v.value for v in ModelVariant])),
+        initial=draw(st.sampled_from(scenarios.INITIAL_CONDITIONS)),
+        t_end=0.0, output_times=(0.0,), blowup_threshold=100.0, expect_blowup=False,
+        amplitudes=(0.2,), centers=(0.0,), directions=(1.0,), ic_scale=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(setup_configs())
+def test_simulate_set_up_exits_0_2_or_3_with_one_line(config):
+    assert_simulate_exits_0_2_or_3_with_one_line(config)
 
 
 def test_dispersion_subcommand(tmp_path):

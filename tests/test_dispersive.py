@@ -5,9 +5,8 @@ import pytest
 
 from ebwave.core import (BlowUpError, ConfigurationError, Grid, ModelVariant,
                          PhysParams, State)
-from ebwave.dispersive import (_PAIRS, _STENCILS, CirculantSolver, PairStencil,
-                               build_operators, fourier_harmonics, rk4_fd_step,
-                               velocity_rate, zeta_source_term)
+from ebwave.dispersive import (_PAIRS, _STENCILS, build_operators, fourier_harmonics,
+                               rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import FD_GHOSTS, Workspace
 from ebwave import splitting
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver
@@ -160,9 +159,24 @@ def test_screened_symbols_exceed_one():
         assert np.max(np.abs(symbol.imag)) < 1e-10
 
 
-def test_singular_circulant_reports_mode():
-    with pytest.raises(ConfigurationError, match="mode 0"):
-        CirculantSolver(PairStencil.of({-1: -0.5, 1: 0.5}), 16, "central difference")
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_built_symbols_are_at_least_one(variant):
+    # J and P are I plus stencils of nonnegative symbol, and the conversion's
+    # symbol lies in [1, 149/120]: no build has an operator to check for a
+    # vanishing symbol, whatever its parameters and cell size
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(9, 2000))
+        alpha, gravity = 10.0 ** rng.uniform(-3, 3, 2)
+        if variant is ModelVariant.FIFTH_ONLY_FACTORIZED:
+            alpha = 1.0
+        params = PhysParams(0.0 if trial == 0 else rng.uniform(0.0, 1.0), alpha=alpha,
+                            gravity=gravity)
+        grid = Grid(0.0, n * 10.0 ** rng.uniform(-29, 29), n)
+        ops = build_operators(grid, params, variant)
+        harmonics = fourier_harmonics(n)
+        for solver in (ops.j_solver, ops.p_solver, ops.conversion):
+            assert np.min(np.abs(solver.stencil.symbol(harmonics))) >= 1.0 - 1e-12
 
 
 def test_operator_size_preconditions():

@@ -27,7 +27,7 @@ from ebwave.dispersive import (_CONVERSION, PairStencil, build_operators,
                                zeta_source_term)
 from ebwave.hyperbolic import Workspace, rk4_fv_step
 from ebwave.scenarios import builtin_scenario, choose_dt, initial_state
-from ebwave.splitting import ConversionOperator, RunState, StrangSolver
+from ebwave.splitting import RunState, StrangSolver
 
 import drivers
 import oracles
@@ -77,7 +77,7 @@ def dam_break_64k():
                      output_times=(0.0, 0.1))
     grid, params = config.grid(), config.params()
     cells = initial_state(config)
-    conv, ws = ConversionOperator(grid.n_cells), Workspace(grid.n_cells)
+    conv, ws = drivers.conversion(grid.n_cells), Workspace(grid.n_cells)
     state = State(conv.forward(cells.zeta, ws), conv.forward(cells.v, ws))
     return grid, params, state, choose_dt(cells, params, grid.dx, config.cfl)
 
@@ -280,7 +280,7 @@ def test_strang_step_on_shared_workspace_memory(variant):
     assert np.shares_memory(solver.workspace.source, solver.workspace.stage)
     x = grid.centers
     run = RunState.initial(State(0.3 * np.cos(x) ** 2, 0.1 * np.sin(x)), grid.dx)
-    conv = ConversionOperator(n)
+    conv = solver.operators.conversion
     for _ in range(3):
         dt = 0.02
         cells = rk4_fv_step(run.cells, 0.5 * dt, params, grid.dx, workspace=Workspace(n))

@@ -15,7 +15,8 @@ from dataclasses import fields
 import numpy as np
 from hypothesis import given, reject, settings, strategies as st
 
-from ebwave.core import ConfigurationError, Grid, ModelVariant, PhysParams, State
+from ebwave.core import (MAGNITUDES, ConfigurationError, Grid, ModelVariant, PhysParams,
+                         State)
 from ebwave.scenarios import (INITIAL_CONDITIONS, ScenarioConfig, builtin_scenario,
                               parse_config, read_config, strang_steps, write_config)
 from ebwave.splitting import RunState, StrangSolver, choose_dt
@@ -140,17 +141,21 @@ def configs(draw):
     kwargs["variant"] = draw(st.sampled_from([v.value for v in ModelVariant]))
     kwargs["initial"] = draw(st.sampled_from(INITIAL_CONDITIONS))
     kwargs["t_end"] = draw(st.floats(0.0, 1e300))
-    # a model and a grid that can exist: 0 <= eps <= 1, positive alpha,
-    # gravity and depth, at least 8 cells and x_max > x_min; the variant's
-    # rules: alpha = 1 for the fifth-only one, 9 cells for the unfactorized one
+    # a model and a grid that can exist: 0 <= eps <= 1, alpha, gravity and
+    # depth in MAGNITUDES, at least 8 cells and a cell size in MAGNITUDES;
+    # the variant's rules: alpha = 1 for the fifth-only one, 9 cells for the
+    # unfactorized one. The cell size is drawn a decade inside MAGNITUDES
+    # and x_min within 1e3 domain lengths of 0, so that x_max - x_min
+    # rounds to a cell size the grid accepts
     kwargs["epsilon"] = draw(st.floats(0.0, 1.0))
     for key in ("alpha", "gravity", "depth"):
-        kwargs[key] = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+        kwargs[key] = draw(st.floats(*MAGNITUDES))
     if kwargs["variant"] == "fifth_only_factorized":
         kwargs["alpha"] = 1.0
     kwargs["n_cells"] = draw(st.integers(9 if kwargs["variant"] == "unfactorized" else 8, 2**70))
-    kwargs["x_min"] = draw(st.floats(-1e300, 1e299))
-    kwargs["x_max"] = draw(st.floats(kwargs["x_min"], 1e300, exclude_min=True))
+    length = kwargs["n_cells"] * draw(st.floats(10.0 * MAGNITUDES[0], 0.1 * MAGNITUDES[1]))
+    kwargs["x_min"] = draw(st.floats(-1e3, 1e3)) * length
+    kwargs["x_max"] = kwargs["x_min"] + length
     kwargs["blowup_threshold"] = draw(st.floats(0.0, 1e300, exclude_min=True))
     kwargs["output_times"] = tuple(sorted(draw(
         st.lists(st.floats(0.0, kwargs["t_end"]), max_size=4))))

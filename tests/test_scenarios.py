@@ -202,7 +202,11 @@ def test_config_rejects_out_of_range_blowup_threshold(name, value, message):
     ("gravity", -1.0, "gravity must be positive, got -1.0"),
     ("depth", 0.0, "depth must be positive, got 0.0"),
     ("n_cells", 4, "n_cells = 4 is below the minimum of 8"),
-    ("x_max", -5.0, "x_max must exceed x_min")])
+    ("x_max", -5.0, "x_max must exceed x_min"),
+    ("alpha", 1e31, r"alpha must lie in \[1e-30, 1e\+30\], got 1e\+31"),
+    ("gravity", 1e-300, r"gravity must lie in \[1e-30, 1e\+30\], got 1e-300"),
+    ("depth", 1e200, r"depth must lie in \[1e-30, 1e\+30\], got 1e\+200"),
+    ("x_max", 1e300, r"x_max - x_min gives a cell size of \S+, outside \[1e-30, 1e\+30\]")])
 def test_config_keys_the_model_and_grid_rules(name, value, message):
     with pytest.raises(ConfigurationError, match=message) as error:
         small_config(**{name: value})
@@ -215,6 +219,9 @@ def test_config_keys_the_model_and_grid_rules(name, value, message):
 
 def test_config_accepts_the_ends_of_the_ranges():
     assert small_config(blowup_threshold=1e-300).blowup_threshold == 1e-300
+    assert small_config(alpha=1e30, gravity=1e-30, depth=1e30).alpha == 1e30
+    for cell in (1e-30, 1e30):     # 64 cells: x_max / 64 rounds to the cell exactly
+        assert small_config(x_min=0.0, x_max=64 * cell).grid().dx == cell
 
 
 def test_config_accepts_integers_and_reals_of_any_kind():

@@ -8,18 +8,19 @@ from ebwave.dispersive import CirculantSolver
 from ebwave.hyperbolic import Workspace
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 
+from drivers import conversion
 from oracles import dense_conversion_matrix
 
 
 def test_conversion_constant():
-    conv = ConversionOperator(32)
+    conv = conversion(32)
     out = conv.forward(np.full(32, 1.7), Workspace(32))
     assert np.allclose(out, 1.7, atol=1e-13)
     assert np.allclose(conv.inverse(out), 1.7, atol=1e-13)
 
 
 def test_conversion_roundtrip_identity():
-    conv, ws = ConversionOperator(64), Workspace(64)
+    conv, ws = conversion(64), Workspace(64)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(64)
@@ -31,7 +32,7 @@ def test_conversion_roundtrip_identity():
 
 def test_conversion_against_dense_oracle():
     n = 32
-    conv = ConversionOperator(n)
+    conv = conversion(n)
     mat = dense_conversion_matrix(n)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(n)
@@ -47,7 +48,7 @@ def test_conversion_accuracy_order():
         dx = length / n
         edges = np.arange(n + 1) * dx
         avg = (np.cos(edges[:-1]) - np.cos(edges[1:])) / dx
-        pts = ConversionOperator(n).forward(avg, Workspace(n))
+        pts = conversion(n).forward(avg, Workspace(n))
         centers = (np.arange(n) + 0.5) * dx
         errs.append(np.max(np.abs(pts - np.sin(centers))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -55,7 +56,7 @@ def test_conversion_accuracy_order():
 
 
 def test_conversion_states():
-    conv, ws = ConversionOperator(16), Workspace(16)
+    conv, ws = conversion(16), Workspace(16)
     rng = np.random.default_rng(2)
     cells = State(rng.standard_normal(16), rng.standard_normal(16))
     for field in (cells.zeta, cells.v):
@@ -68,7 +69,7 @@ def test_conversion_is_built_with_the_dispersive_operators():
     conv = solver.operators.conversion
     assert isinstance(conv, ConversionOperator) and isinstance(conv, CirculantSolver)
     x = np.random.default_rng(4).standard_normal(32)
-    assert np.array_equal(conv.inverse(x), ConversionOperator(32).solve(x))
+    assert np.array_equal(conv.inverse(x), conversion(32).solve(x))
 
 
 def test_choose_dt_examples():

@@ -1,11 +1,14 @@
-"""Scratch memory has one owner: the caller of a kernel.
+"""Scratch memory has one owner, the caller of a kernel, and the Fourier
+operators have one builder, ``build_operators``.
 
 Every kernel takes the ``Workspace`` of its caller, so no parameter named
 ``workspace`` has a default, and a ``Workspace`` is built in two places
 only: by ``StrangSolver``, for the whole Strang step, and by
 ``hyperbolic._face_outputs``, which runs the face kernel for the
-allocating ``reconstruction_deltas``. Checked in the standard library's
-``ast``, as ``test_imports`` checks imports.
+allocating ``reconstruction_deltas``. ``CirculantSolver`` and
+``ConversionOperator`` are built in ``dispersive.build_operators`` only,
+from the one ``fourier_harmonics`` table of the build. Checked in the
+standard library's ``ast``, as ``test_imports`` checks imports.
 """
 
 import ast
@@ -13,6 +16,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ebwave"
 BUILDERS = {("splitting.py", "StrangSolver.__init__"), ("hyperbolic.py", "_face_outputs")}
+OPERATORS = ("CirculantSolver", "ConversionOperator")
 
 
 def _functions(tree):
@@ -43,19 +47,19 @@ def defaulted_workspaces(source: str) -> list[str]:
     return found
 
 
-def workspace_builders(source: str) -> set[str]:
-    """The functions of ``source`` that call ``Workspace(...)`` in their own
+def builders(source: str, classes=("Workspace",)) -> set[str]:
+    """The functions of ``source`` that call one of ``classes`` in their own
     body, nested functions excluded."""
-    builders = set()
+    found = set()
     for name, node in _functions(ast.parse(source)):
         nested = {id(n) for _, f in _functions(node) for n in ast.walk(f)}
         for call in ast.walk(node):
             if id(call) in nested or not isinstance(call, ast.Call):
                 continue
             func = call.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "Workspace":
-                builders.add(name)
-    return builders
+            if getattr(func, "id", getattr(func, "attr", None)) in classes:
+                found.add(name)
+    return found
 
 
 def test_checkers_find_defaults_and_builders():
@@ -69,13 +73,20 @@ def test_checkers_find_defaults_and_builders():
               "    def inner():\n"
               "        return Workspace(n)\n")
     assert defaulted_workspaces(source) == ["f", "g"]
-    assert workspace_builders(source) == {"A.m", "k.inner"}
+    assert builders(source) == {"A.m", "k.inner"}
 
 
 def test_kernels_take_the_callers_workspace():
-    builders = set()
+    found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         assert defaulted_workspaces(source) == [], path.name
-        builders |= {(path.name, name) for name in workspace_builders(source)}
-    assert builders == BUILDERS
+        found |= {(path.name, name) for name in builders(source)}
+    assert found == BUILDERS
+
+
+def test_operators_are_built_by_build_operators_only():
+    # the subclass's super().__init__ is no call by name
+    found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in builders(path.read_text(), OPERATORS)}
+    assert found == {("dispersive.py", "build_operators")}
