@@ -16,7 +16,7 @@ from ebwave.dispersion import (DispersionKind, DispersionModel, optimize_alpha,
                                weighted_error)
 from ebwave.core import ModelVariant
 
-params = PhysParams.dimensional(gravity=1.0, depth=1.0)
+params = PhysParams(1.0, alpha=1.0, gravity=1.0, depth=1.0)
 unfactorized = DispersionModel(DispersionKind.EB_UNFACTORIZED, params)
 factorized = DispersionModel(DispersionKind.EB_FACTORIZED, params)
 

@@ -126,7 +126,7 @@ def corrector_source(spec: SolitaryWaveSpec, t: float, x):
     return -c_signed * advective + stress / 3.0
 
 
-def gaussian_corrector_profile(x, center: float = 0.0):
+def gaussian_corrector_profile(x, center: float):
     """Default second-order corrector profile exp(-(3 pi (x-center)/10)^2)."""
     y = 3.0 * np.pi * (np.asarray(x, dtype=float) - center) / 10.0
     return np.exp(-y * y)

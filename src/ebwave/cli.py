@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (including an unknown config
 key such as ``cfl``, whose value is the fixed ``splitting.CFL``, non-finite
-config values, a negative ``t_end``, an ``epsilon``, ``alpha``,
+config values, a negative ``t_end``, a config name that is not a plain
+file name, a repeated output time, an ``epsilon``, ``alpha``,
 ``gravity``, ``depth``, ``n_cells`` or ``x_max`` that the model, the grid
 or the variant rejects (``alpha``, ``gravity``, ``depth`` and the cell
 size outside ``core.MAGNITUDES``, the cell size keyed ``x_max``; the
@@ -10,10 +11,10 @@ fifth-only variant takes alpha = 1 only, the unfactorized one at least 9
 cells), each named with its line, a solitary wave that cannot exist, a
 run whose end lies more than ``scenarios.STEP_LIMIT`` CFL steps away,
 found before its first step, analysis arguments outside
-``core.MAGNITUDES``, ``dispersion``
-parameters whose model has no real frequency branch up to ``--kmax``, an
-``optimize-alpha`` optimum at the edge of its bracket and a config or
-output path that the operating system refuses), 3 unexpected numerical
+``core.MAGNITUDES``, ``dispersion`` parameters whose model has no real
+frequency branch up to ``--kmax``, an ``optimize-alpha`` optimum at the
+edge of ``dispersion.ALPHA_BRACKET`` and a config or output path that the
+operating system refuses), 3 unexpected numerical
 blow-up (including a member of a ``converge`` study), a dry bed (h0 +
 eps*zeta reached zero) or a stall (the CFL step fell below
 ``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A

@@ -84,12 +84,11 @@ class BlowUpError(FloatingPointError):
 class PhysParams:
     """Physical parameters of the wave model.
 
-    Two conventions share the same code paths:
-
-    * nondimensional runs, ``PhysParams(epsilon, alpha)``: ``gravity =
-      depth = 1`` and ``epsilon`` is the nonlinearity parameter of the regime,
-    * dimensional runs, ``PhysParams.dimensional``: ``epsilon = 1`` and
-      ``gravity``, ``depth`` carry units.
+    A nondimensional run, ``PhysParams(epsilon, alpha)``, keeps ``gravity =
+    depth = 1`` and takes ``epsilon`` as the nonlinearity parameter of its
+    regime; a dimensional one, ``PhysParams(1.0, alpha=..., gravity=...,
+    depth=...)``, sets ``epsilon = 1`` and gives ``gravity`` and ``depth``
+    their units. Both take the same code paths.
 
     ``alpha`` is the dispersion correction parameter; it does not change the
     formal accuracy of the model, only its linear dispersion.
@@ -119,11 +118,6 @@ class PhysParams:
             # require_magnitude raises with the shared message
             if not lo <= value <= hi:
                 require_magnitude(**{key: value})
-
-    @classmethod
-    def dimensional(cls, gravity: float = 9.81, depth: float = 1.0,
-                    alpha: float = 1.0) -> "PhysParams":
-        return cls(epsilon=1.0, alpha=alpha, gravity=gravity, depth=depth)
 
 
 class ModelVariant(enum.Enum):
@@ -180,10 +174,6 @@ class Grid:
         return (self.x_max - self.x_min) / self.n_cells
 
     @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
@@ -203,13 +193,6 @@ class State:
         self.v = np.asarray(self.v, dtype=float)
         if self.zeta.shape != self.v.shape or self.zeta.ndim != 1:
             raise ConfigurationError("zeta and v must be 1d arrays of equal length")
-
-    @classmethod
-    def rest(cls, n: int) -> "State":
-        return cls(np.zeros(n), np.zeros(n))
-
-    def copy(self) -> "State":
-        return State(self.zeta.copy(), self.v.copy())
 
     def water_column(self, params: PhysParams) -> np.ndarray:
         return params.depth + params.epsilon * self.zeta

@@ -144,18 +144,23 @@ def weighted_error(model: DispersionModel, alpha: float, K: float,
     return float((k[1] - k[0]) / 3.0 * np.sum(weights * integrand))
 
 
-def optimize_alpha(model: DispersionModel, K: float,
-                   bracket: tuple[float, float] = (0.1, 2.0),
-                   tol: float = 1e-4) -> tuple[float, float]:
-    """Golden-section minimization of the weighted velocity error over alpha.
+# the alphas that ``optimize_alpha`` searches, and the absolute tolerance to
+# which it resolves the optimum
+ALPHA_BRACKET = (0.1, 2.0)
+ALPHA_TOL = 1e-4
+
+
+def optimize_alpha(model: DispersionModel, K: float) -> tuple[float, float]:
+    """Golden-section minimization of the weighted velocity error over the
+    alphas of ALPHA_BRACKET.
 
     Alphas for which the model loses its real branch somewhere in (0, K]
     are treated as infinitely bad. Returns (alpha_opt, error_min) with
-    alpha_opt resolved to absolute tolerance ``tol``. An optimum within
-    2 tol of an end of the bracket is a ConfigurationError: the true
-    minimizer probably lies outside it.
+    alpha_opt resolved to the absolute tolerance ALPHA_TOL. An optimum
+    within 2 ALPHA_TOL of an end of the bracket is a ConfigurationError:
+    the true minimizer probably lies outside it.
     """
-    lo, hi = bracket
+    (lo, hi), tol = ALPHA_BRACKET, ALPHA_TOL
 
     def objective(alpha: float) -> float:
         try:

@@ -48,6 +48,9 @@ INITIAL_CONDITIONS = ("solitary", "heap_high_freq", "heap_low_freq", "dam_break"
 class ScenarioConfig:
     """Complete description of one simulation run.
 
+    ``name`` names the run's CSV in the output directory, so it is a plain
+    file name: not empty, ``.`` or ``..``, and without a path separator.
+    ``output_times`` are strictly increasing and lie in [0, t_end].
     ``ic_scale`` scales the heap or dam profile that ``initial`` selects.
     ``cfl``, the CFL number of every run (``splitting.CFL``), and
     ``n_disp``, the number of dispersive substeps per step, are class
@@ -82,7 +85,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = _CODECS[f.type][2]
+            kind = _CODECS[f.type][1]
             items = value if f.type.startswith("tuple") else (value,)
             if not isinstance(items, tuple) or not all(
                     isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
@@ -105,8 +108,16 @@ class ScenarioConfig:
         if self.t_end < 0.0:
             raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}",
                                      key="t_end")
+        # a plain file name is its own last path component
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            raise ConfigurationError(
+                f"name must be a plain file name, not empty, '.', '..' or a path, "
+                f"got {self.name!r}", key="name")
         if sorted(self.output_times) != list(self.output_times):
             raise ConfigurationError("output_times must be sorted", key="output_times")
+        if len(set(self.output_times)) < len(self.output_times):
+            raise ConfigurationError(f"output_times must not repeat a time, got "
+                                     f"{self.output_times}", key="output_times")
         if self.output_times and not (0.0 <= self.output_times[0]
                                       and self.output_times[-1] <= self.t_end):
             raise ConfigurationError("output_times must lie in [0, t_end]",
@@ -139,23 +150,17 @@ def _parse_bool(value: str) -> bool:
     return value.lower() == "true"
 
 
-# field annotation -> (parse, format) of its value in the config file and
-# the type the constructor takes for it, or for each entry of a tuple (a
-# bool only where the field is one)
+# field annotation -> the parser of its value in the config file and the
+# type the constructor takes for it, or for each entry of a tuple (a bool
+# only where the field is one)
 _CODECS = {
-    "str": (str, str, str),
-    "int": (int, str, numbers.Integral),
-    "float": (float, FLOAT_FMT.__mod__, numbers.Real),
-    "bool": (_parse_bool, lambda value: "true" if value else "false", bool),
+    "str": (str, str),
+    "int": (int, numbers.Integral),
+    "float": (float, numbers.Real),
+    "bool": (_parse_bool, bool),
     "tuple[float, ...]": (lambda text: tuple(float(v) for v in text.split(",")) if text else (),
-                          lambda value: ",".join(FLOAT_FMT % v for v in value), numbers.Real),
+                          numbers.Real),
 }
-
-
-def write_config(config: ScenarioConfig, path) -> None:
-    lines = [f"{f.name} = {_CODECS[f.type][1](getattr(config, f.name))}"
-             for f in fields(ScenarioConfig)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -1,7 +1,7 @@
-"""Allocating drivers of the production kernels.
+"""Allocating drivers of the production kernels, and the config writer.
 
-Each runs one kernel of the package as the solver runs it, on scratch of
-its own, and returns arrays that the caller owns:
+Each driver runs one kernel of the package as the solver runs it, on
+scratch of its own, and returns arrays that the caller owns:
 
 * ``stencil``: a centered difference, as the ``PairStencil`` of its order
   on a ``Workspace``;
@@ -10,13 +10,20 @@ its own, and returns arrays that the caller owns:
 * ``flux``: the Rusanov flux, as ``_rusanov`` on five scratch rows;
 * ``conversion``: the cell-to-nodal map of a grid, as ``build_operators``
   builds it.
+
+``write_config`` writes a config in the ``key = value`` format that
+``scenarios.read_config`` reads; the package itself only reads configs.
 """
+
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from ebwave.core import Grid, ModelVariant, PhysParams
 from ebwave.dispersive import _PAIRS, ConversionOperator, build_operators
 from ebwave.hyperbolic import Workspace, _face_outputs, _FaceKernel, _rusanov
+from ebwave.scenarios import FLOAT_FMT, ScenarioConfig
 
 
 def stencil(order: int, field, dx: float) -> np.ndarray:
@@ -50,3 +57,23 @@ def conversion(n: int) -> ConversionOperator:
     it depends on n alone."""
     return build_operators(Grid(0.0, 1.0, n), PhysParams(0.0),
                            ModelVariant.FACTORIZED_ALL).conversion
+
+
+# field annotation of ScenarioConfig -> the text of its value in the file
+_FORMATS = {
+    "str": str,
+    "int": str,
+    "float": FLOAT_FMT.__mod__,
+    "bool": lambda value: "true" if value else "false",
+    "tuple[float, ...]": lambda value: ",".join(FLOAT_FMT % v for v in value),
+}
+
+
+def write_config(config, path) -> None:
+    """One ``key = value`` line per field of ``ScenarioConfig``, read from
+    ``config`` as attributes, so that an object which no constructor has
+    checked can be written too; floats as FLOAT_FMT, so that
+    ``read_config`` returns an equal config."""
+    lines = [f"{f.name} = {_FORMATS[f.type](getattr(config, f.name))}"
+             for f in fields(ScenarioConfig)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

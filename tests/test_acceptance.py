@@ -22,7 +22,7 @@ from drivers import conversion, stencil
 from oracles import (LINEARIZED, cell_averages_of_sin, dense_conversion_matrix,
                      dense_dispersive_rhs, taylor_coefficients)
 
-UNIT = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
+UNIT = PhysParams(1.0, alpha=1.0, gravity=1.0, depth=1.0)
 
 
 def report(number: int, label: str, ok: bool, detail: str):

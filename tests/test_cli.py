@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from ebwave import scenarios
 from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
 from ebwave.core import ModelVariant
-from ebwave.scenarios import ScenarioConfig, builtin_scenario, write_config
+from ebwave.scenarios import ScenarioConfig, builtin_scenario
 from ebwave.splitting import StrangSolver
+from drivers import write_config
 
 
 def mini_config(tmp_path, **overrides):
@@ -163,6 +164,8 @@ def test_stability_demo_reports_a_dried_member_and_runs_the_others(tmp_path, cap
     ("blowup_threshold", "-1", "blowup_threshold must be positive, got -1.0"),
     ("output_times", "0.2,0.1", "output_times must be sorted"),
     ("output_times", "0,5", "output_times must lie in [0, t_end]"),
+    ("output_times", "0,0.01,0.01,0.02",
+     "output_times must not repeat a time, got (0.0, 0.01, 0.01, 0.02)"),
     ("initial", "vortex", "initial must be one of ['solitary', 'heap_high_freq', "
                           "'heap_low_freq', 'dam_break'], got 'vortex'")])
 def test_simulate_out_of_range_value_exit_code(tmp_path, capsys, key, value, message):
@@ -175,6 +178,23 @@ def test_simulate_out_of_range_value_exit_code(tmp_path, capsys, key, value, mes
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"configuration error: line {lineno}: {message}"]
     assert not (tmp_path / "mini.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ""])
+def test_simulate_rejects_a_name_that_is_not_a_plain_file_name(tmp_path, capsys, name):
+    # the run's CSV is {outdir}/{name}.csv, so such a name would write
+    # beside or below the output directory
+    path = mini_config(tmp_path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "name = mini"
+    lines[0] = f"name = {name}"
+    path.write_text("\n".join(lines) + "\n")
+    outdir = tmp_path / "runs" / "out"
+    assert main(["simulate", str(path), "--outdir", str(outdir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: line 1: name must be a plain file name, not "
+                   f"empty, '.', '..' or a path, got {name!r}"]
+    assert list(tmp_path.rglob("*")) == [path]
 
 
 def test_simulate_non_finite_config_value(tmp_path, capsys):

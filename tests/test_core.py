@@ -61,8 +61,6 @@ def test_phys_params_validation():
 def test_param_constructors():
     nd = PhysParams(0.1, alpha=1.0555)
     assert (nd.gravity, nd.depth) == (1.0, 1.0)
-    si = PhysParams.dimensional(gravity=9.81, depth=1.0)
-    assert si.epsilon == 1.0
 
 
 def test_positivity_predicate_is_pure():

@@ -12,7 +12,7 @@ from oracles import FULL_EULER_TAYLOR, LINEARIZED, taylor_coefficients
 
 
 def model(kind, alpha=1.0, gravity=1.0, depth=1.0):
-    params = PhysParams.dimensional(gravity=gravity, depth=depth, alpha=alpha)
+    params = PhysParams(1.0, alpha=alpha, gravity=gravity, depth=depth)
     return DispersionModel(kind, params)
 
 
@@ -164,8 +164,8 @@ def test_optimize_alpha_matches_grid_scan():
 
 
 def test_optimize_alpha_rejects_bracket_edge():
-    with pytest.raises(ConfigurationError, match=r"1\.500\d+ .*\[1\.5, 2\].*K = 1\b"):
-        optimize_alpha(model(DispersionKind.EB_UNFACTORIZED), 1.0, bracket=(1.5, 2.0))
+    with pytest.raises(ConfigurationError, match=r"1\.9999\d+ .*\[0\.1, 2\].*K = 50\b"):
+        optimize_alpha(model(DispersionKind.EB_UNFACTORIZED), 50.0)
 
 
 def test_stability_bound_printed_values():

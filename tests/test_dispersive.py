@@ -329,7 +329,7 @@ def test_high_frequency_instability_reproduction():
     # factorization grows without bound, the other two variants do not
     n = 256
     grid = Grid(0.0, 8 * np.pi, n)
-    params = PhysParams.dimensional(gravity=1.0, depth=1.0, alpha=1.0)
+    params = PhysParams(1.0, alpha=1.0, gravity=1.0, depth=1.0)
     x = grid.centers
     z0 = 0.6 + 1e-3 * np.cos(8.0 * x)
     v0 = 1e-3 * np.cos(8.0 * x)

@@ -10,6 +10,7 @@ with any value the constructor accepts, and the reader draws edit a valid
 config file with arbitrary value text.
 """
 
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import given, reject, settings, strategies as st
 from ebwave.core import (MAGNITUDES, ConfigurationError, Grid, ModelVariant, PhysParams,
                          State)
 from ebwave.scenarios import (INITIAL_CONDITIONS, ScenarioConfig, builtin_scenario,
-                              parse_config, read_config, strang_steps, write_config)
+                              parse_config, read_config, strang_steps)
 from ebwave.splitting import RunState, StrangSolver, choose_dt
+from drivers import write_config
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -30,7 +32,7 @@ def wet_state(draw, max_cells: int) -> tuple[Grid, State]:
     at most 0.1."""
     grid = Grid(0.0, draw(st.floats(5.0, 20.0)), draw(st.integers(16, max_cells)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    theta = 2.0 * np.pi * grid.centers / grid.length
+    theta = 2.0 * np.pi * grid.centers / (grid.x_max - grid.x_min)
     zeta, v = (rng.uniform(-0.1, 0.1)
                + sum(rng.uniform(-0.1, 0.1) * np.cos(m * theta + rng.uniform(0, 2 * np.pi))
                      for m in rng.choice(np.arange(1, 6), size=3, replace=False))
@@ -133,7 +135,11 @@ def test_strang_steps_keep_a_constant_state(n, epsilon, height, v, variant):
 @st.composite
 def configs(draw):
     """Any config the constructor accepts."""
-    kinds = {"str": st.text(max_size=8), "float": FINITE,
+    # the str fields drawn here are replaced below, but for the name, which
+    # is a plain file name: no path separator, and not "", "." or ".."
+    name = st.text(st.characters(exclude_characters=os.sep + (os.altsep or "")),
+                   min_size=1, max_size=8).filter(lambda text: text not in (".", ".."))
+    kinds = {"str": name, "float": FINITE,
              "int": st.integers(-2**70, 2**70), "bool": st.booleans()}
     kwargs = {f.name: draw(kinds[f.type]) if f.type in kinds
               else tuple(draw(st.lists(FINITE, max_size=3)))
@@ -158,7 +164,7 @@ def configs(draw):
     kwargs["x_max"] = kwargs["x_min"] + length
     kwargs["blowup_threshold"] = draw(st.floats(0.0, 1e300, exclude_min=True))
     kwargs["output_times"] = tuple(sorted(draw(
-        st.lists(st.floats(0.0, kwargs["t_end"]), max_size=4))))
+        st.lists(st.floats(0.0, kwargs["t_end"]), max_size=4, unique=True))))
     if kwargs["initial"] == "solitary":
         # waves that can exist: 0 < a < 1 and a direction of +-1
         waves = draw(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True,

@@ -14,8 +14,9 @@ from ebwave.scenarios import (ALPHA_SCAN, CSV_BLOCK_ROWS, ScenarioConfig, Scenar
                               dispersion_model, initial_state, local_maxima,
                               parse_config, read_config, run_convergence,
                               run_dispersion_report, run_scenario, strang_steps,
-                              track_crest, write_config, write_snapshots_csv)
+                              track_crest, write_snapshots_csv)
 from ebwave.splitting import CFL, RunState, StrangSolver
+from drivers import write_config
 
 
 def small_config(**overrides) -> ScenarioConfig:

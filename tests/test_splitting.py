@@ -162,7 +162,7 @@ def test_linear_mode_frequency_matches_dispersion_relation():
     x = grid.centers
     delta = 1e-5
     dim_model = DispersionModel(DispersionKind.EB_FACTORIZED,
-                                PhysParams.dimensional(gravity=1.0, depth=1.0))
+                                PhysParams(1.0, alpha=1.0, gravity=1.0, depth=1.0))
     # nondimensional frequency from the dimensional relation
     w_true = np.sqrt(omega_squared(dim_model, np.sqrt(eps) * kmode) / eps)
 
@@ -210,7 +210,7 @@ def test_subcycled_dispersive_step_consistency():
     outs = []
     for n_disp in (1, 4):
         solver = StrangSolver(grid, PhysParams(0.5), n_disp=n_disp)
-        run = RunState.initial(state.copy(), grid.dx)
+        run = RunState.initial(State(state.zeta.copy(), state.v.copy()), grid.dx)
         for _ in range(10):
             run = solver.strang_step(run, 0.01)
         outs.append(run.cells.v.copy())
