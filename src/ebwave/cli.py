@@ -14,7 +14,8 @@ found before its first step, analysis arguments outside
 ``core.MAGNITUDES``, ``dispersion`` parameters whose model has no real
 frequency branch up to ``--kmax``, an ``optimize-alpha`` optimum at the
 edge of ``dispersion.ALPHA_BRACKET`` and a config or output path that the
-operating system refuses), 3 unexpected numerical
+operating system refuses, a run's CSV path included, found before its
+first step), 3 unexpected numerical
 blow-up (including a member of a ``converge`` study), a dry bed (h0 +
 eps*zeta reached zero) or a stall (the CFL step fell below
 ``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A

@@ -93,12 +93,14 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}",
                                          key=f.name)
             # the config file could not hold these: '#' starts a comment, a
-            # line break ends the entry and the parser strips outer whitespace
+            # line break ends the entry, the parser strips outer whitespace
+            # and the file is UTF-8, which encodes no lone surrogate
             if isinstance(value, str) and ("#" in value or value != value.strip()
-                                           or "".join(value.splitlines()) != value):
+                                           or "".join(value.splitlines()) != value
+                                           or value.encode(errors="replace").decode() != value):
                 raise ConfigurationError(
-                    f"{f.name} must have no '#', line break or leading or trailing "
-                    f"whitespace, got {value!r}", key=f.name)
+                    f"{f.name} must have no '#', line break, lone surrogate or leading or "
+                    f"trailing whitespace, got {value!r}", key=f.name)
             if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}", key=f.name)
         if self.blowup_threshold <= 0.0:
@@ -324,8 +326,28 @@ def run_scenario(config: ScenarioConfig, outdir=None,
     time (and passed to ``on_snapshot`` when given). A blow-up, a dry bed
     or a stall ends the run as the result's ``failure``, not raised, and
     the CSV still holds the snapshots taken before it; scenarios built to
-    demonstrate instabilities set ``expect_blowup``.
+    demonstrate instabilities set ``expect_blowup``. The failure is kept
+    without its traceback, whose frames would hold the solver and its
+    workspace for as long as the result lives. With ``outdir``, the CSV
+    ``{outdir}/{name}.csv`` is opened, or created, before the solver is
+    built, so that a path the OS refuses fails before the first step; a
+    run that raises instead, such as one dry at t = 0, leaves no CSV.
     """
+    if outdir is None:
+        return _run_scenario(config, on_snapshot)
+    path = Path(outdir) / f"{config.name}.csv"
+    _csv_file(path).close()
+    try:
+        result = _run_scenario(config, on_snapshot)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    write_snapshots_csv(result, path)
+    return result
+
+
+def _run_scenario(config: ScenarioConfig, on_snapshot) -> ScenarioResult:
+    """``run_scenario`` without its CSV."""
     grid = config.grid()
     solver = StrangSolver(grid, config.params(), config.model_variant(),
                           n_disp=config.n_disp,
@@ -354,17 +376,21 @@ def run_scenario(config: ScenarioConfig, outdir=None,
             if t_target in config.output_times or not config.output_times:
                 emit(run)
     except (BlowUpError, HyperbolicityError, StallError) as exc:
-        failure = exc
+        failure = exc.with_traceback(None)
 
-    result = ScenarioResult(config=config, snapshots=snapshots,
-                            mass_initial=mass_initial, mass_final=run.mass,
-                            steps=run.step_count, failure=failure)
-    if outdir is not None:
-        write_snapshots_csv(result, Path(outdir) / f"{config.name}.csv")
-    return result
+    return ScenarioResult(config=config, snapshots=snapshots,
+                          mass_initial=mass_initial, mass_final=run.mass,
+                          steps=run.step_count, failure=failure)
 
 
 CSV_BLOCK_ROWS = 4096
+
+
+def _csv_file(path):
+    """``path`` opened for writing text, after its directory is created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w")
 
 
 def _write_csv(path, header: str, tables) -> None:
@@ -372,9 +398,7 @@ def _write_csv(path, header: str, tables) -> None:
     of the equal-length ``columns``: the prefix, then the entries as
     FLOAT_FMT. One ``%`` formats a block of CSV_BLOCK_ROWS rows, so memory
     stays bounded by a block rather than by the file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as out:
+    with _csv_file(path) as out:
         out.write(header + "\n")
         for prefix, columns in tables:
             row = prefix + ",".join([FLOAT_FMT] * len(columns)) + "\n"

@@ -280,7 +280,7 @@ def test_run_past_the_step_limit_is_a_configuration_error(tmp_path, capsys, monk
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: the remaining time 1e+300")
     assert f"STEP_LIMIT = {scenarios.STEP_LIMIT:g} CFL steps" in err[0]
-    assert steps == []
+    assert steps == [] and not (tmp_path / "heap_hf.csv").exists()
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):
@@ -352,6 +352,22 @@ def test_simulate_outdir_the_os_refuses_stops_before_the_run(tmp_path, capsys, m
     assert main(["simulate", "heap_hf", "--outdir", str(outdir)]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("i/o error: ") and str(outdir) in err[0]
+
+
+def test_simulate_csv_path_the_os_refuses_stops_before_the_first_step(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a name of 300 characters is a plain file name, but too long for the OS
+    steps = []
+    step = StrangSolver.strang_step
+    monkeypatch.setattr(StrangSolver, "strang_step",
+                        lambda *args: steps.append(args) or step(*args))
+    path = tmp_path / "long.cfg"
+    write_config(replace(builtin_scenario("heap_hf"), name="x" * 300), path)
+    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+    assert captured.out == "" and steps == []
 
 
 def test_simulate_directory_as_config_is_an_io_error(tmp_path, capsys):

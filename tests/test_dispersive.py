@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from ebwave.dispersive import (_PAIRS, _STENCILS, build_operators, fourier_harmo
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import FD_GHOSTS, Workspace
 from ebwave import splitting
+from ebwave.scenarios import builtin_scenario, initial_state, strang_steps
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver
 
 import drivers
@@ -351,3 +354,71 @@ def test_high_frequency_instability_reproduction():
     assert all(a < b for a, b in zip(quarters[1:], quarters[2:]))
     for variant in (ModelVariant.FACTORIZED_ALL, ModelVariant.UNFACTORIZED):
         assert max(histories[variant]) < 5.0 * v_init
+
+
+def substep_bound(ops, params, v) -> float:
+    """rho = 4/3 eps^2 max|D1 v| max_k |sigma_D1(k)|^2 / sigma_J(k), the
+    bound on the spectral radius of the Jacobian of the dispersive rate at
+    the nodal velocity v. With w = D1 v that Jacobian is
+    -4/3 eps^2 J^{-1} D1 diag(w) D1, similar through J^{1/2} to the symmetric
+    4/3 eps^2 B^T diag(w) B with B = D1 J^{-1/2}, since J is symmetric
+    positive definite, D1 antisymmetric and circulants commute."""
+    harmonics = fourier_harmonics(ops.grid.n_cells)
+    factor = np.max(np.abs(ops.d1.symbol(harmonics)) ** 2
+                    / ops.j_solver.stencil.symbol(harmonics))
+    gradient = drivers.stencil(1, v, ops.grid.dx)
+    return 4.0 / 3.0 * params.epsilon ** 2 * float(np.max(np.abs(gradient))) * factor
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_substep_bound_covers_the_dense_jacobian(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 129))
+    grid = Grid(0.0, rng.uniform(1.0, 100.0), n)
+    params = PhysParams(rng.uniform(0.05, 1.0), alpha=rng.uniform(0.5, 1.5))
+    ops = build_operators(grid, params, ModelVariant.FACTORIZED_ALL)
+    v = rng.uniform(-1.0, 1.0) * rng.standard_normal(n)
+    d1 = dense_matrix(1, n, grid.dx)
+    j, _ = dense_j_p(grid, params)
+    jacobian = -4.0 / 3.0 * params.epsilon ** 2 * np.linalg.solve(j, d1 @ np.diag(d1 @ v) @ d1)
+    # the rate is quadratic in v, and its zeta-only source does not depend
+    # on v, so a central difference of -K (D1 v)^2 is its Jacobian
+    ws, step = Workspace(n), 1e-3 * max(1.0, float(np.max(np.abs(v))))
+
+    def rate(u):
+        return velocity_rate(ops, u, np.zeros(n), ws).copy()
+
+    columns = [(rate(v + step * e) - rate(v - step * e)) / (2.0 * step) for e in np.eye(n)]
+    assert np.max(np.abs(np.transpose(columns) - jacobian)) <= 1e-6 * np.max(np.abs(jacobian))
+    eigenvalues = np.linalg.eigvals(jacobian)
+    bound = substep_bound(ops, params, v)
+    assert np.max(np.abs(eigenvalues.imag)) <= 1e-10 * bound
+    assert np.max(np.abs(eigenvalues)) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("name, steps", [("stability_fifth_only_factorized", 195),
+                                         ("stability_unfactorized", 300)])
+def test_substep_bound_times_dt_on_the_stability_runs(monkeypatch, name, steps):
+    # the fifth-only run to its blow-up at t = 0.37, after 195 steps and
+    # before its first output time, the unfactorized one for 300 steps.
+    # Over all their steps the two runs reach 0.087 and 0.082, far inside
+    # RK4's stability limit of 2.785 on the negative real axis, so the
+    # blow-up is the model's and one substep suffices
+    config = builtin_scenario(name)
+    grid, params = config.grid(), config.params()
+    solver = StrangSolver(grid, params, config.model_variant(),
+                          blowup_threshold=config.blowup_threshold)
+    products = []
+    fd_step = splitting.rk4_fd_step
+
+    def spy(zeta, v, dt, ops, workspace):
+        products.append(substep_bound(ops, params, v) * dt)
+        return fd_step(zeta, v, dt, ops, workspace=workspace)
+
+    monkeypatch.setattr(splitting, "rk4_fd_step", spy)
+    run = RunState.initial(initial_state(config), grid.dx)
+    with pytest.raises(BlowUpError) if config.expect_blowup else nullcontext():
+        for run in islice(strang_steps(solver, run, config.output_times[1]),
+                          None if config.expect_blowup else steps):
+            pass
+    assert run.step_count == steps and max(products) < 0.3

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -173,7 +175,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(variant="spectral")
     # text the config file would not read back as written
-    for name in ("a#b", " padded ", "x\ny", "tab\t"):
+    for name in ("a#b", " padded ", "x\ny", "tab\t", "\ud800"):
         with pytest.raises(ConfigurationError, match="name must have no"):
             small_config(name=name)
 
@@ -343,6 +345,23 @@ def test_run_scenario_records_expected_blowup():
     assert [(s.t, s.zeta.tobytes(), s.v.tobytes()) for s in result.snapshots] == snapshots
 
 
+def test_a_failed_run_does_not_keep_its_solver(monkeypatch):
+    # the failure's traceback would hold the frames of run_scenario and
+    # strang_step, and with them the solver, its workspace and multipliers
+    solvers = []
+
+    def recorded(*args, **kwargs):
+        solver = StrangSolver(*args, **kwargs)
+        solvers.append(weakref.ref(solver))
+        return solver
+
+    monkeypatch.setattr(scenarios, "StrangSolver", recorded)
+    result = run_scenario(builtin_scenario("stability_fifth_only_factorized"))
+    gc.collect()
+    assert result.blew_up and result.steps == 195
+    assert len(solvers) == 1 and solvers[0]() is None
+
+
 # small_config overrides of a heap that is wet at t = 0 (h >= 1) and dries in
 # the flux after 1581 steps, at t = 1.906
 DRY_BED = dict(name="dry", x_min=-3.0, x_max=3.0, epsilon=1.0, ic_scale=20.0,
@@ -375,6 +394,7 @@ def test_run_scenario_returns_a_dry_bed_or_stall(tmp_path, config, kind):
     run, snapshots, error = strang_loop(config)
     assert type(result.failure) is type(error) is kind
     assert str(result.failure) == str(error)
+    assert result.failure.__traceback__ is None
     assert not result.blew_up and result.blowup_time is None
     assert result.steps == run.step_count > 0
     assert result.mass_final == run.mass
