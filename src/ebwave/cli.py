@@ -14,8 +14,8 @@ found before its first step, analysis arguments outside
 ``core.MAGNITUDES``, ``dispersion`` parameters whose model has no real
 frequency branch up to ``--kmax``, an ``optimize-alpha`` optimum at the
 edge of ``dispersion.ALPHA_BRACKET`` and a config or output path that the
-operating system refuses, a run's CSV path included, found before its
-first step), 3 unexpected numerical
+operating system refuses, the CSV path of ``simulate`` and ``converge``
+included, found before their first step), 3 unexpected numerical
 blow-up (including a member of a ``converge`` study), a dry bed (h0 +
 eps*zeta reached zero) or a stall (the CFL step fell below
 ``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A
@@ -69,6 +69,18 @@ def _outdir(args) -> Path:
     return path
 
 
+def _writable(path: Path) -> Path:
+    """``path``, once the OS has let it be opened for writing, so that a
+    path it refuses stops a command before its first step. Opened for
+    appending, an earlier file keeps its bytes, and a new one is removed
+    again, so that a run failing before it writes its CSV leaves none."""
+    existed = path.exists()
+    path.open("a").close()
+    if not existed:
+        path.unlink()
+    return path
+
+
 def _load_config(ref: str) -> scenarios.ScenarioConfig:
     if ref in scenarios.builtin_names():
         return scenarios.builtin_scenario(ref)
@@ -81,7 +93,9 @@ def _load_config(ref: str) -> scenarios.ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    result = scenarios.run_scenario(config, outdir=_outdir(args))
+    outdir = _outdir(args)
+    _writable(outdir / f"{config.name}.csv")
+    result = scenarios.run_scenario(config, outdir=outdir)
     print(f"{config.name}: {result.steps} steps, "
           f"mass drift {abs(result.mass_final - result.mass_initial):.3e}")
     if result.blew_up and config.expect_blowup:
@@ -93,9 +107,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_converge(args) -> int:
     config = _load_config(args.config)
     n_list = [int(v) for v in args.n.split(",")]
-    outdir = _outdir(args)
+    path = _writable(_outdir(args) / f"convergence_{config.name}.csv")
     report = scenarios.run_convergence(config, n_list, args.t_final)
-    scenarios.write_convergence_csv(report, outdir / f"convergence_{config.name}.csv")
+    scenarios.write_convergence_csv(report, path)
     for n, ez, ev in zip(report.n_cells, report.err_zeta, report.err_v):
         print(f"N={n:6d}  E_L2(zeta)={ez:.3e}  E_L2(v)={ev:.3e}")
     print(f"slopes: zeta {report.slope_zeta:.3f}, v {report.slope_v:.3f}"

@@ -20,10 +20,9 @@ dispersive step, which sit in memory that this step leaves idle (see
 step allocates only its result arrays. Without the workspace a step at
 N = 65536 allocated about a hundred 512 KiB temporaries per rate
 evaluation, and the page faults of handing them back to the OS and taking
-them again cost more than the arithmetic. A workspace of at least
-``MAPPED_MIN_BYTES`` (from about 5950 cells) is an anonymous memory
-mapping of its own, so a dropped solver gives its pages back to the OS
-whatever the allocator did before (see ``Workspace``). The allocating
+them again cost more than the arithmetic. The workspace is an anonymous
+memory mapping of its own, so a dropped solver gives its pages back to the
+OS whatever the allocator did before (see ``Workspace``). The allocating
 ``reconstruction_deltas`` runs the same strips on a workspace of its own.
 
 Flat strip block. ``hyperbolic_rhs`` walks the grid in strips of at most
@@ -94,7 +93,6 @@ STENCIL_WIDTH = 5      # cells i-2 .. i+2 feed the faces of cell i
 GHOSTS = 3             # ghost cells per side: enough for the faces of cells -1 .. N
 FD_GHOSTS = 4          # ghost cells per side of the FD field: the reach of D5
 FV_STRIP = 8192        # cells per strip of the rate kernel (see module docstring)
-MAPPED_MIN_BYTES = 1 << 20     # a workspace this large is a mapping of its own (see Workspace)
 
 
 def _window(n: int, start: int, end: int, ghosts: int) -> tuple[slice, ...]:
@@ -228,23 +226,20 @@ class Workspace:
     same time. None of them overlaps row 0 of a block, whichever way
     ``rk4_in_place`` has swapped ``rate`` and ``acc``.
 
-    All are carved from one flat array, ``memory``, which touches no page
-    before the kernels write it. Below ``MAPPED_MIN_BYTES`` it comes from
-    ``np.empty``. From that size on (grids of about 5950 cells and more) it
-    is a private anonymous ``mmap`` of its own, viewed as floats, which the
-    OS unmaps as soon as the last view of it goes: no result aliases the
-    workspace, so that is when its ``StrangSolver`` is dropped. glibc would
-    also serve so large a block from a fresh mapping, but only below its
-    mmap threshold, which it raises to the size of every such block freed,
-    up to 32 MiB; after one large free, such as that of a CSV read back
-    whole, every later workspace came from the heap and stayed resident
-    there after its run. Mapped, the 4.0 MiB workspace of a 65536-cell run
+    All are carved from one flat array, ``memory``: a private anonymous
+    ``mmap`` of its own, viewed as floats, which touches no page before the
+    kernels write it and which the OS unmaps as soon as the last view of it
+    goes. No result aliases the workspace, so that is when its
+    ``StrangSolver`` is dropped. From ``np.empty``, glibc would serve so
+    large a block from a fresh mapping too, but only below its mmap
+    threshold, which it raises to the size of every such block freed, up
+    to 32 MiB; after one large free, such as that of a CSV read back whole,
+    every later workspace came from the heap and stayed resident there
+    after its run. Mapped, the 4.0 MiB workspace of a 65536-cell run
     lowered that benchmark's peak resident memory by 2.2 MiB (medians of 10
     alternating runs, 64.6 to 62.4 MiB), and a dropped 2^17-cell solver
-    gives back its whole 7.0 MiB workspace every time. A smaller workspace stays in the heap: mapped,
-    the 207 KiB one of 1200 cells raised the peak by 0.3-0.7 MiB. A
-    mapping is page aligned, so ``spectrum`` stays aligned for complex
-    values on both paths.
+    gives back its whole 7.0 MiB workspace every time. A mapping is page
+    aligned, so ``spectrum`` is aligned for complex values.
     """
 
     def __init__(self, n: int):
@@ -258,11 +253,9 @@ class Workspace:
         fd_size = n + 2 * FD_GHOSTS                   # entries of ``padded`` and ``diffs``
         padded_end = 5 * n + fd_size
         size = max(rk4_size + 8 * row, padded_end + fd_size)
-        if 8 * size < MAPPED_MIN_BYTES:
-            self.memory = np.empty(size)
-        else:
-            self.memory = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE),
-                                        dtype=float)
+        # ACCESS_COPY maps privately: a forked child gets its own copy
+        self.memory = np.frombuffer(mmap.mmap(-1, 8 * size, access=mmap.ACCESS_COPY),
+                                    dtype=float)
         self.stage, self.rate, self.acc = self.memory[:rk4_size].reshape(3, 2, n)
         scratch = self.memory[rk4_size:rk4_size + 8 * row].reshape(8, row)
         self.block, self.faces, self.tmp = scratch[0], tuple(scratch[1:3]), tuple(scratch[3:])

@@ -328,26 +328,8 @@ def run_scenario(config: ScenarioConfig, outdir=None,
     the CSV still holds the snapshots taken before it; scenarios built to
     demonstrate instabilities set ``expect_blowup``. The failure is kept
     without its traceback, whose frames would hold the solver and its
-    workspace for as long as the result lives. With ``outdir``, the CSV
-    ``{outdir}/{name}.csv`` is opened, or created, before the solver is
-    built, so that a path the OS refuses fails before the first step; a
-    run that raises instead, such as one dry at t = 0, leaves no CSV.
+    workspace for as long as the result lives.
     """
-    if outdir is None:
-        return _run_scenario(config, on_snapshot)
-    path = Path(outdir) / f"{config.name}.csv"
-    _csv_file(path).close()
-    try:
-        result = _run_scenario(config, on_snapshot)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    write_snapshots_csv(result, path)
-    return result
-
-
-def _run_scenario(config: ScenarioConfig, on_snapshot) -> ScenarioResult:
-    """``run_scenario`` without its CSV."""
     grid = config.grid()
     solver = StrangSolver(grid, config.params(), config.model_variant(),
                           n_disp=config.n_disp,
@@ -378,19 +360,15 @@ def _run_scenario(config: ScenarioConfig, on_snapshot) -> ScenarioResult:
     except (BlowUpError, HyperbolicityError, StallError) as exc:
         failure = exc.with_traceback(None)
 
-    return ScenarioResult(config=config, snapshots=snapshots,
-                          mass_initial=mass_initial, mass_final=run.mass,
-                          steps=run.step_count, failure=failure)
+    result = ScenarioResult(config=config, snapshots=snapshots,
+                            mass_initial=mass_initial, mass_final=run.mass,
+                            steps=run.step_count, failure=failure)
+    if outdir is not None:
+        write_snapshots_csv(result, Path(outdir) / f"{config.name}.csv")
+    return result
 
 
 CSV_BLOCK_ROWS = 4096
-
-
-def _csv_file(path):
-    """``path`` opened for writing text, after its directory is created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w")
 
 
 def _write_csv(path, header: str, tables) -> None:
@@ -398,7 +376,9 @@ def _write_csv(path, header: str, tables) -> None:
     of the equal-length ``columns``: the prefix, then the entries as
     FLOAT_FMT. One ``%`` formats a block of CSV_BLOCK_ROWS rows, so memory
     stays bounded by a block rather than by the file."""
-    with _csv_file(path) as out:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as out:
         out.write(header + "\n")
         for prefix, columns in tables:
             row = prefix + ",".join([FLOAT_FMT] * len(columns)) + "\n"

@@ -354,20 +354,39 @@ def test_simulate_outdir_the_os_refuses_stops_before_the_run(tmp_path, capsys, m
     assert len(err) == 1 and err[0].startswith("i/o error: ") and str(outdir) in err[0]
 
 
-def test_simulate_csv_path_the_os_refuses_stops_before_the_first_step(tmp_path, capsys,
-                                                                      monkeypatch):
-    # a name of 300 characters is a plain file name, but too long for the OS
+@pytest.mark.parametrize("command, base, length, csv", [
+    ("simulate", "heap_hf", 300, "{}.csv"),
+    # 245 characters make a valid '{name}.csv' but too long a 'convergence_{name}.csv'
+    ("converge", "solitary", 245, "convergence_{}.csv")])
+def test_csv_path_the_os_refuses_stops_before_the_first_step(tmp_path, capsys, monkeypatch,
+                                                             command, base, length, csv):
     steps = []
     step = StrangSolver.strang_step
     monkeypatch.setattr(StrangSolver, "strang_step",
                         lambda *args: steps.append(args) or step(*args))
     path = tmp_path / "long.cfg"
-    write_config(replace(builtin_scenario("heap_hf"), name="x" * 300), path)
-    assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    name = "x" * length
+    write_config(replace(builtin_scenario(base), name=name), path)
+    argv = [command, str(path), "--outdir", str(tmp_path)]
+    if command == "converge":
+        argv += ["--n", "64,128", "--t-final", "0.1"]
+    assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("i/o error: ")
+    assert len(err) == 1 and err[0].startswith("i/o error: ") and csv.format(name) in err[0]
     assert captured.out == "" and steps == []
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["converge", "solitary", "--n", "64,128", "--t-final", "1e300"], "convergence_solitary.csv"),
+    (["simulate", "heap_hf"], "heap_hf.csv")])
+def test_a_failed_rerun_keeps_the_earlier_csv(tmp_path, capsys, argv, csv):
+    if argv[0] == "simulate":
+        argv = ["simulate", str(edited_config(tmp_path, "heap_hf", t_end="1e300")[0])]
+    (tmp_path / csv).write_text("earlier run\n")
+    assert main(argv + ["--outdir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: the remaining time")
+    assert (tmp_path / csv).read_text() == "earlier run\n"
 
 
 def test_simulate_directory_as_config_is_an_io_error(tmp_path, capsys):

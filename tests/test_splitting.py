@@ -1,5 +1,4 @@
 import gc
-import mmap
 import os
 import sys
 
@@ -10,8 +9,7 @@ from ebwave.analytic import SolitaryWaveSpec, corrected_solution
 from ebwave.core import BlowUpError, Grid, HyperbolicityError, PhysParams, State
 from ebwave.dispersion import DispersionKind, DispersionModel, omega_squared
 from ebwave.dispersive import CirculantSolver
-from ebwave import hyperbolic
-from ebwave.hyperbolic import MAPPED_MIN_BYTES, Workspace
+from ebwave.hyperbolic import Workspace
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver, choose_dt
 
 from drivers import conversion
@@ -221,38 +219,6 @@ def test_subcycled_dispersive_step_consistency():
             run = solver.strang_step(run, 0.01)
         outs.append(run.cells.v.copy())
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-10
-
-
-def mapped(ws: Workspace) -> bool:
-    """Whether the memory of ``ws`` is an ``mmap`` of its own."""
-    return isinstance(getattr(ws.memory.base, "obj", None), mmap.mmap)
-
-
-def test_a_large_workspace_is_a_mapping_of_its_own():
-    # up to FV_STRIP cells a workspace holds 176 n + 768 bytes, so the gate
-    # lies between 5953 and 5954 cells: head_on's 1200 on one side, the
-    # 65536 of the large dam break on the other
-    small, large = Workspace(5953), Workspace(5954)
-    assert small.memory.nbytes < MAPPED_MIN_BYTES <= large.memory.nbytes
-    assert not mapped(small) and mapped(large)
-    assert not mapped(Workspace(1200)) and mapped(Workspace(65536))
-    assert large.memory.flags.writeable and large.memory.dtype == float
-
-
-def test_mapped_and_heap_workspaces_step_the_same_bits(monkeypatch):
-    grid = Grid(-4.0, 4.0, 96)
-    x = grid.centers
-    state = State(0.4 * np.exp(-x * x), 0.1 * np.sin(x))
-    outs = []
-    for gate in (0, MAPPED_MIN_BYTES):
-        monkeypatch.setattr(hyperbolic, "MAPPED_MIN_BYTES", gate)
-        solver = StrangSolver(grid, PhysParams(0.5))
-        assert mapped(solver.workspace) is (gate == 0)
-        run = RunState.initial(state, grid.dx)
-        for _ in range(5):
-            run = solver.strang_step(run, 0.01)
-        outs.append(run.cells.zeta.tobytes() + run.cells.v.tobytes())
-    assert outs[0] == outs[1]
 
 
 def resident_bytes() -> int:

@@ -10,8 +10,8 @@ allocating ``reconstruction_deltas``. ``CirculantSolver`` and
 from the one ``fourier_harmonics`` table of the build.
 
 Mapped memory has one owner too: only ``hyperbolic`` imports ``mmap``, and
-only ``Workspace.__init__`` maps memory, for a workspace of at least
-``MAPPED_MIN_BYTES``. That is a measured rule, not a default to extend:
+only ``Workspace.__init__`` maps memory. That is a measured rule, not a
+default to extend:
 on the 65536-cell dam break, mapping the four Fourier multipliers as well
 lowered the peak resident memory by 3.0 MiB in all, against about 2 for
 the workspace alone, but took the set-up from 3.3 to 8 ms (+140 %), and
