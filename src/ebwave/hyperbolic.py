@@ -230,12 +230,12 @@ class Workspace:
     ``mmap`` of its own, viewed as floats, which touches no page before the
     kernels write it and which the OS unmaps as soon as the last view of it
     goes. No result aliases the workspace, so that is when its
-    ``StrangSolver`` is dropped. From ``np.empty``, glibc would serve so
-    large a block from a fresh mapping too, but only below its mmap
-    threshold, which it raises to the size of every such block freed, up
-    to 32 MiB; after one large free, such as that of a CSV read back whole,
-    every later workspace came from the heap and stayed resident there
-    after its run. Mapped, the 4.0 MiB workspace of a 65536-cell run
+    ``StrangSolver`` is dropped. From ``np.empty``, glibc would serve a
+    block above its mmap threshold (128 KiB at start) from a fresh mapping
+    too, but it raises that threshold to the size of every such block
+    freed, up to 32 MiB; after one large free, such as that of a CSV read
+    back whole, every later workspace came from the heap and stayed
+    resident there after its run. Mapped, the 4.0 MiB workspace of a 65536-cell run
     lowered that benchmark's peak resident memory by 2.2 MiB (medians of 10
     alternating runs, 64.6 to 62.4 MiB), and a dropped 2^17-cell solver
     gives back its whole 7.0 MiB workspace every time. A mapping is page
