@@ -18,7 +18,9 @@ operating system refuses, the CSV path of ``simulate`` and ``converge``
 included, found before their first step), 3 unexpected numerical
 blow-up (including a member of a ``converge`` study), a dry bed (h0 +
 eps*zeta reached zero) or a stall (the CFL step fell below
-``scenarios.STALL_FRACTION`` of its first value), 4 self-test failure. A
+``scenarios.STALL_FRACTION`` of its first value, or a dispersive step
+needed more than ``splitting.SUBSTEP_LIMIT`` substeps), 4 self-test
+failure. A
 failed run still writes its CSV. The output directory defaults to the
 EBWAVE_OUTDIR environment variable, then to the current directory, and is
 created before any run.

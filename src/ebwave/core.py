@@ -64,8 +64,10 @@ class HyperbolicityError(FloatingPointError):
 
 
 class StallError(FloatingPointError):
-    """The CFL time step collapsed: it fell below a fixed fraction
-    (``scenarios.STALL_FRACTION``) of the first one of its stepping loop."""
+    """The time step collapsed: the CFL step fell below a fixed fraction
+    (``scenarios.STALL_FRACTION``) of the first one of its stepping loop,
+    or the dispersive step needed more than ``splitting.SUBSTEP_LIMIT``
+    RK4 substeps."""
 
 
 class BlowUpError(FloatingPointError):

@@ -337,6 +337,14 @@ class DispersiveOperators:
     zeta, ``u_terms`` on u = P^{-1} gradient. ``k_solver`` applies
     K = 2/3 eps^2 J^{-1} D1 and ``conversion`` switches between cell
     averages and point values.
+
+    ``jacobian_bound`` is 4/3 eps^2 max_k |sigma_D1(k)|^2 / sigma_J(k), so
+    that rho = jacobian_bound max|D1 v| bounds the spectral radius of the
+    Jacobian of the velocity rate at the nodal v. With w = D1 v that
+    Jacobian is -4/3 eps^2 J^{-1} D1 diag(w) D1, similar through J^{1/2} to
+    the symmetric 4/3 eps^2 B^T diag(w) B with B = D1 J^{-1/2} (J is
+    symmetric positive definite, D1 antisymmetric, circulants commute), so
+    its eigenvalues are real and at most rho in modulus.
     """
 
     grid: Grid
@@ -348,6 +356,7 @@ class DispersiveOperators:
     p_solver: CirculantSolver
     k_solver: CirculantSolver
     conversion: ConversionOperator
+    jacobian_bound: float
 
 
 # Each variant's bracket: for its plain, times-zeta and times-gradient term
@@ -424,14 +433,19 @@ def build_operators(grid: Grid, params: PhysParams,
     zeta_terms, u_terms = map(tuple, terms)
 
     harmonics = fourier_harmonics(n)
+    d1 = stencil(1, 1.0)
+    k_solver = CirculantSolver(j_stencil, n, harmonics=harmonics,
+                               numerator=stencil(1, 2.0 / 3.0 * eps ** 2))
     return DispersiveOperators(
-        grid=grid, d1=stencil(1, 1.0), gradient=stencil(1, g / alpha),
+        grid=grid, d1=d1, gradient=stencil(1, g / alpha),
         zeta_terms=zeta_terms, u_terms=u_terms,
         j_solver=CirculantSolver(j_stencil, n, harmonics=harmonics),
         p_solver=CirculantSolver(p_stencil, n, harmonics=harmonics),
-        k_solver=CirculantSolver(j_stencil, n, harmonics=harmonics,
-                                 numerator=stencil(1, 2.0 / 3.0 * eps ** 2)),
+        k_solver=k_solver,
         conversion=ConversionOperator(n, harmonics=harmonics),
+        # K's multiplier is 2/3 eps^2 sigma_D1 / sigma_J; it and sigma_D1 are imaginary
+        jacobian_bound=2.0 * float(np.max(np.abs(k_solver.multiplier.imag
+                                                 * d1.symbol(harmonics).imag))),
     )
 
 

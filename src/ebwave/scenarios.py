@@ -53,7 +53,7 @@ class ScenarioConfig:
     ``output_times`` are strictly increasing and lie in [0, t_end].
     ``ic_scale`` scales the heap or dam profile that ``initial`` selects.
     ``cfl``, the CFL number of every run (``splitting.CFL``), and
-    ``n_disp``, the number of dispersive substeps per step, are class
+    ``n_disp``, the least number of dispersive substeps per step, are class
     attributes rather than fields: no config key sets them. The physical
     parameters, the grid and, for a solitary config, the waves are built
     here, and the variant's rules (``dispersive.check_variant``) checked,
@@ -275,11 +275,11 @@ class ScenarioResult:
 
 # a stall: a CFL step below this fraction of the first of a ``strang_steps``
 # call. The built-ins keep above 0.8 of it, but the unstable fifth-only heap
-# reaches 0.134 before its blow-up.
+# reaches 0.138 before its blow-up.
 STALL_FRACTION = 1e-2
 
 # the most CFL steps of the first size that a ``strang_steps`` call may need
-# to reach its last target; the longest built-in takes 2811 steps in all
+# to reach its last target; the longest built-in takes 1407 steps in all
 STEP_LIMIT = 1e8
 
 
@@ -289,16 +289,20 @@ def strang_steps(solver: StrangSolver, run: RunState, t_target: float, *,
 
     dt is the CFL step of the current state at ``splitting.CFL``
     (``choose_dt``), and the last step is clipped to land on ``t_target``.
+    The CFL step bounds dt by the hyperbolic signal speed only: the
+    dispersive part of a step takes the RK4 substeps that its velocity
+    gradient asks for (``StrangSolver.dispersive_step``), at most
+    ``splitting.SUBSTEP_LIMIT``.
     A study at a fixed dt calls ``solver.strang_step(run, dt)`` directly.
     A CFL step, before clipping, below STALL_FRACTION of the call's first
     one is not taken but raises a StallError, since a growing signal speed
-    can shrink dt without bound. It and a BlowUpError from a step
-    propagate, and the caller's loop variable still holds the last state
-    yielded before them. A last target ``t_last`` (by default ``t_target``;
-    ``run_scenario`` passes the end of the run) more than STEP_LIMIT first
-    steps away is a ConfigurationError, raised before any step: with the
-    stall rule, that bounds the steps of a call, and a run that cannot end
-    fails before its first output time.
+    can shrink dt without bound. It and a BlowUpError or StallError from a
+    step propagate, and the caller's loop variable still holds the last
+    state yielded before them. A last target ``t_last`` (by default
+    ``t_target``; ``run_scenario`` passes the end of the run) more than
+    STEP_LIMIT first steps away is a ConfigurationError, raised before any
+    step: with the stall rules, that bounds the work of a call, and a run
+    that cannot end fails before its first output time.
     """
     dx = solver.grid.dx
     t_last = t_target if t_last is None else t_last

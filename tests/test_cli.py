@@ -112,7 +112,7 @@ def test_simulate_dry_bed_exit_code(tmp_path, capsys):
 
 
 # mini_config overrides of a heap that is wet at t = 0 (h >= 1) and dries in
-# the flux after 1581 steps, at t = 1.906
+# the flux after 765 steps, at t = 1.883
 DRY_BED = dict(name="dry", x_min=-3.0, x_max=3.0, epsilon=1.0, ic_scale=20.0,
                blowup_threshold=1e6, t_end=3.0, output_times=(0.0, 3.0))
 
@@ -129,7 +129,7 @@ def test_simulate_dry_bed_during_the_run_exit_code(tmp_path, capsys):
 
 def test_simulate_stall_exit_code(tmp_path, capsys):
     # with the blow-up guard raised, the fifth-only heap's CFL step first
-    # falls below 1/100 of the first one at t = 0.497, step 892
+    # falls below 1/100 of the first one at t = 0.506, step 486
     config = replace(builtin_scenario("stability_fifth_only_factorized"),
                      name="stall", blowup_threshold=1e6)
     path = tmp_path / "stall.cfg"
@@ -137,7 +137,7 @@ def test_simulate_stall_exit_code(tmp_path, capsys):
     assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_BLOWUP
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("stall: CFL step")
-    assert "t = 0.497" in err[0] and "after 891 steps" in err[0]
+    assert "t = 0.505763" in err[0] and "after 485 steps" in err[0]
     # the t = 0 snapshot, taken before the stall
     assert len((tmp_path / "stall.csv").read_text().splitlines()) == 1 + 512
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ebwave.core import (BlowUpError, ConfigurationError, Grid, ModelVariant,
-                         PhysParams, State)
+                         PhysParams, StallError, State)
 from ebwave.dispersive import (_PAIRS, _STENCILS, build_operators, fourier_harmonics,
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import FD_GHOSTS, Workspace
@@ -356,20 +356,6 @@ def test_high_frequency_instability_reproduction():
         assert max(histories[variant]) < 5.0 * v_init
 
 
-def substep_bound(ops, params, v) -> float:
-    """rho = 4/3 eps^2 max|D1 v| max_k |sigma_D1(k)|^2 / sigma_J(k), the
-    bound on the spectral radius of the Jacobian of the dispersive rate at
-    the nodal velocity v. With w = D1 v that Jacobian is
-    -4/3 eps^2 J^{-1} D1 diag(w) D1, similar through J^{1/2} to the symmetric
-    4/3 eps^2 B^T diag(w) B with B = D1 J^{-1/2}, since J is symmetric
-    positive definite, D1 antisymmetric and circulants commute."""
-    harmonics = fourier_harmonics(ops.grid.n_cells)
-    factor = np.max(np.abs(ops.d1.symbol(harmonics)) ** 2
-                    / ops.j_solver.stencil.symbol(harmonics))
-    gradient = drivers.stencil(1, v, ops.grid.dx)
-    return 4.0 / 3.0 * params.epsilon ** 2 * float(np.max(np.abs(gradient))) * factor
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_substep_bound_covers_the_dense_jacobian(seed):
     rng = np.random.default_rng(seed)
@@ -390,20 +376,25 @@ def test_substep_bound_covers_the_dense_jacobian(seed):
 
     columns = [(rate(v + step * e) - rate(v - step * e)) / (2.0 * step) for e in np.eye(n)]
     assert np.max(np.abs(np.transpose(columns) - jacobian)) <= 1e-6 * np.max(np.abs(jacobian))
+    # the circulants' eigenvalues are the FFTs of their first columns
+    factor = np.max(np.abs(np.fft.fft(d1[:, 0])) ** 2 / np.fft.fft(j[:, 0]).real)
+    assert ops.jacobian_bound == pytest.approx(4.0 / 3.0 * params.epsilon ** 2 * factor,
+                                               rel=1e-10)
     eigenvalues = np.linalg.eigvals(jacobian)
-    bound = substep_bound(ops, params, v)
+    bound = ops.jacobian_bound * float(np.max(np.abs(drivers.stencil(1, v, grid.dx))))
     assert np.max(np.abs(eigenvalues.imag)) <= 1e-10 * bound
     assert np.max(np.abs(eigenvalues)) <= bound * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("name, steps", [("stability_fifth_only_factorized", 195),
-                                         ("stability_unfactorized", 300)])
+@pytest.mark.parametrize("name, steps", [("stability_fifth_only_factorized", 98),
+                                         ("stability_unfactorized", 240)])
 def test_substep_bound_times_dt_on_the_stability_runs(monkeypatch, name, steps):
-    # the fifth-only run to its blow-up at t = 0.37, after 195 steps and
-    # before its first output time, the unfactorized one for 300 steps.
-    # Over all their steps the two runs reach 0.087 and 0.082, far inside
-    # RK4's stability limit of 2.785 on the negative real axis, so the
-    # blow-up is the model's and one substep suffices
+    # the fifth-only run to its blow-up at t = 0.375, after 98 steps and
+    # before its first output time, the unfactorized one to its first
+    # output time, t = 1, in 240 steps. Over all their steps the two runs
+    # reach 0.171 and 0.163, far inside RK4's stability limit of 2.785 on
+    # the negative real axis, so the blow-up is the model's and one
+    # substep suffices
     config = builtin_scenario(name)
     grid, params = config.grid(), config.params()
     solver = StrangSolver(grid, params, config.model_variant(),
@@ -412,7 +403,8 @@ def test_substep_bound_times_dt_on_the_stability_runs(monkeypatch, name, steps):
     fd_step = splitting.rk4_fd_step
 
     def spy(zeta, v, dt, ops, workspace):
-        products.append(substep_bound(ops, params, v) * dt)
+        gradient = drivers.stencil(1, v, grid.dx)
+        products.append(ops.jacobian_bound * float(np.max(np.abs(gradient))) * dt)
         return fd_step(zeta, v, dt, ops, workspace=workspace)
 
     monkeypatch.setattr(splitting, "rk4_fd_step", spy)
@@ -421,4 +413,61 @@ def test_substep_bound_times_dt_on_the_stability_runs(monkeypatch, name, steps):
         for run in islice(strang_steps(solver, run, config.output_times[1]),
                           None if config.expect_blowup else steps):
             pass
-    assert run.step_count == steps and max(products) < 0.3
+    # one substep per step, the step that blows up included
+    assert run.step_count == steps and len(products) == steps + config.expect_blowup
+    assert max(products) < 0.3
+
+
+def sawtooth(n: int):
+    """A solver at eps = 0.1 on [0, 2 pi), zeta = 0 and a smoothed sawtooth
+    v, with rho = ``jacobian_bound`` max|D1 v|. D1 v is steep and negative
+    on the front and small and positive elsewhere, so the rate's Jacobian
+    has eigenvalues near -rho but no mode that grows fast: the dispersive
+    flow itself stays bounded over many steps of several 1/rho."""
+    grid = Grid(0.0, 2.0 * np.pi, n)
+    solver = StrangSolver(grid, PhysParams(0.1))
+    x = grid.centers
+    v = 0.1 * ((x - np.pi) / np.pi - np.tanh((x - np.pi) / (4.0 * grid.dx)))
+    rho = solver.operators.jacobian_bound * float(np.max(np.abs(drivers.stencil(1, v, grid.dx))))
+    return solver, np.zeros(n), v, rho
+
+
+def spied_substeps(monkeypatch) -> list[float]:
+    """The dt of every RK4 substep that ``StrangSolver`` takes from now."""
+    substeps, fd_step = [], splitting.rk4_fd_step
+
+    def spy(zeta, v, dt, ops, workspace):
+        substeps.append(dt)
+        return fd_step(zeta, v, dt, ops, workspace=workspace)
+
+    monkeypatch.setattr(splitting, "rk4_fd_step", spy)
+    return substeps
+
+
+def test_a_dispersive_step_past_rk4s_limit_takes_substeps(monkeypatch):
+    # at rho dt = 7, past RK4's limit of 2.785, one substep per dispersive
+    # step diverges within five steps; the derived count, 4, stays bounded
+    solver, zeta, v, rho = sawtooth(128)
+    dt = 7.0 / rho
+    substeps = spied_substeps(monkeypatch)
+    one = split = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(5):
+            one = rk4_fd_step(zeta, one, dt, solver.operators, workspace=Workspace(128))
+            split = solver.dispersive_step(zeta, split, dt)
+            if step == 0:
+                assert substeps == [dt / 4] * 4
+    assert not np.all(np.isfinite(one))
+    assert np.all(np.isfinite(split)) and np.max(np.abs(split)) <= np.max(np.abs(v))
+
+
+def test_a_dispersive_step_past_the_substep_limit_stalls(monkeypatch):
+    solver, zeta, v, rho = sawtooth(64)
+    substeps = spied_substeps(monkeypatch)
+    limit = splitting.SUBSTEP_LIMIT
+    with np.errstate(over="ignore", invalid="ignore"):   # the flow runs for a long time
+        solver.dispersive_step(zeta, v, limit * 1.99 / rho)
+    assert len(substeps) == limit
+    with pytest.raises(StallError, match=f"needs {limit + 1} RK4 substeps"):
+        solver.dispersive_step(zeta, v, (limit + 0.5) * 2.0 / rho)
+    assert len(substeps) == limit

@@ -1,7 +1,10 @@
+import ast
 import gc
+import inspect
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +126,46 @@ def test_strang_steps_take_the_cfl_step_at_the_scheme_constant():
     first = next(strang_steps(solver, run, config.t_end))
     speed = float(np.max(max_signal_speed(run.cells.zeta, run.cells.v, solver.params)))
     assert first.t == choose_dt(run.cells, solver.params, grid.dx, CFL) == CFL * grid.dx / speed
+
+
+def cfl_literals(tree):
+    """(line, name) of every number literal that ``tree`` binds to a name,
+    attribute, keyword or parameter default whose name holds "cfl"."""
+    def number(node):
+        return (isinstance(node, ast.Constant) and type(node.value) in (int, float)) or (
+            isinstance(node, ast.UnaryOp) and number(node.operand))
+
+    found = []
+    for node in ast.walk(tree):
+        bindings = []
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bindings = [(getattr(t, "id", getattr(t, "attr", "")), node.value) for t in targets]
+        elif isinstance(node, ast.keyword):
+            bindings = [(node.arg or "", node.value)]
+        elif isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            bindings = list(zip([a.arg for a in positional[len(positional) - len(node.defaults):]],
+                                node.defaults))
+            bindings += [(a.arg, d) for a, d in zip(node.kwonlyargs, node.kw_defaults) if d]
+        found += [(value.lineno, name) for name, value in bindings
+                  if "cfl" in name.lower() and number(value)]
+    return found
+
+
+def test_the_cfl_number_is_stated_once():
+    # splitting.CFL is the one statement of the CFL number: the config and
+    # choose_dt read it, and no other number in src/ is bound to a CFL name
+    assert ScenarioConfig.cfl is CFL and builtin_scenario("head_on").cfl is CFL
+    assert inspect.signature(choose_dt).parameters["cfl"].default is CFL
+    package = Path(scenarios.__file__).parent
+    literals = {path.name: cfl_literals(ast.parse(path.read_text()))
+                for path in sorted(package.glob("*.py"))}
+    assert {name: [binding for _, binding in found]
+            for name, found in literals.items() if found} == {"splitting.py": ["CFL"]}
+    # the check sees a literal CFL wherever one would be written
+    assert len(cfl_literals(ast.parse(
+        "cfl = 0.4\nx.cfl = 1\nf(cfl=-0.5)\ndef g(a, cfl=0.4, *, b_cfl=2): pass"))) == 5
 
 
 def test_unknown_builtin_raises():
@@ -358,12 +401,12 @@ def test_a_failed_run_does_not_keep_its_solver(monkeypatch):
     monkeypatch.setattr(scenarios, "StrangSolver", recorded)
     result = run_scenario(builtin_scenario("stability_fifth_only_factorized"))
     gc.collect()
-    assert result.blew_up and result.steps == 195
+    assert result.blew_up and result.steps == 98
     assert len(solvers) == 1 and solvers[0]() is None
 
 
 # small_config overrides of a heap that is wet at t = 0 (h >= 1) and dries in
-# the flux after 1581 steps, at t = 1.906
+# the flux after 765 steps, at t = 1.883
 DRY_BED = dict(name="dry", x_min=-3.0, x_max=3.0, epsilon=1.0, ic_scale=20.0,
                blowup_threshold=1e6, t_end=3.0, output_times=(0.0, 3.0))
 
@@ -386,7 +429,7 @@ def strang_loop(config):
 
 @pytest.mark.parametrize("config, kind", [
     (small_config(**DRY_BED), HyperbolicityError),
-    # with the blow-up guard raised, the fifth-only heap stalls at t = 0.497
+    # with the blow-up guard raised, the fifth-only heap stalls at t = 0.506
     (replace(builtin_scenario("stability_fifth_only_factorized"), blowup_threshold=1e6),
      StallError)])
 def test_run_scenario_returns_a_dry_bed_or_stall(tmp_path, config, kind):
