@@ -20,10 +20,9 @@ blow-up (including a member of a ``converge`` study), a dry bed (h0 +
 eps*zeta reached zero) or a stall (the CFL step fell below
 ``scenarios.STALL_FRACTION`` of its first value, or a dispersive step
 needed more than ``splitting.SUBSTEP_LIMIT`` substeps), 4 self-test
-failure. A
-failed run still writes its CSV. The output directory defaults to the
-EBWAVE_OUTDIR environment variable, then to the current directory, and is
-created before any run.
+failure. A failed run still writes its CSV. The output directory defaults
+to the EBWAVE_OUTDIR environment variable, then to the current directory,
+and is created before any run.
 """
 
 from __future__ import annotations

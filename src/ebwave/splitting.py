@@ -17,7 +17,9 @@ the conservative finite-volume update.
 This module takes one step at a time (``StrangSolver.strang_step``); the
 loop that chooses dt and lands on output times is ``scenarios.strang_steps``,
 the only one in the package. It looks ``choose_dt`` up in ``scenarios``,
-where the benchmark's trace wraps it.
+where the benchmark's trace wraps it. dt is the hyperbolic CFL step; the
+dispersive step splits it into as many RK4 substeps as the velocity
+gradient entering it asks for (``StrangSolver.dispersive_step``).
 """
 
 from __future__ import annotations

@@ -387,7 +387,8 @@ def test_substep_bound_covers_the_dense_jacobian(seed):
 
 
 @pytest.mark.parametrize("name, steps", [("stability_fifth_only_factorized", 98),
-                                         ("stability_unfactorized", 240)])
+                                         ("stability_unfactorized", 240)],
+                         ids=["stability_fifth_only_factorized", "stability_unfactorized"])
 def test_substep_bound_times_dt_on_the_stability_runs(monkeypatch, name, steps):
     # the fifth-only run to its blow-up at t = 0.375, after 98 steps and
     # before its first output time, the unfactorized one to its first

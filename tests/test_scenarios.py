@@ -129,8 +129,8 @@ def test_strang_steps_take_the_cfl_step_at_the_scheme_constant():
 
 
 def cfl_literals(tree):
-    """(line, name) of every number literal that ``tree`` binds to a name,
-    attribute, keyword or parameter default whose name holds "cfl"."""
+    """The names, attributes, keywords and parameters holding "cfl" that
+    ``tree`` binds a number literal to."""
     def number(node):
         return (isinstance(node, ast.Constant) and type(node.value) in (int, float)) or (
             isinstance(node, ast.UnaryOp) and number(node.operand))
@@ -148,8 +148,7 @@ def cfl_literals(tree):
             bindings = list(zip([a.arg for a in positional[len(positional) - len(node.defaults):]],
                                 node.defaults))
             bindings += [(a.arg, d) for a, d in zip(node.kwonlyargs, node.kw_defaults) if d]
-        found += [(value.lineno, name) for name, value in bindings
-                  if "cfl" in name.lower() and number(value)]
+        found += [name for name, value in bindings if "cfl" in name.lower() and number(value)]
     return found
 
 
@@ -161,8 +160,8 @@ def test_the_cfl_number_is_stated_once():
     package = Path(scenarios.__file__).parent
     literals = {path.name: cfl_literals(ast.parse(path.read_text()))
                 for path in sorted(package.glob("*.py"))}
-    assert {name: [binding for _, binding in found]
-            for name, found in literals.items() if found} == {"splitting.py": ["CFL"]}
+    assert {name: found for name, found in literals.items() if found} == {
+        "splitting.py": ["CFL"]}
     # the check sees a literal CFL wherever one would be written
     assert len(cfl_literals(ast.parse(
         "cfl = 0.4\nx.cfl = 1\nf(cfl=-0.5)\ndef g(a, cfl=0.4, *, b_cfl=2): pass"))) == 5

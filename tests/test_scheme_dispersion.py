@@ -65,20 +65,16 @@ AT_CFL_04 = {
 }
 
 
-def relation(variant: ModelVariant) -> DispersionKind:
-    return (DispersionKind.EB_UNFACTORIZED if variant is ModelVariant.UNFACTORIZED
-            else DispersionKind.EB_FACTORIZED)
-
-
-def mode_after(variant, params, k, n, waves, phase, duration=None, steps=None):
+def mode_after(variant, params, k, n, waves, phase, steps=None):
     """(kept, phase error) of a right-going mode of wavenumber k with
     ``waves`` wavelengths on n cells: after one period of the model's
     frequency in equal steps of at most the CFL step, or after ``steps``
     CFL steps. The solver runs in eps-scaled variables, so the model's
     frequency is sqrt(w^2(sqrt(eps) k) / eps)."""
     eps = params.epsilon
-    w = float(omega(DispersionModel(relation(variant), params), math.sqrt(eps) * k)) \
-        / math.sqrt(eps)
+    kind = (DispersionKind.EB_UNFACTORIZED if variant is ModelVariant.UNFACTORIZED
+            else DispersionKind.EB_FACTORIZED)
+    w = float(omega(DispersionModel(kind, params), math.sqrt(eps) * k)) / math.sqrt(eps)
     speed = w / k
     grid = Grid(0.0, waves * 2.0 * np.pi / k, n)
     zeta = AMPLITUDE * np.cos(k * grid.centers + phase)
