@@ -14,15 +14,18 @@ found before its first step, analysis arguments outside
 ``core.MAGNITUDES``, ``dispersion`` parameters whose model has no real
 frequency branch up to ``--kmax``, an ``optimize-alpha`` optimum at the
 edge of ``dispersion.ALPHA_BRACKET`` and a config or output path that the
-operating system refuses, the CSV path of ``simulate`` and ``converge``
-included, found before their first step), 3 unexpected numerical
-blow-up (including a member of a ``converge`` study), a dry bed (h0 +
-eps*zeta reached zero) or a stall (the CFL step fell below
-``scenarios.STALL_FRACTION`` of its first value, or a dispersive step
-needed more than ``splitting.SUBSTEP_LIMIT`` substeps), 4 self-test
-failure. A failed run still writes its CSV. The output directory defaults
-to the EBWAVE_OUTDIR environment variable, then to the current directory,
-and is created before any run.
+operating system refuses, the CSV paths of ``simulate``, ``converge``
+and ``stability-demo`` included, found before their first step), 3
+unexpected numerical blow-up (including a member of a ``converge``
+study), a dry bed (h0 + eps*zeta reached zero) or a stall (the CFL step
+fell below ``scenarios.STALL_FRACTION`` of its first value, or a
+dispersive step needed more than ``splitting.SUBSTEP_LIMIT`` substeps),
+4 self-test failure (among its checks the CSV formatter against ``%``
+with ``scenarios.FLOAT_FMT``, so that a platform whose float arithmetic
+breaks the formatter's fast path fails there rather than writing wrong
+digits). A failed run still writes its CSV. The output directory
+defaults to the EBWAVE_OUTDIR environment variable, then to the current
+directory, and is created before any run.
 """
 
 from __future__ import annotations
@@ -144,8 +147,11 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_stability_demo(args) -> int:
+    outdir = _outdir(args)
+    for config in scenarios.stability_runs().values():
+        _writable(outdir / f"{config.name}.csv")
     code = EXIT_OK
-    for name, result in scenarios.stability_demo(outdir=_outdir(args)).items():
+    for name, result in scenarios.stability_demo(outdir=outdir).items():
         if result.blew_up and result.config.expect_blowup:
             print(f"{name}: blow-up at t = {result.blowup_time:.3f} (expected)")
         elif result.failure:
@@ -187,6 +193,15 @@ def _cmd_self_test(args) -> int:
 
     bound = float(stability_bound(ModelVariant.FIFTH_ONLY_FACTORIZED, 10.0))
     check("fifth-only stability bound at k=10", abs(bound - 21545.0 / 103000.0) < 1e-12)
+
+    # the fast path of the CSV writer leans on round-to-nearest doubles
+    rng = np.random.default_rng(11)
+    values = np.concatenate([
+        scenarios.formatter_cases(),
+        rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(20000) * 10.0 ** rng.integers(-100, 101, 20000)])
+    want = "".join(scenarios.FLOAT_FMT % v + "\n" for v in values.tolist()).encode()
+    check("CSV formatter matches FLOAT_FMT", scenarios.csv_rows("", (values,)) == want)
 
     return EXIT_SELFTEST if failures else EXIT_OK
 

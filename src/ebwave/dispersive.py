@@ -500,19 +500,23 @@ def velocity_rate(ops: DispersiveOperators, v: np.ndarray, zeta_source: np.ndarr
 
 
 def rk4_fd_step(zeta: np.ndarray, v: np.ndarray, dt: float, ops: DispersiveOperators,
-                workspace: Workspace) -> np.ndarray:
+                workspace: Workspace, source: np.ndarray | None = None) -> np.ndarray:
     """Advance the nodal velocity ``v`` by one RK4 step of the dispersive
     part over the frozen nodal surface ``zeta``; returns the new v.
 
     The zeta-only part of the rate is evaluated once and shared by the four
     stages, which is exact because zeta does not move during this half
-    step. Neither input is written to. The stages live in ``workspace``;
-    only the returned array is allocated. A non-finite result is returned
-    as it is: ``StrangSolver.strang_step`` decides whether a run blew up.
+    step. A caller that takes several steps over the same zeta passes it as
+    ``source``, ``zeta_source_term``'s result on this ``workspace``, which
+    the stages leave as it is. No input is written to. The stages live in
+    ``workspace``; only the returned array is allocated. A non-finite
+    result is returned as it is: ``StrangSolver.strang_step`` decides
+    whether a run blew up.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    source = zeta_source_term(ops, zeta, workspace)
+    if source is None:
+        source = zeta_source_term(ops, zeta, workspace)
     (v_new,) = rk4_in_place(
         (v,), dt, lambda y: velocity_rate(ops, y[0], source, workspace), workspace)
     return v_new

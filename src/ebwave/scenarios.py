@@ -9,7 +9,16 @@ demonstration that runs the same initial heap through all three model
 variants.
 
 CSV files use a header row and 17 significant digits so identical
-configurations produce identical bytes.
+configurations produce identical bytes: every value reads as
+``FLOAT_FMT % value`` would write it, byte for byte. ``csv_rows`` builds
+those bytes in numpy, a block of rows at a time. Its fast path scales a
+finite value to a 17-digit integer with Dekker's error-free product
+against a double-double table of powers of ten (error below 5e-15 on a
+value of 1e16 to 1e17), rounds it and lays the digits out as ``%g`` does;
+NaN, the infinities, decimal exponents beyond +-99 and the values within
+1e-6 of a rounding tie take ``FLOAT_FMT`` itself. Files are written in
+binary mode, so that lines end in "\n" on every OS (text mode wrote
+"\r\n" on Windows).
 
 ``strang_steps`` is the package's one stepping loop: it owns the choice of
 dt, the landing on each output time and, through ``StrangSolver``, the
@@ -372,28 +381,243 @@ def run_scenario(config: ScenarioConfig, outdir=None,
     return result
 
 
-CSV_BLOCK_ROWS = 4096
+# the rows that one pass of the CSV formatter takes: its temporaries take
+# about 240 bytes per value, 0.7 MB for a block of x, zeta and v, so the
+# memory of a write stays bounded by a block rather than by the file
+CSV_BLOCK_ROWS = 1024
+
+# FLOAT_FMT in numpy (``csv_rows``). A finite x != 0 of decimal exponent E in
+# [-_E_MAX, _E_MAX] is scaled to y = |x| 10^(16 - E) in [1e16, 1e17) and
+# rounded to the 17-digit integer D whose digits FLOAT_FMT prints. The table
+# holds 10^(16 - E) as hi + lo to within 2^-106 of it, |x| hi is exact as
+# Dekker's p + err, and |x| lo and its sum with err round once each, so y
+# is off by at most 2^-104 y < 5e-15; its fraction then rounds once more, by
+# at most 2^-53. A y whose fraction lies within _MARGIN of 1/2 could round
+# either way (an exact tie takes round-half-even: 2.98023223876953125e-08,
+# which is 2^-25, prints as 2.9802322387695312e-08) and takes FLOAT_FMT
+# itself, as NaN, the infinities and every |E| > _E_MAX do.
+_E_MAX = 99
+_MARGIN = 1e-6
+# the exponents of the power-of-ten table: floor(log10 |x|) may be one off
+# E, and the correction of a value that leaves [1e16, 1e17) one off again
+_E_TABLE = _E_MAX + 2
+# Veltkamp's constant, 2^27 + 1: c = _SPLIT a, head = c - (c - a) splits a
+# double into two halves of 26 bits whose products are exact
+_SPLIT = 134217729.0
+# the 8-byte words of one value's slot: [sign, "0.000", d0, point],
+# the digits d1..d16 in four words of a digit and a point place each, and
+# [exponent "e+XX", separator]. Unused bytes stay 0 and are dropped.
+_SLOT_WORDS = 6
+_SLOT = 8 * _SLOT_WORDS
+
+
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """(hi, lo): hi = fl(10^k) and lo = fl(10^k - hi), each a quotient of
+    exact integers rounded once, by ``int`` true division."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _ten_table() -> tuple[np.ndarray, ...]:
+    """hi, its Veltkamp halves and lo of 10^(16 - E), indexed by E + _E_TABLE."""
+    hi, lo = np.array([_power_of_ten(16 - e)
+                       for e in range(-_E_TABLE, _E_TABLE + 1)]).T
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    return hi, head, hi - head, lo
+
+
+# a word of the slot, its first byte lowest on every platform
+_WORD = np.dtype("<u8")
+
+
+def _words(texts) -> np.ndarray:
+    """Each of ``texts``, at most 8 characters, as a word padded with 0."""
+    return np.frombuffer(b"".join(t.encode("ascii").ljust(8, b"\0") for t in texts), _WORD)
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """A group g of 4 digits as a word, its digits in bytes 0, 2, 4 and 6
+    (the bytes between hold a point if any), and [i, g]: the place among
+    d1..d16 of the last digit of group i that is not 0, where that group is
+    g, and 0 for g = 0000."""
+    g = np.arange(10000, dtype=np.int16)
+    chars = np.zeros((10000, 8), np.uint8)
+    last = np.zeros((4, 10000), np.int8)
+    for j, power in enumerate((1000, 100, 10, 1)):
+        digit = g // power % 10
+        chars[:, 2 * j] = digit + ord("0")
+        # digit j of group i is d(4i + j + 1); a later one that is not 0 wins
+        last[:, digit != 0] = np.arange(j + 1, 17, 4, dtype=np.int8)[:, None]
+    return chars.view(_WORD).ravel(), last
+
+
+_TEN = _ten_table()
+_GROUP, _LAST_DIGIT = _group_tables()
+# [i, k]: the bytes of group i that hold the first k of the digits d0..d16
+_GROUP_KEEP = np.array([[(1 << 8 * (2 * c - 1)) - 1 if c else 0
+                         for c in np.clip(np.arange(18) - 1 - 4 * i, 0, 4)]
+                        for i in range(4)], _WORD)
+# bytes 1-5 of the first word: "0." and the zeros after it, for E = -1 .. -4
+_LEAD = _words(["", *("\0" + "0." + "0" * i for i in range(4))])
+# "e-99" .. "e+99" at E + _E_MAX + 1, and nothing at 0
+_EXPONENT = _words(["", *(f"e{e:+03d}" for e in range(-_E_MAX, _E_MAX + 1))])
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) with s + t = a 10^(16 - e) to within 2^-104 of it and
+    |t| <= ulp(s) / 2: Dekker's exact product of a with hi, plus a lo."""
+    hi, head, tail, lo = (t.take(e + _E_TABLE) for t in _TEN)
+    p = a * hi
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    err = a_head * head - p
+    err += a_head * tail
+    err += a_tail * head
+    err += a_tail * tail            # p + err = a hi exactly
+    err += a * lo
+    s = p + err
+    return s, err - (s - p)
+
+
+def _in_range(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether y = s + t lies in [1e16 - 0.04, 1e17 + 0.4). A y that far
+    below 1e16 or above 1e17 rounds to 10^16 or 10^17, as 10 y or y / 10
+    does at the next exponent, so both give the same digits and E. (s -
+    1e16 is exact where it matters, s being near 1e16.)"""
+    return ((s - 1e16) + t >= -0.04) & ((s - 1e17) + t < 0.4)
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, fast) for a in [10^-_E_MAX, 10^(_E_MAX + 1)): a rounded to 17
+    significant digits is d 10^(e - 16), d in [1e16, 1e17), where ``fast``
+    holds. Elsewhere d is 10^16 and e is 0, and FLOAT_FMT decides."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, e)
+    inside = _in_range(s, t)
+    if not inside.all():            # log10 put E one off
+        redo = np.flatnonzero(~inside)
+        e[redo] += np.where(s[redo] <= 1e16, -1, 1)     # y below the range, or above
+        s[redo], t[redo] = s_redo, t_redo = _scaled(a[redo], e[redo])
+        inside[redo] = _in_range(s_redo, t_redo)
+    fraction = t - np.floor(t)
+    d = s.astype(np.int64)          # s >= 1e16 > 2^53 is an integer
+    d += np.rint(t).astype(np.int64)
+    carry = d == 10 ** 17           # 9.99...95 rounds up to 10
+    d[carry] = 10 ** 16
+    e += carry
+    fast = inside & (np.abs(fraction - 0.5) >= _MARGIN) & (np.abs(e) <= _E_MAX)
+    d[~fast] = 10 ** 16
+    e[~fast] = 0
+    return d, e, fast
+
+
+def _slots(x: np.ndarray) -> np.ndarray:
+    """(len(x), _SLOT) bytes: FLOAT_FMT % x[i] in row i, between 0 bytes,
+    and its last byte left 0 for a separator."""
+    a = np.abs(x)
+    zero = a == 0.0
+    scalable = (a >= 10.0 ** -_E_MAX) & (a < 10.0 ** (_E_MAX + 1))
+    # a zero is laid out as 1, and its digit then set to 0
+    d, e, fast = _decimal(np.where(scalable, a, 1.0))
+    fast &= scalable | zero
+    # '%g' is fixed for -4 <= E < 17: ``point`` digits before the point
+    # (0 after "0.0.."), and 1 before it in exponent form
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, np.maximum(e + 1, 0), 1)
+    first, rest = np.divmod(d, 10 ** 16)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    groups = [*np.divmod(upper, 10 ** 4), *np.divmod(lower, 10 ** 4)]
+    last = _LAST_DIGIT[0].take(groups[0])
+    for table, g in zip(_LAST_DIGIT[1:], groups[1:]):
+        np.maximum(last, table.take(g), out=last)
+    length = last + 1               # digits up to the last that is not 0
+    keep = np.maximum(length, point)
+
+    words = np.empty((x.size, _SLOT_WORDS), _WORD)
+    words[:, 0] = _LEAD.take(np.where(fixed & (e < 0), -e, 0))
+    words[:, 0] |= np.signbit(x) * np.uint64(ord("-"))
+    words[:, 0] |= (first.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(48)
+    for i, (g, mask) in enumerate(zip(groups, _GROUP_KEEP), 1):
+        words[:, i] = _GROUP.take(g) & mask.take(keep)
+    words[:, -1] = _EXPONENT.take(np.where(fixed, 0, e + _E_MAX + 1))
+    out = words.view(np.uint8)
+    # the point after p digits takes the byte after digit p - 1: 7 after d0,
+    # 9 after d1, and so on
+    dotted = np.flatnonzero((point >= 1) & (length > point))
+    out[dotted, 5 + 2 * point[dotted]] = ord(".")
+    out[zero, 6] = ord("0")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join([(FLOAT_FMT % v).ljust(_SLOT - 1, "\0") for v in x[slow].tolist()])
+        out[slow, :-1] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT - 1)
+    return out
+
+
+def csv_rows(prefix: str, columns) -> bytes:
+    """One CSV line per entry of the equal-length ``columns``: ``prefix``,
+    then the entries, as floats, in FLOAT_FMT and comma separated. The
+    bytes are those of ``%`` with FLOAT_FMT; see ``_write_csv``."""
+    block = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    rows, cols = block.shape
+    cells = _slots(block.ravel()).reshape(rows, cols, _SLOT)
+    cells[:, :-1, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    text = cells.tobytes().translate(None, b"\0")
+    if not (prefix and rows):
+        return text
+    head = prefix.encode("ascii")
+    return head + text[:-1].replace(b"\n", b"\n" + head) + b"\n"
+
+
+# exact ties at the 17th digit, which FLOAT_FMT rounds half to even: down
+# after an even digit (2^-25 = 2.98023223876953125e-08), up after an odd one
+ROUNDING_TIES = (2.0 ** -25, 7.7e14 + 0.125, 7.7e14 + 0.375, 7.7e14 + 0.625,
+                 7.7e14 + 0.875, 1e15 - 0.125, 1e15 + 0.25, 3e13 + 0.0625, 3e13 + 0.1875)
+
+
+def formatter_cases() -> np.ndarray:
+    """Floats at the edges of ``csv_rows``' fast path, with their negatives:
+    zeros, NaN, the infinities, subnormals and the extremes, ROUNDING_TIES,
+    integers up to 2^53, and every power of ten from 1e-101 to 1e101 with
+    both of its neighbours, which covers E = -5, -4, 16, 17 and +-99, +-100."""
+    special = [0.0, math.nan, math.inf, 5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308]
+    integers = [1.0, 1200.0, 65536.0, 2.0 ** 53 - 1.0, 2.0 ** 53]
+    powers = np.array([float(f"1e{k}") for k in range(-101, 102)])
+    cases = np.concatenate([special, ROUNDING_TIES, integers, powers,
+                            np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
+    return np.concatenate([cases, -cases])
 
 
 def _write_csv(path, header: str, tables) -> None:
     """``header``, then per (prefix, columns) of ``tables`` one row per entry
     of the equal-length ``columns``: the prefix, then the entries as
-    FLOAT_FMT. One ``%`` formats a block of CSV_BLOCK_ROWS rows, so memory
-    stays bounded by a block rather than by the file."""
+    FLOAT_FMT, byte for byte.
+
+    ``csv_rows`` formats a block of CSV_BLOCK_ROWS rows at a time, so that
+    memory stays bounded by a block rather than by the file. Its fast path
+    lays each value out from its 17 digits in numpy, with the exponent
+    correction, the rounding margin and the error bound stated at _E_MAX;
+    NaN, the infinities, exponents beyond +-_E_MAX and values too close to
+    a rounding tie take FLOAT_FMT itself. The file is written in binary
+    mode, so a line ends in "\n" on every OS.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as out:
-        out.write(header + "\n")
+    with path.open("wb") as out:
+        out.write(header.encode("ascii") + b"\n")
         for prefix, columns in tables:
-            row = prefix + ",".join([FLOAT_FMT] * len(columns)) + "\n"
             for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-                block = np.column_stack([a[start:start + CSV_BLOCK_ROWS] for a in columns])
-                out.write(row * len(block) % tuple(block.ravel().tolist()))
+                out.write(csv_rows(prefix, [c[start:start + CSV_BLOCK_ROWS] for c in columns]))
 
 
 def write_snapshots_csv(result: ScenarioResult, path) -> None:
     """One row (t, x_i, zeta_i, v_i) per cell and snapshot, under a header;
-    a snapshot's t is formatted once, into its row template."""
+    a snapshot's t is formatted once, into its row prefix."""
     _write_csv(path, "t,x,zeta,v", ((FLOAT_FMT % s.t + ",", (s.x, s.zeta, s.v))
                                     for s in result.snapshots))
 
@@ -600,9 +824,15 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     return _BUILTINS[name]
 
 
+def stability_runs() -> dict[str, ScenarioConfig]:
+    """The configs of ``stability_demo`` by variant value."""
+    return {v.value: _stability(v) for v in ModelVariant}
+
+
 def stability_demo(outdir=None) -> dict[str, ScenarioResult]:
     """Run the 0.6-amplitude heap through all three model variants.
 
     The fifth-only factorization is expected to blow up before t = 3 while
     the other two variants stay bounded."""
-    return {v.value: run_scenario(_stability(v), outdir=outdir) for v in ModelVariant}
+    return {name: run_scenario(config, outdir=outdir)
+            for name, config in stability_runs().items()}

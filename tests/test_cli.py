@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebwave import scenarios
-from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
+from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, EXIT_SELFTEST, main
 from ebwave.core import ModelVariant
 from ebwave.scenarios import ScenarioConfig, builtin_scenario
 from ebwave.splitting import StrangSolver
@@ -382,6 +382,22 @@ def test_csv_path_the_os_refuses_stops_before_the_first_step(tmp_path, capsys, m
     assert captured.out == "" and steps == []
 
 
+def test_stability_demo_checks_its_csv_paths_before_the_first_run(tmp_path, capsys,
+                                                                  monkeypatch):
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(scenarios, "run_scenario", run_scenario)
+    # the second run's CSV path is a directory
+    (tmp_path / "stability_unfactorized.csv").mkdir()
+    assert main(["stability-demo", "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: [Errno 21] Is a directory")
+    assert "stability_unfactorized.csv" in err[0] and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["stability_unfactorized.csv"]
+
+
 def test_simulate_directory_as_config_is_an_io_error(tmp_path, capsys):
     assert main(["simulate", str(tmp_path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
@@ -613,3 +629,16 @@ def test_self_test(capsys):
     assert main(["self-test"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_self_test_fails_where_the_csv_formatter_loses_digits(capsys, monkeypatch):
+    assert main(["self-test"]) == EXIT_OK
+    assert "PASS  CSV formatter matches FLOAT_FMT" in capsys.readouterr().out
+    # products that keep only the leading double of each power of ten, as
+    # arithmetic that breaks the fast path's error-free product would
+    hi, head, tail, lo = scenarios._TEN
+    monkeypatch.setattr(scenarios, "_TEN", (hi, head, tail, 0.0 * lo))
+    assert main(["self-test"]) == EXIT_SELFTEST
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL  CSV formatter matches FLOAT_FMT"]

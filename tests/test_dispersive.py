@@ -10,7 +10,7 @@ from ebwave.core import (BlowUpError, ConfigurationError, Grid, ModelVariant,
 from ebwave.dispersive import (_PAIRS, _STENCILS, build_operators, fourier_harmonics,
                                rk4_fd_step, velocity_rate, zeta_source_term)
 from ebwave.hyperbolic import FD_GHOSTS, Workspace
-from ebwave import splitting
+from ebwave import dispersive, splitting
 from ebwave.scenarios import builtin_scenario, initial_state, strang_steps
 from ebwave.splitting import ConversionOperator, RunState, StrangSolver
 
@@ -403,10 +403,10 @@ def test_substep_bound_times_dt_on_the_stability_runs(monkeypatch, name, steps):
     products = []
     fd_step = splitting.rk4_fd_step
 
-    def spy(zeta, v, dt, ops, workspace):
+    def spy(zeta, v, dt, ops, workspace, **source):
         gradient = drivers.stencil(1, v, grid.dx)
         products.append(ops.jacobian_bound * float(np.max(np.abs(gradient))) * dt)
-        return fd_step(zeta, v, dt, ops, workspace=workspace)
+        return fd_step(zeta, v, dt, ops, workspace=workspace, **source)
 
     monkeypatch.setattr(splitting, "rk4_fd_step", spy)
     run = RunState.initial(initial_state(config), grid.dx)
@@ -437,9 +437,9 @@ def spied_substeps(monkeypatch) -> list[float]:
     """The dt of every RK4 substep that ``StrangSolver`` takes from now."""
     substeps, fd_step = [], splitting.rk4_fd_step
 
-    def spy(zeta, v, dt, ops, workspace):
+    def spy(zeta, v, dt, ops, workspace, **source):
         substeps.append(dt)
-        return fd_step(zeta, v, dt, ops, workspace=workspace)
+        return fd_step(zeta, v, dt, ops, workspace=workspace, **source)
 
     monkeypatch.setattr(splitting, "rk4_fd_step", spy)
     return substeps
@@ -451,13 +451,25 @@ def test_a_dispersive_step_past_rk4s_limit_takes_substeps(monkeypatch):
     solver, zeta, v, rho = sawtooth(128)
     dt = 7.0 / rho
     substeps = spied_substeps(monkeypatch)
+    # the frozen zeta's source term, once per dispersive step, not per substep
+    sources, source_term = [], dispersive.zeta_source_term
+    monkeypatch.setattr(dispersive, "zeta_source_term",
+                        lambda *args: sources.append(args) or source_term(*args))
     one = split = v
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(5):
             one = rk4_fd_step(zeta, one, dt, solver.operators, workspace=Workspace(128))
+            del sources[:]
             split = solver.dispersive_step(zeta, split, dt)
+            assert len(sources) == 1
             if step == 0:
                 assert substeps == [dt / 4] * 4
+                # the bits of four steps that each compute the source term
+                want = v
+                for _ in range(4):
+                    want = rk4_fd_step(zeta, want, dt / 4, solver.operators,
+                                       workspace=Workspace(128))
+                assert np.array_equal(split, want)
     assert not np.all(np.isfinite(one))
     assert np.all(np.isfinite(split)) and np.max(np.abs(split)) <= np.max(np.abs(v))
 

@@ -1,25 +1,29 @@
 import ast
 import gc
 import inspect
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebwave import scenarios
 from ebwave.core import (BlowUpError, ConfigurationError, HyperbolicityError, PhysParams,
                          StallError)
 from ebwave.dispersion import DispersionKind
 from ebwave.hyperbolic import max_signal_speed
-from ebwave.scenarios import (ALPHA_SCAN, CSV_BLOCK_ROWS, ScenarioConfig, ScenarioResult,
-                              Snapshot, builtin_names, builtin_scenario, choose_dt,
-                              dispersion_model, initial_state, local_maxima,
-                              parse_config, read_config, run_convergence,
-                              run_dispersion_report, run_scenario, strang_steps,
-                              track_crest, write_snapshots_csv)
+from ebwave.scenarios import (ALPHA_SCAN, CSV_BLOCK_ROWS, ROUNDING_TIES, ConvergenceReport,
+                              ScenarioConfig, ScenarioResult, Snapshot, builtin_names,
+                              builtin_scenario, choose_dt, csv_rows, dispersion_model,
+                              formatter_cases, initial_state, local_maxima, parse_config,
+                              read_config, run_convergence, run_dispersion_report,
+                              run_scenario, strang_steps, track_crest,
+                              write_convergence_csv, write_snapshots_csv)
 from ebwave.splitting import CFL, RunState, StrangSolver
 from drivers import write_config
 
@@ -81,6 +85,102 @@ def test_csv_writer_memory_stays_below_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+def test_csv_writer_memory_stays_below_file_size_on_the_fast_path(tmp_path):
+    # the magnitudes of the dam break, every value inside the fast path's
+    # exponent range: cell centres in [-700, 700], a surface near its 0.2
+    # step and a velocity of order one
+    rng = np.random.default_rng(1)
+    x = np.linspace(-700.0, 700.0, 65536)
+    zeta = 0.2 * np.tanh(x / 50.0) + 1e-3 * rng.standard_normal(x.size)
+    v = rng.standard_normal(x.size)
+    result = ScenarioResult(config=small_config(), snapshots=[Snapshot(0.05, x, zeta, v)],
+                            mass_initial=0.0, mass_final=0.0, steps=0, failure=None)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_snapshots_csv(result, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+    assert path.read_bytes() == rowwise_csv(result)
+
+
+def percent_lines(*columns) -> bytes:
+    """The oracle of ``csv_rows``: one line per entry of ``columns``, each
+    value through ``%`` in "%.17g"."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns)).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_rows_match_the_format_on_any_float(values):
+    # st.floats() draws NaN, the infinities, both zeros and subnormals too
+    assert csv_rows("", (values,)) == percent_lines(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=20),
+       st.floats())
+def test_csv_rows_put_the_prefix_before_every_line(rows, t):
+    prefix = "%.17g," % t
+    want = b"".join(prefix.encode() + line
+                    for line in percent_lines(*zip(*rows)).splitlines(keepends=True))
+    assert csv_rows(prefix, tuple(zip(*rows))) == want
+
+
+def test_csv_rows_match_the_format_at_the_edges_of_the_fast_path():
+    cases = formatter_cases()
+    for tie in ROUNDING_TIES:       # 18 significant digits, the last a 5
+        digits = Decimal(tie).normalize().as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    for e in (-100, -99, -5, -4, 16, 17, 99, 100):
+        assert float(f"1e{e}") in cases
+    integers = np.concatenate([np.arange(-2048.0, 2049.0), 2.0 ** np.arange(54.0),
+                               2.0 ** 53 - np.arange(1.0, 100.0)])
+    for values in (cases, integers):
+        assert csv_rows("", (values,)) == percent_lines(values)
+    # log10 rounds many neighbours of a power of ten to the next exponent; the
+    # correction by one keeps them on the fast path, all but a rounding tie
+    powers = np.array([float(f"1e{k}") for k in range(-98, 99)])
+    near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, math.inf)])
+    assert list(near[~scenarios._decimal(near)[2]]) == [1e15 - 0.125]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_csvs_match_the_rowwise_formatter(tmp_path, name):
+    # each built-in cut to three of its first CFL steps
+    config = builtin_scenario(name)
+    dt = choose_dt(initial_state(config), config.params(),
+                   (config.x_max - config.x_min) / config.n_cells, config.cfl)
+    config = replace(config, t_end=3 * dt, output_times=(0.0, 3 * dt))
+    result = run_scenario(config, outdir=tmp_path)
+    assert result.failure is None and result.steps >= 3 and len(result.snapshots) == 2
+    assert (tmp_path / f"{name}.csv").read_bytes() == rowwise_csv(result)
+
+
+def test_convergence_csv_matches_the_format(tmp_path):
+    # cell counts up to 2^53 and errors across the exponent range
+    report = ConvergenceReport(n_cells=(100, 1600, 65536, 2 ** 53 - 1, 2 ** 53),
+                               err_zeta=(2.9e-3, 1.0 / 3.0, 1e-100, 5e-324, 0.0),
+                               err_v=(1e-4, 7.7e14 + 0.125, 1e100, math.inf, math.nan),
+                               slope_zeta=2.0, slope_v=2.0, monotone=False)
+    path = tmp_path / "convergence.csv"
+    write_convergence_csv(report, path)
+    assert path.read_bytes() == b"n,err_zeta,err_v\n" + percent_lines(
+        report.n_cells, report.err_zeta, report.err_v)
+
+
+def test_dispersion_csvs_match_the_format(tmp_path):
+    curves, scan = run_dispersion_report("eb_factorized", 1.0555, 10.0,
+                                         samples=50, outdir=tmp_path)
+    assert np.isnan(scan[:, 1]).any()
+    assert (tmp_path / "dispersion_eb_factorized_alpha1.0555.csv").read_bytes() \
+        == b"k,Cp_model,Cg_model,Cp_stokes,Cg_stokes,ratio_p,ratio_g\n" + percent_lines(*curves.T)
+    assert (tmp_path / "alpha_scan_eb_factorized_K10.csv").read_bytes() \
+        == b"alpha,error\n" + percent_lines(*scan.T)
 
 
 def test_builtin_configs_exist_and_roundtrip(tmp_path):
