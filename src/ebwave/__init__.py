@@ -7,7 +7,8 @@ closed-form reference solutions used for validation.
 """
 
 from .core import (BlowUpError, ConfigurationError, Grid, HyperbolicityError,
-                   ModelVariant, PhysParams, StallError, State, relative_l2_error)
+                   KernelBuildError, ModelVariant, PhysParams, StallError, State,
+                   relative_l2_error)
 from .dispersion import (DispersionInstabilityError, DispersionKind,
                          DispersionModel, omega, omega_squared, optimize_alpha,
                          stability_bound, velocities, weighted_error)

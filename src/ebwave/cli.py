@@ -13,9 +13,12 @@ run whose end lies more than ``scenarios.STEP_LIMIT`` CFL steps away,
 found before its first step, analysis arguments outside
 ``core.MAGNITUDES``, ``dispersion`` parameters whose model has no real
 frequency branch up to ``--kmax``, an ``optimize-alpha`` optimum at the
-edge of ``dispersion.ALPHA_BRACKET`` and a config or output path that the
-operating system refuses, the CSV paths of ``simulate``, ``converge``
-and ``stability-demo`` included, found before their first step), 3
+edge of ``dispersion.ALPHA_BRACKET``, a config or output path that the
+operating system refuses, the CSV paths of ``simulate``, ``converge``,
+``dispersion`` and ``stability-demo`` included, found before their first
+step, and a C compiler that is missing or fails on the kernel of the FV
+rate, ``core.KernelBuildError``, which only the commands that build a
+solver can meet, since the first solver of a process builds it), 3
 unexpected numerical blow-up (including a member of a ``converge``
 study), a dry bed (h0 + eps*zeta reached zero) or a stall (the CFL step
 fell below ``scenarios.STALL_FRACTION`` of its first value, or a
@@ -23,9 +26,12 @@ dispersive step needed more than ``splitting.SUBSTEP_LIMIT`` substeps),
 4 self-test failure (among its checks the CSV formatter against ``%``
 with ``scenarios.FLOAT_FMT``, so that a platform whose float arithmetic
 breaks the formatter's fast path fails there rather than writing wrong
-digits). A failed run still writes its CSV. The output directory
-defaults to the EBWAVE_OUTDIR environment variable, then to the current
-directory, and is created before any run.
+digits, and the compiled kernel's faces against the numpy limiter, so
+that a compiler that fuses multiply-adds or defaults to fast math fails
+there rather than changing the bits of every run). A failed run still
+writes its CSV. The output directory defaults to the EBWAVE_OUTDIR
+environment variable, then to the current directory, and is created
+before any run.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (BlowUpError, ConfigurationError, HyperbolicityError, ModelVariant,
-                   PhysParams, StallError)
+from .core import (BlowUpError, ConfigurationError, HyperbolicityError, KernelBuildError,
+                   ModelVariant, PhysParams, StallError)
 from .dispersion import DispersionInstabilityError, optimize_alpha, stability_bound
 from . import scenarios
 
@@ -54,6 +60,7 @@ ERRORS = {
     BlowUpError: ("blow-up", EXIT_BLOWUP),
     StallError: ("stall", EXIT_BLOWUP),
     DispersionInstabilityError: ("dispersion error", EXIT_CONFIG),
+    KernelBuildError: ("kernel build error", EXIT_CONFIG),
     ValueError: ("error", EXIT_CONFIG),
     OSError: ("i/o error", EXIT_CONFIG),
 }
@@ -122,8 +129,11 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_dispersion(args) -> int:
+    outdir = _outdir(args)
+    for path in scenarios.dispersion_csv_paths(args.model, args.alpha, args.kmax, outdir):
+        _writable(path)
     scenarios.run_dispersion_report(args.model, args.alpha, args.kmax,
-                                    samples=args.samples, outdir=_outdir(args))
+                                    samples=args.samples, outdir=outdir)
     print(f"wrote dispersion curves for {args.model} "
           f"(alpha={args.alpha:g}, K={args.kmax:g})")
     return EXIT_OK
@@ -164,6 +174,7 @@ def _cmd_stability_demo(args) -> int:
 
 def _cmd_self_test(args) -> int:
     from .core import Grid, State
+    from .hyperbolic import limited_faces, limiter, reconstruction_deltas
     from .splitting import RunState, StrangSolver
 
     failures = []
@@ -202,6 +213,17 @@ def _cmd_self_test(args) -> int:
         rng.standard_normal(20000) * 10.0 ** rng.integers(-100, 101, 20000)])
     want = "".join(scenarios.FLOAT_FMT % v + "\n" for v in values.tolist()).encode()
     check("CSV formatter matches FLOAT_FMT", scenarios.csv_rows("", (values,)) == want)
+
+    # the compiled faces keep numpy's bits only without fused multiply-adds
+    # or fast math
+    same = True
+    for u in (rng.standard_normal(1000),
+              scenarios.initial_state(scenarios.builtin_scenario("dam_break")).zeta):
+        down, up = u - np.roll(u, 1), np.roll(u, -1) - u
+        delta_plus, delta_minus = reconstruction_deltas(u)
+        want = (u + limiter(down, up, delta_plus) / 2, u - limiter(up, down, delta_minus) / 2)
+        same &= all(a.tobytes() == b.tobytes() for a, b in zip(limited_faces(u), want))
+    check("compiled FV faces match the numpy limiter", same)
 
     return EXIT_SELFTEST if failures else EXIT_OK
 

@@ -63,6 +63,11 @@ class HyperbolicityError(FloatingPointError):
     """Water column h0 + eps*zeta reached zero or below."""
 
 
+class KernelBuildError(RuntimeError):
+    """The C kernel of the finite-volume rate could not be compiled: the
+    compiler of ``hyperbolic.COMPILE_COMMAND`` is missing or failed."""
+
+
 class StallError(FloatingPointError):
     """The time step collapsed: the CFL step fell below a fixed fraction
     (``scenarios.STALL_FRACTION``) of the first one of its stepping loop,

@@ -719,12 +719,19 @@ def run_dispersion_report(kind_name: str, alpha: float, k_max: float,
     scan = np.column_stack([ALPHA_SCAN, scan_err])
 
     if outdir is not None:
-        outdir = Path(outdir)
-        _write_csv(outdir / f"dispersion_{kind_name}_alpha{alpha:g}.csv",
-                   "k,Cp_model,Cg_model,Cp_stokes,Cg_stokes,ratio_p,ratio_g", [("", curves.T)])
-        _write_csv(outdir / f"alpha_scan_{kind_name}_K{k_max:g}.csv",
-                   "alpha,error", [("", scan.T)])
+        curves_path, scan_path = dispersion_csv_paths(kind_name, alpha, k_max, outdir)
+        _write_csv(curves_path, "k,Cp_model,Cg_model,Cp_stokes,Cg_stokes,ratio_p,ratio_g",
+                   [("", curves.T)])
+        _write_csv(scan_path, "alpha,error", [("", scan.T)])
     return curves, scan
+
+
+def dispersion_csv_paths(kind_name: str, alpha: float, k_max: float, outdir) -> tuple[Path, Path]:
+    """The paths in ``outdir`` of the curves and the alpha scan that
+    ``run_dispersion_report`` writes."""
+    outdir = Path(outdir)
+    return (outdir / f"dispersion_{kind_name}_alpha{alpha:g}.csv",
+            outdir / f"alpha_scan_{kind_name}_K{k_max:g}.csv")
 
 
 def track_crest(x: np.ndarray, zeta: np.ndarray, lo: float | None = None,

@@ -5,9 +5,11 @@ scratch of its own, and returns arrays that the caller owns:
 
 * ``stencil``: a centered difference, as the ``PairStencil`` of its order
   on a ``Workspace``;
-* ``faces``: the limited faces, as ``_FaceKernel.faces`` on the strips of
-  a ``Workspace``;
-* ``flux``: the Rusanov flux, as ``_rusanov`` on five scratch rows;
+* ``faces``: the limited faces, from the C kernel's ``fv_faces`` through
+  ``hyperbolic.limited_faces``;
+* ``flux``: the Rusanov flux, from the C kernel's ``fv_flux``;
+* ``block_width``: the cells per block of the C kernel's rate, read from
+  the library, where the number is stated;
 * ``conversion``: the cell-to-nodal map of a grid, as ``build_operators``
   builds it.
 
@@ -15,14 +17,15 @@ scratch of its own, and returns arrays that the caller owns:
 ``scenarios.read_config`` reads; the package itself only reads configs.
 """
 
+import ctypes
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from ebwave.core import Grid, ModelVariant, PhysParams
+from ebwave.core import Grid, HyperbolicityError, ModelVariant, PhysParams
 from ebwave.dispersive import _PAIRS, ConversionOperator, build_operators
-from ebwave.hyperbolic import Workspace, _face_outputs, _FaceKernel, _rusanov
+from ebwave.hyperbolic import Workspace, kernel, limited_faces
 from ebwave.scenarios import FLOAT_FMT, ScenarioConfig
 
 
@@ -39,7 +42,7 @@ def faces(zeta, v) -> tuple[np.ndarray, ...]:
     """(zeta_right, zeta_left, v_right, v_left) of two periodic fields:
     *_right is the limited value at the right face x_{i+1/2} seen from
     cell i, *_left the one at the left face x_{i-1/2}."""
-    return _face_outputs((zeta, v), _FaceKernel.faces)
+    return (*limited_faces(zeta), *limited_faces(v))
 
 
 def flux(zeta_l, v_l, zeta_r, v_r, params) -> tuple:
@@ -48,8 +51,17 @@ def flux(zeta_l, v_l, zeta_r, v_r, params) -> tuple:
     sides = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                   for a in (zeta_l, v_l, zeta_r, v_r)))
     shape, size = sides[0].shape, sides[0].size
-    fluxes = _rusanov(*(a.ravel() for a in sides), params, tuple(np.empty((5, size))))
+    flat = [a.ravel() for a in sides]          # contiguous, copied where broadcast
+    fluxes = np.empty((2, size))
+    if kernel().fv_flux(*(a.ctypes.data for a in flat), size, params.epsilon,
+                        params.gravity, params.depth, *(f.ctypes.data for f in fluxes)):
+        raise HyperbolicityError("nonpositive water column in flux evaluation")
     return tuple(f.reshape(shape)[()] for f in fluxes)
+
+
+def block_width() -> int:
+    """Cells per block of the C kernel's rate, as the library states it."""
+    return ctypes.c_long.in_dll(kernel(), "FV_BLOCK").value
 
 
 def conversion(n: int) -> ConversionOperator:

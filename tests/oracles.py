@@ -4,7 +4,7 @@ The dense operators are assembled with explicit loops and numpy.linalg
 solves, independent of the package's ghost-cell stencils and
 FFT solves. The finite-volume section is the plain allocating kernel (one
 fresh array per numpy operation, whole grid at once), kept verbatim as the
-reference the workspace/strip kernel must match bit for bit. The
+reference the compiled kernel (``fv_kernel.c``) must match bit for bit. The
 finite-difference section at the end is the allocating dispersive kernel
 (stencils summed offset by offset, symbols by rfft, one fresh array per
 operation), kept verbatim as the reference the workspace kernel, its

@@ -5,10 +5,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebwave import scenarios
+from ebwave import hyperbolic, scenarios
 from ebwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, EXIT_SELFTEST, main
 from ebwave.core import ModelVariant
 from ebwave.scenarios import ScenarioConfig, builtin_scenario
@@ -421,6 +422,30 @@ def test_dispersion_without_a_real_branch_exit_code(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_dispersion_checks_both_csv_paths_before_writing_either(tmp_path, capsys):
+    (tmp_path / "alpha_scan_eb_factorized_K10.csv").mkdir()
+    assert main(["dispersion", "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+    assert list(tmp_path.glob("dispersion_*.csv")) == []
+
+
+def test_a_missing_compiler_fails_only_the_commands_that_step(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hyperbolic, "COMPILE_COMMAND",
+                        ("ebwave-no-such-compiler", *hyperbolic.COMPILE_COMMAND[1:]))
+    hyperbolic.kernel.cache_clear()
+    assert main(["simulate", "solitary", "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("kernel build error: ") and "ebwave-no-such-compiler" in err[0]
+    assert not any(tmp_path.iterdir())
+    # the analysis commands build no solver, so they never compile
+    assert main(["stability"]) == EXIT_OK
+    assert main(["dispersion", "--outdir", str(tmp_path)]) == EXIT_OK
+    assert main(["optimize-alpha"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
 def test_stability_rejects_nonpositive_alpha(capsys, alpha):
     code = main(["stability", "--variant", "factorized_all", "--alpha", alpha])
@@ -629,6 +654,17 @@ def test_self_test(capsys):
     assert main(["self-test"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_self_test_fails_where_the_compiled_faces_change_bits(capsys, monkeypatch):
+    # faces one ulp off, as a compiler that fuses a multiply-add would give
+    faces = hyperbolic.limited_faces
+    monkeypatch.setattr(hyperbolic, "limited_faces",
+                        lambda u: tuple(np.nextafter(f, np.inf) for f in faces(u)))
+    assert main(["self-test"]) == EXIT_SELFTEST
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL  compiled FV faces match the numpy limiter"]
 
 
 def test_self_test_fails_where_the_csv_formatter_loses_digits(capsys, monkeypatch):

@@ -1,25 +1,28 @@
 """Property tests of the finite-volume rate on random wet states.
 
-Grid sizes run from the narrowest stencil (5 cells) to two full strips and
-a remainder, with extra weight on sizes around one strip, so the draws
-cross strip boundaries and the periodic wrap.
+Grid sizes run from the narrowest stencil (5 cells) to two full blocks of
+the C kernel and a remainder, with extra weight on sizes around one block,
+so the draws cross block boundaries and the periodic wrap.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ebwave.core import PhysParams, State
-from ebwave.hyperbolic import FV_STRIP, Workspace, hyperbolic_rhs
+from ebwave.hyperbolic import Workspace, hyperbolic_rhs
+
+from drivers import block_width
 
 EPS = np.finfo(float).eps
+BLOCK = block_width()
 
 
 @st.composite
 def wet_states(draw):
     """(state, params, dx): h0 + eps zeta >= 0.1 everywhere, smooth waves
     plus noise of a drawn size, flat stretches and exact zeros."""
-    n = draw(st.one_of(st.integers(5, 2 * FV_STRIP + 13),
-                       st.integers(FV_STRIP - 3, FV_STRIP + 3)))
+    n = draw(st.one_of(st.integers(5, 2 * BLOCK + 13),
+                       st.integers(BLOCK - 3, BLOCK + 3)))
     epsilon = draw(st.floats(0.05, 1.0))
     noise = draw(st.sampled_from([0.0, 1e-9, 0.05, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -1,17 +1,24 @@
+import ctypes
 import math
+import subprocess
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ebwave.core import ConfigurationError, HyperbolicityError, PhysParams, State
-from ebwave.hyperbolic import (FV_STRIP, Workspace, hyperbolic_rhs, limiter,
+from ebwave import hyperbolic
+from ebwave.core import (ConfigurationError, HyperbolicityError, KernelBuildError,
+                         PhysParams, State)
+from ebwave.hyperbolic import (Workspace, hyperbolic_rhs, limiter,
                                max_signal_speed, reconstruction_deltas,
                                rk4_fv_step, rk4_in_place)
 
 import drivers
 import oracles
+
+BLOCK = drivers.block_width()
 
 
 def dense_deltas(u):
@@ -357,7 +364,10 @@ def test_grid_narrower_than_stencil_rejected(n):
         reconstruction_deltas(state.zeta)
 
 
-STRIP_SIZES = [5, 8, 13, 1200, FV_STRIP - 1, FV_STRIP, FV_STRIP + 1, 2 * FV_STRIP + 7]
+# around one block, several blocks and a remainder, on either side of the
+# C kernel's block width
+STRIP_SIZES = [5, 8, 13, 1200, BLOCK - 1, BLOCK, BLOCK + 1,
+               8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1, 16 * BLOCK + 7]
 PARAMS = [PhysParams(0.4), PhysParams(epsilon=0.7, gravity=3.0, depth=2.0)]
 
 
@@ -420,7 +430,7 @@ def test_dry_face_beside_a_nan_in_one_strip_raises(nan_at, dry_at):
 
 
 def test_dry_cell_in_last_strip_raises():
-    n = 2 * FV_STRIP + 7
+    n = 2 * BLOCK + 7
     ws = Workspace(n)
     zeta = np.full(n, 0.1)
     zeta[n - 3] = -1.5
@@ -441,11 +451,11 @@ def test_workspace_size_mismatch_rejected():
 
 
 def workspace_buffers(ws):
-    return [ws.memory, *ws.stage, *ws.rate, *ws.acc, ws.block, *ws.faces, *ws.tmp]
+    return [ws.memory, *ws.stage, *ws.rate, *ws.acc]
 
 
 def test_rk4_fv_step_results_own_their_memory():
-    n = FV_STRIP + 1
+    n = BLOCK + 1
     ws = Workspace(n)
     state = wet_state(np.random.default_rng(5), n)
     saved = state.zeta.copy(), state.v.copy()
@@ -473,3 +483,41 @@ def test_rk4_fv_step_allocates_only_its_result():
         tracemalloc.stop()
     assert out.zeta.nbytes + out.v.nbytes == 1 << 20
     assert peak < 1.5 * (1 << 20)
+
+
+def test_a_changed_source_builds_under_a_new_key(tmp_path, monkeypatch):
+    source, cache = tmp_path / "fv_kernel.c", tmp_path / "cache"
+    code = hyperbolic.KERNEL_SOURCE.read_bytes()
+    source.write_bytes(code)
+    run, written, libraries = subprocess.run, [], []
+
+    def compile_and_look(command, **kwargs):
+        # the compiler writes a name of its own; the libraries in the cache
+        # while it runs are the ones built before
+        written.append(Path(command[command.index("-o") + 1]))
+        libraries.append(sorted(cache.glob("*.so")))
+        return run(command, **kwargs)
+
+    monkeypatch.setattr(hyperbolic.subprocess, "run", compile_and_look)
+    first = hyperbolic.build_kernel(source, cache)
+    # the key is the bytes', not the path's: the package's own library
+    assert first.name == hyperbolic.build_kernel(
+        hyperbolic.KERNEL_SOURCE, hyperbolic.KERNEL_SOURCE.parent / "__pycache__").name
+    assert len(written) == 1
+    source.write_bytes(code + b"\n/* changed */\n")
+    second = hyperbolic.build_kernel(source, cache)
+    assert second != first and first.parent == second.parent == cache
+    assert hyperbolic.build_kernel(source, cache) == second and len(written) == 2
+    assert not {first, second} & set(written)
+    assert libraries == [[], [first]]
+    assert sorted(cache.iterdir()) == sorted([first, second])
+    assert ctypes.c_long.in_dll(ctypes.CDLL(str(second)), "FV_BLOCK").value == BLOCK
+
+
+def test_a_failed_build_is_named_and_leaves_no_file(tmp_path):
+    source, cache = tmp_path / "broken.c", tmp_path / "cache"
+    source.write_text("this is not C\n")
+    with pytest.raises(KernelBuildError, match="broken.c") as failed:
+        hyperbolic.build_kernel(source, cache)
+    assert "\n" not in str(failed.value)
+    assert list(cache.iterdir()) == []

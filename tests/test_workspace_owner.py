@@ -2,10 +2,8 @@
 operators have one builder, ``build_operators``.
 
 Every kernel takes the ``Workspace`` of its caller, so no parameter named
-``workspace`` has a default, and a ``Workspace`` is built in two places
-only: by ``StrangSolver``, for the whole Strang step, and by
-``hyperbolic._face_outputs``, which runs the face kernel for the
-allocating ``reconstruction_deltas``. ``CirculantSolver`` and
+``workspace`` has a default, and a ``Workspace`` is built in one place
+only: by ``StrangSolver``, for the whole Strang step. ``CirculantSolver`` and
 ``ConversionOperator`` are built in ``dispersive.build_operators`` only,
 from the one ``fourier_harmonics`` table of the build.
 
@@ -18,6 +16,9 @@ the workspace alone, but took the set-up from 3.3 to 8 ms (+140 %), and
 mapping the harmonics table and the snapshots too raised the peak again,
 to 62.9 MiB.
 
+The compiled kernel has one owner as well: only ``hyperbolic`` imports
+``ctypes`` and ``subprocess``, to build and load ``fv_kernel.c``.
+
 Checked in the standard library's ``ast``, as ``test_imports`` checks
 imports.
 """
@@ -26,7 +27,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ebwave"
-BUILDERS = {("splitting.py", "StrangSolver.__init__"), ("hyperbolic.py", "_face_outputs")}
+BUILDERS = {("splitting.py", "StrangSolver.__init__")}
 OPERATORS = ("CirculantSolver", "ConversionOperator")
 
 
@@ -121,3 +122,10 @@ def test_only_the_workspace_maps_memory():
     assert {(name, caller) for name, source in sources.items()
             for caller in builders(source, ("mmap",))} \
         == {("hyperbolic.py", "Workspace.__init__")}
+
+
+def test_only_hyperbolic_builds_and_loads_compiled_code():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    for module in ("ctypes", "subprocess"):
+        assert {name for name, source in sources.items() if imports(source, module)} \
+            == {"hyperbolic.py"}, module
